@@ -555,7 +555,11 @@ def get(name, eps=None):
     name = name.strip()
     if "(" in name and name.endswith(")"):
         base, arg = name[:-1].split("(", 1)
-        return get(base, eps=Fraction(arg))
+        try:
+            eps = Fraction(arg)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError("bad parameter %r in %r" % (arg, name)) from None
+        return get(base, eps=eps)
     key = (name, None if eps is None else Fraction(eps))
     if key in _CACHE:
         return _CACHE[key]

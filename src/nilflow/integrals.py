@@ -77,7 +77,7 @@ def _const_vec(alg, x):
 
 def poly_bracket(alg, a, b):
     """[a, b] for PolyVectors of coefficient polynomials."""
-    nv = 2 * alg.dim
+    nv = a[0].nvars
     out = [RationalPolynomial.zero(nv) for _ in range(alg.dim)]
     for (i, j), targets in alg.structure.items():
         c = a[i - 1] * b[j - 1] - a[j - 1] * b[i - 1]
@@ -316,19 +316,34 @@ class DerivationIntegral(FirstIntegral):
         return "der:D"
 
 
-def validate_derivation(alg, d):
-    """Raise unless d is a derivation that is skew for the metric."""
+def basis_brackets(alg):
+    """[e_i, e_j] over the basis pairs i < j, in order."""
+    basis = linalg.identity(alg.dim)
+    return [alg.bracket(basis[i], basis[j])
+            for i in range(alg.dim) for j in range(i + 1, alg.dim)]
+
+
+def derivation_defects(alg, d, brackets):
+    """Yield ((i, j), D[e_i, e_j] - [D e_i, e_j] - [e_i, D e_j]) over the
+    basis pairs i < j (1-based), in order; ``brackets`` is
+    ``basis_brackets(alg)``, passed in so that a caller testing many
+    matrices computes it once."""
     n = alg.dim
     basis = linalg.identity(n)
-    cols = [linalg.mat_vec(d, b) for b in basis]
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = linalg.mat_vec(d, alg.bracket(basis[i], basis[j]))
-            rhs = linalg.vec_add(alg.bracket(cols[i], basis[j]),
-                                 alg.bracket(basis[i], cols[j]))
-            defect = linalg.vec_sub(lhs, rhs)
-            if not linalg.is_zero_vec(defect):
-                raise NotADerivation((i + 1, j + 1), defect)
+    cols = linalg.transpose(d)  # cols[i] = D e_i
+    pairs = ((i, j) for i in range(n) for j in range(i + 1, n))
+    for (i, j), bij in zip(pairs, brackets):
+        lhs = [linalg.sparse_dot(bij, row) for row in d]
+        rhs = linalg.vec_add(alg.bracket(cols[i], basis[j]),
+                             alg.bracket(basis[i], cols[j]))
+        yield (i + 1, j + 1), linalg.vec_sub(lhs, rhs)
+
+
+def validate_derivation(alg, d):
+    """Raise unless d is a derivation that is skew for the metric."""
+    for pair, defect in derivation_defects(alg, d, basis_brackets(alg)):
+        if not linalg.is_zero_vec(defect):
+            raise NotADerivation(pair, defect)
     gd = linalg.mat_mul(alg.gram(), d)
     if linalg.transpose(gd) != linalg.mat_scale(gd, Fraction(-1)):
         raise NotGramSkew("matrix is not skew-adjoint for the metric")

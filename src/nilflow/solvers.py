@@ -10,6 +10,15 @@ The two symmetry spaces are computed exactly as nullspaces:
 ``killing2_structured`` solves the same problem through the splitting
 conditions of the 2- and 3-step normal forms, which gives an independent
 route whose span must agree with the direct cubic computation.
+
+Each solve gathers one coefficient column per parameter matrix.  What
+does not depend on the parameter (basis brackets, the splitting bases,
+G w for the metric) is computed once per solve, and what depends on the
+parameter alone (S v, D e_i) once per parameter, never inside the
+equation loops.  A returned basis depends only on the parameter basis,
+the column order and the row space of the equations, because the RREF
+of a matrix is determined by its row space; so how the rows are
+assembled cannot change a result.
 """
 
 import os
@@ -19,7 +28,8 @@ import numpy as np
 from fractions import Fraction
 
 from . import linalg
-from .integrals import QuotientInduced
+from .integrals import (QuotientInduced, _mat_polyvec, basis_brackets,
+                        derivation_defects, poly_bracket)
 from .ratpoly import PolyVector, RationalPolynomial
 
 
@@ -62,14 +72,16 @@ def _symmetric_parameter_basis(alg):
     return out
 
 
-def _solve_in_parameter_space(parameter_basis, equation_rows):
-    """Nullspace coordinates -> concrete matrices."""
+def _solve_in_parameter_space(parameter_basis, per_param):
+    """Nullspace coordinates -> concrete matrices.
+
+    ``per_param[p]`` holds parameter p's coefficient in every equation, so
+    the equation rows are its transpose.
+    """
     if not parameter_basis:
         return []
-    if not equation_rows:
-        coeffs = linalg.nullspace([], ncols=len(parameter_basis))
-    else:
-        coeffs = linalg.nullspace(equation_rows, ncols=len(parameter_basis))
+    coeffs = linalg.nullspace(linalg.transpose(per_param),
+                              ncols=len(parameter_basis))
     out = []
     n = len(parameter_basis[0])
     for combo in coeffs:
@@ -83,81 +95,34 @@ def _solve_in_parameter_space(parameter_basis, equation_rows):
 
 def skew_derivations(alg):
     """Basis of the space of metric-skew derivations."""
-    n = alg.dim
     params = _skew_parameter_basis(alg)
-    basis = linalg.identity(n)
-    rows = []
+    brackets = basis_brackets(alg)
     # one equation block per basis pair (i, j): D[ei,ej] = [D ei, ej] + [ei, D ej]
-    per_param = []
-    for d in params:
-        cols = [linalg.mat_vec(d, b) for b in basis]
-        block = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                lhs = linalg.mat_vec(d, alg.bracket(basis[i], basis[j]))
-                rhs = linalg.vec_add(alg.bracket(cols[i], basis[j]),
-                                     alg.bracket(basis[i], cols[j]))
-                block.extend(linalg.vec_sub(lhs, rhs))
-        per_param.append(block)
-    if per_param:
-        nrows = len(per_param[0])
-        rows = [[per_param[p][r] for p in range(len(params))] for r in range(nrows)]
-    return _solve_in_parameter_space(params, rows)
+    per_param = [[c for _, defect in derivation_defects(alg, d, brackets)
+                  for c in defect] for d in params]
+    return _solve_in_parameter_space(params, per_param)
 
 
-def _cubic_rows(alg, params, vectors):
-    """Coefficient rows of <X, [S X, X]> over X in span(vectors)."""
-    m = len(vectors)
-    nv = m  # polynomial in the span coordinates
-    coords = [RationalPolynomial.variable(nv, i) for i in range(m)]
-    x_poly = []
-    for k in range(alg.dim):
-        acc = RationalPolynomial.zero(nv)
-        for c, vec in zip(coords, vectors):
-            if vec[k] != 0:
-                acc = acc + c * vec[k]
-        x_poly.append(acc)
-    x_vec = PolyVector(x_poly)
-
-    def poly_bracket_local(a, b):
-        out = [RationalPolynomial.zero(nv) for _ in range(alg.dim)]
-        for (i, j), targets in alg.structure.items():
-            c = a[i - 1] * b[j - 1] - a[j - 1] * b[i - 1]
-            if c:
-                for k, coeff in targets.items():
-                    out[k - 1] = out[k - 1] + c * coeff
-        return PolyVector(out)
-
-    rows_by_monomial = []
-    gram = alg.metric
-    for s in params:
-        sx = []
-        for row in s:
-            acc = RationalPolynomial.zero(nv)
-            for c, p in zip(row, x_vec.components):
-                if c != 0:
-                    acc = acc + p * c
-            sx.append(acc)
-        cubic = x_vec.dot(poly_bracket_local(PolyVector(sx), x_vec), gram=gram)
-        rows_by_monomial.append(cubic.terms)
+def _cubic_columns(alg, params, vectors):
+    """Per parameter S, the coefficients of <X, [S X, X]> over X in
+    span(vectors), listed in one monomial order shared by all S."""
+    nv = len(vectors)  # polynomial in the span coordinates
+    coords = PolyVector([RationalPolynomial.variable(nv, i) for i in range(nv)])
+    x_vec = _mat_polyvec(linalg.transpose(vectors), coords)
+    cubics = [x_vec.dot(poly_bracket(alg, _mat_polyvec(s, x_vec), x_vec),
+                        gram=alg.metric).terms for s in params]
     monomials = {}
-    for terms in rows_by_monomial:
+    for terms in cubics:
         for e in terms:
             monomials.setdefault(e, len(monomials))
-    rows = []
-    for r in range(len(monomials)):
-        rows.append([Fraction(0)] * len(params))
-    for p, terms in enumerate(rows_by_monomial):
-        for e, c in terms.items():
-            rows[monomials[e]][p] = c
-    return rows
+    return [[terms.get(e, Fraction(0)) for e in monomials] for terms in cubics]
 
 
 def killing2_tensors(alg):
     """Basis of symmetric S with <Y, [S Y, Y]> identically zero."""
     params = _symmetric_parameter_basis(alg)
-    rows = _cubic_rows(alg, params, linalg.identity(alg.dim))
-    return _solve_in_parameter_space(params, rows)
+    return _solve_in_parameter_space(
+        params, _cubic_columns(alg, params, linalg.identity(alg.dim)))
 
 
 def killing2_structured(alg):
@@ -168,47 +133,46 @@ def killing2_structured(alg):
         raise ValueError("structured conditions implemented for step <= 3")
     params = _symmetric_parameter_basis(alg)
     if step == 1:
-        return _solve_in_parameter_space(params, [])
+        return _solve_in_parameter_space(params, [[] for _ in params])
 
     vb = analysis.v_complement
     if step == 2:
         wb = analysis.center_basis
     else:
         wb = analysis.commutator_chain[0]
+    gw = [linalg.mat_vec(alg.gram(), w) for w in wb]  # <t, w> = t . (G w)
 
-    rows = []
-    per_param = [[] for _ in params]
-    for p, s in enumerate(params):
+    per_param = []
+    for s in params:
+        # v, w and the brackets t below are mostly zero: sparse_dot skips
+        # the products with their zero entries
+        sv = [[linalg.sparse_dot(v, row) for row in s] for v in vb]
+        sw = [[linalg.sparse_dot(w, row) for row in s] for w in wb]
         block = []
         # (i) [S X, X'] = [X, S X'] on the complement, diagonal included
         # (at a == b the defect is 2 [S v_a, v_a])
         for a in range(len(vb)):
             for b in range(a, len(vb)):
-                sa = linalg.mat_vec(s, vb[a])
-                sb = linalg.mat_vec(s, vb[b])
-                defect = linalg.vec_sub(alg.bracket(sa, vb[b]),
-                                        alg.bracket(vb[a], sb))
-                block.extend(defect)
-        # (ii) the induced operator on the distinguished ideal is skew
-        for a in range(len(vb)):
-            x = vb[a]
-            sx = linalg.mat_vec(s, x)
+                block.extend(linalg.vec_sub(alg.bracket(sv[a], vb[b]),
+                                            alg.bracket(vb[a], sv[b])))
+        # (ii) the induced operator on the distinguished ideal is skew:
+        # <t_c, w_d> + <t_d, w_c> = 0 with t_c = [x, S w_c] - [S x, w_c]
+        # (the second term vanishes for step 2, where w_c is central)
+        for x, sx in zip(vb, sv):
+            t = [alg.bracket(x, swc) for swc in sw]
+            if step == 3:
+                t = [linalg.vec_sub(tc, alg.bracket(sx, wc))
+                     for tc, wc in zip(t, wb)]
             for c in range(len(wb)):
                 for d in range(c, len(wb)):
-                    def form(u, v):
-                        t = alg.bracket(x, linalg.mat_vec(s, u))
-                        if step == 3:
-                            t = linalg.vec_sub(t, alg.bracket(sx, u))
-                        return alg.inner(t, v)
-                    block.append(form(wb[c], wb[d]) + form(wb[d], wb[c]))
-        per_param[p] = block
-    if params:
-        nrows = len(per_param[0])
-        rows = [[per_param[p][r] for p in range(len(params))] for r in range(nrows)]
+                    block.append(linalg.sparse_dot(t[c], gw[d])
+                                 + linalg.sparse_dot(t[d], gw[c]))
+        per_param.append(block)
     # (iii) for step 3: the cubic restricted to the distinguished ideal
     if step == 3:
-        rows.extend(_cubic_rows(alg, params, wb))
-    return _solve_in_parameter_space(params, rows)
+        per_param = [block + cubic for block, cubic
+                     in zip(per_param, _cubic_columns(alg, params, wb))]
+    return _solve_in_parameter_space(params, per_param)
 
 
 def killing2_same_span(alg):

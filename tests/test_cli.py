@@ -132,6 +132,14 @@ def test_unknown_entry_is_usage_error():
     assert res.stderr.strip()
 
 
+def test_zero_denominator_parameter_is_usage_error():
+    for verb in ("derivations", "killing2"):
+        res = _run(verb, "n6_19(1/0)")
+        assert res.returncode == 2
+        assert "bad parameter" in res.stderr
+        assert "Traceback" not in res.stderr
+
+
 def test_bad_integral_spec_is_usage_error():
     res = _run("bracket", "h3", "nope:e1", "E")
     assert res.returncode == 2

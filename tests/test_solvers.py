@@ -1,7 +1,16 @@
 from fractions import Fraction
 
+import pytest
+
 from nilflow.algebra import LieAlgebraDescriptor
-from nilflow.integrals import Energy, Linear, Quadratic, RightInvariant
+from nilflow.integrals import (
+    Energy,
+    Linear,
+    NotADerivation,
+    Quadratic,
+    RightInvariant,
+    validate_derivation,
+)
 from nilflow.poisson import PoissonEngine
 from nilflow.solvers import (
     independence_scan,
@@ -13,24 +22,36 @@ from nilflow.solvers import (
 MIN_FULL_RANK_FRACTION = 0.99
 
 
-def _h3():
-    return LieAlgebraDescriptor(3, {(1, 2): {3: Fraction(1)}}, name="h3")
+def _h3(metric=None):
+    return LieAlgebraDescriptor(3, {(1, 2): {3: Fraction(1)}}, metric=metric,
+                                name="h3")
 
 
-def _free_23():
+def _free_23(metric=None):
     structure = {
         (1, 2): {3: Fraction(1)},
         (1, 3): {4: Fraction(1)},
         (2, 3): {5: Fraction(1)},
     }
-    return LieAlgebraDescriptor(5, structure, name="free23")
+    return LieAlgebraDescriptor(5, structure, metric=metric, name="free23")
+
+
+def _plain_and_metric():
+    """h3 and free23, each also with a non-diagonal positive-definite
+    metric, so the G^{-1} A / G^{-1} B parameter path is exercised; both
+    metrics leave a nonzero space of skew derivations."""
+    return (_h3(), _free_23(),
+            _h3([[2, 1, 0], [1, 2, 1], [0, 1, 2]]),
+            _free_23([[2, 1, 0, 0, 0], [1, 2, 0, 0, 0], [0, 0, 3, 0, 0],
+                      [0, 0, 0, 2, 1], [0, 0, 0, 1, 2]]))
 
 
 def _abelian(n):
     return LieAlgebraDescriptor(n, {})
 
 
-def _is_derivation(alg, d):
+def _first_defect(alg, d):
+    """First basis pair (1-based, in order) breaking the Leibniz rule."""
     n = alg.dim
     for i in range(n):
         for j in range(i + 1, n):
@@ -43,8 +64,12 @@ def _is_derivation(alg, d):
             leib = [x + y for x, y in zip(alg.bracket(d_ei, ej),
                                           alg.bracket(ei, d_ej))]
             if d_br != leib:
-                return False
-    return True
+                return (i + 1, j + 1)
+    return None
+
+
+def _is_derivation(alg, d):
+    return _first_defect(alg, d) is None
 
 
 def _is_metric_skew(alg, d):
@@ -109,14 +134,32 @@ def test_abelian_dimensions():
 
 
 def test_skew_derivations_really_are():
-    for alg in (_h3(), _free_23()):
-        for d in skew_derivations(alg):
+    for alg in _plain_and_metric():
+        ders = skew_derivations(alg)
+        assert ders
+        for d in ders:
             assert _is_derivation(alg, d)
             assert _is_metric_skew(alg, d)
 
 
+def test_validate_derivation_reports_first_defective_pair():
+    for alg in _plain_and_metric():
+        n = alg.dim
+        for d in skew_derivations(alg):
+            for r in range(n):
+                for c in range(n):
+                    bad = [row[:] for row in d]
+                    bad[r][c] += 1
+                    expected = _first_defect(alg, bad)
+                    if expected is None:
+                        continue
+                    with pytest.raises(NotADerivation) as err:
+                        validate_derivation(alg, bad)
+                    assert err.value.pair == expected
+
+
 def test_killing_tensors_are_integrals():
-    for alg in (_h3(), _free_23()):
+    for alg in _plain_and_metric():
         eng = PoissonEngine(alg)
         for s in killing2_tensors(alg):
             assert eng.is_first_integral(Quadratic(alg, s)).ok
@@ -130,7 +173,7 @@ def test_identity_always_killing():
 
 
 def test_structured_solver_spans_same_space():
-    for alg in (_h3(), _free_23()):
+    for alg in _plain_and_metric():
         full = killing2_tensors(alg)
         structured = killing2_structured(alg)
         assert len(full) == len(structured)
