@@ -229,6 +229,8 @@ def _parse_coords(text, n, what):
 
 
 def cmd_geodesic(args):
+    if not 0 < args.dt <= args.t < np.inf:
+        raise ValueError("--dt and --t must be finite with 0 < dt <= t")
     target = _resolve(args)
     n = target.alg.dim
     rng = np.random.default_rng(args.seed)
@@ -246,11 +248,19 @@ def cmd_geodesic(args):
         fs = list(target.entry.complete_set)
     else:
         fs = [target.parse("E")]
-    traj = geodesic.integrate(target.alg, w0, y0, dt=args.dt, t_end=args.t)
-    if args.format == "csv":
-        geodesic.write_csv(traj, sys.stdout)
-        return EXIT_OK
-    report = geodesic.conservation_report(fs, traj)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = geodesic.integrate(target.alg, w0, y0, dt=args.dt,
+                                      t_end=args.t)
+        if args.format == "csv":
+            geodesic.write_csv(traj, sys.stdout)
+            return EXIT_OK
+        report = geodesic.conservation_report(fs, traj)
+    except (geodesic.NonFinite, geodesic.DenominatorVanished) as exc:
+        payload = {"algebra": target.label, "dt": args.dt, "t": args.t,
+                   "ok": False, "reason": str(exc)}
+        _emit(args, payload, ["flow failed: %s" % exc])
+        return EXIT_CLAIM_FAILED
     worst = max(d for _, d in report) if report else 0.0
     payload = {"algebra": target.label, "dt": args.dt, "t": args.t,
                "drift": {label: drift for label, drift in report},
@@ -432,6 +442,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "samples", None) is not None and args.samples < 1:
+            raise ValueError("--samples must be at least 1")
         return args.fn(args)
     except (ValueError, KeyError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -54,11 +54,6 @@ def _vector_label(x):
 
 # -- polynomial helpers -------------------------------------------------
 
-def _poly_zero_vec(alg):
-    nv = 2 * alg.dim
-    return PolyVector([RationalPolynomial.zero(nv) for _ in range(alg.dim)])
-
-
 def _w_vec(alg):
     nv = 2 * alg.dim
     return PolyVector([RationalPolynomial.variable(nv, i) for i in range(alg.dim)])

@@ -144,14 +144,6 @@ def span_equal(vectors_a, vectors_b):
     return row_space_basis(vectors_a) == row_space_basis(vectors_b)
 
 
-def in_span(vectors, v):
-    if is_zero_vec(v):
-        return True
-    if not vectors:
-        return False
-    return rank(list(vectors)) == rank(list(vectors) + [v])
-
-
 def det(mat):
     n = len(mat)
     rows = [[frac(x) for x in row] for row in mat]

@@ -149,3 +149,34 @@ def test_sample_env_override():
     res = _run("independence", "h3", env={"NILFLOW_SAMPLES": "25"})
     assert res.returncode == 0
     assert "25" in res.stdout
+
+
+def test_bad_step_sizes_are_usage_errors():
+    for flags in (("--dt", "0"), ("--dt", "nan"), ("--t", "-1"),
+                  ("--t", "0.0001")):
+        res = _run("geodesic", "h3", *flags)
+        assert res.returncode == 2, flags
+        assert res.stderr.startswith("error:"), flags
+        assert "Traceback" not in res.stderr
+
+
+def test_samples_below_one_are_usage_errors():
+    for args in (("check", "h3"), ("independence", "h3"),
+                 ("quotient", "h3", "Gamma_2"), ("verify", "h3")):
+        for samples in ("0", "-5"):
+            res = _run(*args, "--samples", samples)
+            assert res.returncode == 2, args
+            assert "Traceback" not in res.stderr
+
+
+def test_flow_blow_up_is_a_result():
+    blow_up = ("geodesic", "h3", "--w0", "1e200,1e200,1e200",
+               "--y0", "1e200,1,1", "--t", "0.01")
+    res = _run(*blow_up)
+    assert res.returncode == 1
+    assert "no longer finite" in res.stdout
+    assert "Traceback" not in res.stderr
+    res = _run(*blow_up, "--format", "json")
+    assert res.returncode == 1
+    payload = json.loads(res.stdout)
+    assert payload["ok"] is False and "no longer finite" in payload["reason"]

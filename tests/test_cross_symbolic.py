@@ -2,8 +2,10 @@
 
 from fractions import Fraction
 
+import numpy as np
 import sympy
 
+from nilflow import catalog
 from nilflow.algebra import LieAlgebraDescriptor
 from nilflow.geodesic import GeodesicField
 from nilflow.integrals import (
@@ -23,13 +25,13 @@ def _h3(metric=None):
     return LieAlgebraDescriptor(3, {(1, 2): {3: Fraction(1)}}, metric=metric)
 
 
-def _free_23():
+def _free_23(metric=None):
     structure = {
         (1, 2): {3: Fraction(1)},
         (1, 3): {4: Fraction(1)},
         (2, 3): {5: Fraction(1)},
     }
-    return LieAlgebraDescriptor(5, structure)
+    return LieAlgebraDescriptor(5, structure, metric=metric)
 
 
 def _symbols(n):
@@ -171,17 +173,27 @@ class _Coordinate(FirstIntegral):
 
 
 def test_flow_field_is_hamiltonian():
-    # d(coordinate)/dt along the flow equals {coordinate, E}
-    for alg in (_h3(), _free_23()):
+    # d(coordinate)/dt along the flow equals {coordinate, E}, row by row
+    cases = (
+        (_h3(), 1),
+        (_free_23(), 1),
+        (_h3([[2, 1, 0], [1, 2, 1], [0, 1, 2]]), 3),
+        (_free_23([[2, 1, 0, 0, 0], [1, 2, 0, 0, 0], [0, 0, 3, 0, 0],
+                   [0, 0, 0, 2, 1], [0, 0, 0, 1, 2]]), 3),
+        (catalog.get("n6_25").descriptor, 3),
+    )
+    base = [0.31, -0.42, 0.55, 0.12, -0.73, 0.26,
+            1.21, 0.44, -0.95, 0.61, 1.52, -0.38]
+    for alg, rows in cases:
         n = alg.dim
         eng = PoissonEngine(alg)
         e = Energy(alg)
-        field = GeodesicField(alg)
-        w = [0.31, -0.42, 0.55, 0.12, -0.73][:n]
-        y = [1.21, 0.44, -0.95, 0.61, 1.52][:n]
-        import numpy as np
-        rhs = field(np.array([w + y]))[0]
+        states = [[(k + 1) * x - 0.1 * k for x in base[:n] + base[6:6 + n]]
+                  for k in range(rows)]
+        rhs = GeodesicField(alg)(np.array(states))
+        assert rhs.shape == (rows, 2 * n)
         for i in range(2 * n):
             br = eng.bracket(_Coordinate(alg, i), e).poly
-            val = float(br.evaluate([Fraction(repr(v)) for v in w + y]))
-            assert abs(val - rhs[i]) < 1e-12, "slot %d" % i
+            for row, state in zip(rhs, states):
+                val = float(br.evaluate([Fraction(repr(v)) for v in state]))
+                assert abs(val - row[i]) < 1e-12, "slot %d" % i

@@ -24,13 +24,13 @@ def _h3():
     return LieAlgebraDescriptor(3, {(1, 2): {3: Fraction(1)}}, name="h3")
 
 
-def _free_23():
+def _free_23(metric=None):
     structure = {
         (1, 2): {3: Fraction(1)},
         (1, 3): {4: Fraction(1)},
         (2, 3): {5: Fraction(1)},
     }
-    return LieAlgebraDescriptor(5, structure, name="free23")
+    return LieAlgebraDescriptor(5, structure, metric=metric, name="free23")
 
 
 def test_structure_tensor_antisymmetric():
@@ -85,13 +85,21 @@ def test_momentum_reversal_runs_backwards():
 
 
 def test_batched_matches_single():
-    alg = _h3()
-    w = [[0.4, -0.2, 0.9], [0.1, 0.5, -0.3]]
-    y = [[1.1, 0.3, -0.7], [0.2, -0.6, 1.4]]
-    both = integrate(alg, w, y, dt=0.01, t_end=1.0)
-    assert both.batch == 2
-    one = integrate(alg, w[1], y[1], dt=0.01, t_end=1.0)
-    assert np.allclose(both.states[:, 1, :], one.states[:, 0, :], atol=1e-14)
+    metric = [[2, 1, 0, 0, 0], [1, 2, 0, 0, 0], [0, 0, 3, 0, 0],
+              [0, 0, 0, 2, 1], [0, 0, 0, 1, 2]]
+    cases = (
+        (_h3(), [[0.4, -0.2, 0.9], [0.1, 0.5, -0.3]],
+         [[1.1, 0.3, -0.7], [0.2, -0.6, 1.4]]),
+        (_free_23(metric), [[0.3, -1.1, 0.7, 0.2, -0.5],
+                            [0.1, 0.5, -0.3, 0.8, 0.4]],
+         [[1.2, 0.4, -0.9, 0.6, 1.5], [0.2, -0.6, 1.4, -0.3, 0.7]]),
+    )
+    for alg, w, y in cases:
+        both = integrate(alg, w, y, dt=0.01, t_end=1.0)
+        assert both.batch == 2
+        one = integrate(alg, w[1], y[1], dt=0.01, t_end=1.0)
+        assert np.allclose(both.states[:, 1, :], one.states[:, 0, :],
+                           atol=1e-14)
 
 
 def test_evaluate_along_matches_value():
