@@ -133,14 +133,20 @@ class LieAlgebraDescriptor:
     # -- basic operations ----------------------------------------------
 
     def bracket(self, u, v):
-        """[u, v] for coefficient vectors (exact if inputs are exact)."""
-        out = [0] * self.dim
+        """[u, v] for coefficient vectors over any ring the structure
+        constants multiply into: Fractions, floats, polynomials or a mix.
+
+        Zero entries are the zero of the inputs' ring, so the result is
+        exact if the inputs are exact.
+        """
+        zero = 0 * u[0] + 0 * v[0]
+        out = [zero] * self.dim
         for (i, j), targets in self.structure.items():
             c = u[i - 1] * v[j - 1] - u[j - 1] * v[i - 1]
             if c:
                 for k, coeff in targets.items():
                     out[k - 1] = out[k - 1] + coeff * c
-        return [x if x else Fraction(0) for x in out]
+        return out
 
     def ad(self, x):
         """Matrix of ad(x) = [x, .] in the fixed basis."""

@@ -70,18 +70,6 @@ def _const_vec(alg, x):
     return PolyVector([RationalPolynomial.constant(nv, c) for c in x])
 
 
-def poly_bracket(alg, a, b):
-    """[a, b] for PolyVectors of coefficient polynomials."""
-    nv = a[0].nvars
-    out = [RationalPolynomial.zero(nv) for _ in range(alg.dim)]
-    for (i, j), targets in alg.structure.items():
-        c = a[i - 1] * b[j - 1] - a[j - 1] * b[i - 1]
-        if c:
-            for k, coeff in targets.items():
-                out[k - 1] = out[k - 1] + c * coeff
-    return PolyVector(out)
-
-
 def _mat_polyvec(mat, pv):
     """Rational matrix applied to a PolyVector."""
     nv = pv[0].nvars
@@ -93,36 +81,6 @@ def _mat_polyvec(mat, pv):
                 acc = acc + p * c
         out.append(acc)
     return PolyVector(out)
-
-
-def _adjoint_inverse_poly(alg, x):
-    """Ad(exp(-w)) x with w symbolic: sum_k (-1)^k/k! ad(w)^k x."""
-    w = _w_vec(alg)
-    term = _const_vec(alg, x)
-    out = term
-    k = 1
-    while True:
-        term = poly_bracket(alg, w, term)
-        if term.is_zero() or k > alg.dim:
-            break
-        out = out + term.scale(Fraction((-1) ** k, math.factorial(k)))
-        k += 1
-    return out
-
-
-def _dexp_poly(alg, u_poly):
-    """Phi(ad w) u with w symbolic: sum_k (-1)^k/(k+1)! ad(w)^k u."""
-    w = _w_vec(alg)
-    term = u_poly
-    out = term
-    k = 1
-    while True:
-        term = poly_bracket(alg, w, term)
-        if term.is_zero() or k > alg.dim:
-            break
-        out = out + term.scale(Fraction((-1) ** k, math.factorial(k + 1)))
-        k += 1
-    return out
 
 
 def _gram_dot(alg, a, b):
@@ -253,7 +211,7 @@ class RightInvariant(FirstIntegral):
                              % (len(self.x), alg.dim))
 
     def _transported(self, w):
-        return linalg.mat_vec(group.adjoint_inverse(self.alg, w), self.x)
+        return group.ad_series(self.alg, w, group.exp_neg_coeff, self.x)
 
     def value(self, point):
         w, y = _wy(point)
@@ -266,8 +224,9 @@ class RightInvariant(FirstIntegral):
         return u, a
 
     def _expand(self):
-        a = _adjoint_inverse_poly(self.alg, self.x)
-        return _gram_dot(self.alg, a, _y_vec(self.alg))
+        a = group.ad_series(self.alg, _w_vec(self.alg), group.exp_neg_coeff,
+                            _const_vec(self.alg, self.x))
+        return _gram_dot(self.alg, PolyVector(a), _y_vec(self.alg))
 
     def _default_label(self):
         return "right:%s" % _vector_label(self.x)
@@ -304,8 +263,9 @@ class DerivationIntegral(FirstIntegral):
         return u, v
 
     def _expand(self):
-        b = _dexp_poly(self.alg, _mat_polyvec(self.d, _w_vec(self.alg)))
-        return _gram_dot(self.alg, b, _y_vec(self.alg))
+        w = _w_vec(self.alg)
+        b = group.dexp_apply(self.alg, w, _mat_polyvec(self.d, w))
+        return _gram_dot(self.alg, PolyVector(b), _y_vec(self.alg))
 
     def _default_label(self):
         return "der:D"

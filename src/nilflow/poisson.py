@@ -10,15 +10,15 @@ inverse of the differential of exp.  This makes the bracket exact and
 independent of any closed-form gradient the integral may also carry.
 """
 
-import math
 import random
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
+from . import group, linalg
 from .integrals import (DerivationIntegral, Energy, QuotientInduced,
-                        RightInvariant, _mat_polyvec, _w_vec, _y_vec,
-                        poly_bracket)
+                        RightInvariant, _const_vec, _mat_polyvec, _w_vec,
+                        _y_vec)
 from .ratpoly import PolyVector, RationalPolynomial
 
 
@@ -49,42 +49,6 @@ class CriterionCheck:
         return self.bracket_is_zero == self.condition_holds
 
 
-def _poly_mat_identity(nvars, n):
-    return [[RationalPolynomial.constant(nvars, 1) if i == j
-             else RationalPolynomial.zero(nvars) for j in range(n)]
-            for i in range(n)]
-
-
-def _poly_mat_mul(a, b):
-    n = len(a)
-    nvars = a[0][0].nvars
-    out = [[RationalPolynomial.zero(nvars) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            if a[i][k]:
-                for j in range(n):
-                    if b[k][j]:
-                        out[i][j] = out[i][j] + a[i][k] * b[k][j]
-    return out
-
-
-def _poly_mat_is_zero(a):
-    return all(p.is_zero for row in a for p in row)
-
-
-def _poly_mat_apply(a, pv):
-    n = len(a)
-    nvars = a[0][0].nvars
-    out = []
-    for i in range(n):
-        acc = RationalPolynomial.zero(nvars)
-        for j in range(n):
-            if a[i][j] and pv[j]:
-                acc = acc + a[i][j] * pv[j]
-        out.append(acc)
-    return PolyVector(out)
-
-
 class PoissonEngine:
     """Bracket evaluator with cached symbolic dexp data for one algebra."""
 
@@ -92,66 +56,32 @@ class PoissonEngine:
         self.alg = alg
         self.n = alg.dim
         self.nvars = 2 * alg.dim
-        self._grad_cache = {}
-        self._psi_t = self._build_psi_transpose()
-
-    def _build_psi_transpose(self):
-        n = self.n
-        nvars = self.nvars
-        w = _w_vec(self.alg)
-        ad_w = [[RationalPolynomial.zero(nvars) for _ in range(n)] for _ in range(n)]
-        for j, col in enumerate(linalg.identity(n)):
-            image = poly_bracket(self.alg, w, PolyVector(
-                [RationalPolynomial.constant(nvars, c) for c in col]))
-            for i in range(n):
-                ad_w[i][j] = image[i]
-        # Phi(ad w) = sum_k (-ad w)^k / (k+1)!
-        phi = _poly_mat_identity(nvars, n)
-        power = _poly_mat_identity(nvars, n)
-        k = 1
-        while True:
-            power = _poly_mat_mul(power, ad_w)
-            if _poly_mat_is_zero(power) or k > n + 1:
-                break
-            coeff = Fraction((-1) ** k, math.factorial(k + 1))
-            for i in range(n):
-                for j in range(n):
-                    phi[i][j] = phi[i][j] + power[i][j] * coeff
-            k += 1
-        # Psi = Phi^{-1} via the Neumann series of I - Phi (nilpotent)
-        nil = _poly_mat_identity(nvars, n)
-        for i in range(n):
-            for j in range(n):
-                nil[i][j] = nil[i][j] - phi[i][j]
-        psi = _poly_mat_identity(nvars, n)
-        power = _poly_mat_identity(nvars, n)
-        for _ in range(n + 1):
-            power = _poly_mat_mul(power, nil)
-            if _poly_mat_is_zero(power):
-                break
-            for i in range(n):
-                for j in range(n):
-                    psi[i][j] = psi[i][j] + power[i][j]
-        return [[psi[j][i] for j in range(n)] for i in range(n)]
+        self._grad_cache = weakref.WeakKeyDictionary()
+        # Psi(ad w) e_i for symbolic w: column i of Psi, row i of Psi^T
+        w = _w_vec(alg)
+        self._psi_cols = [group.dexp_inverse_apply(alg, w, _const_vec(alg, e))
+                          for e in linalg.identity(self.n)]
 
     def gradient_polys(self, f):
         """Exact (U, V) PolyVectors from the value polynomial of f."""
-        # The cache entry keeps a reference to f so the id stays unique.
-        key = id(f)
-        if key in self._grad_cache:
-            return self._grad_cache[key][1:]
+        if f in self._grad_cache:
+            return self._grad_cache[f]
         fp = f.as_polynomial()
         n = self.n
-        grad_w = PolyVector([fp.partial(i) for i in range(n)])
+        grad_w = [fp.partial(i) for i in range(n)]
         grad_y = PolyVector([fp.partial(n + i) for i in range(n)])
-        u = _poly_mat_apply(self._psi_t, grad_w)
+        # U_i = sum_j Psi[j][i] grad_w[j], skipping zeros: most integrals
+        # (Energy, Linear, Quadratic) have grad_w f = 0
+        zero = RationalPolynomial.zero(self.nvars)
+        u = PolyVector([sum((p * g for p, g in zip(col, grad_w) if p and g),
+                            zero) for col in self._psi_cols])
         ginv = self.alg.gram_inverse()
         if self.alg.metric is not None:
             u = _mat_polyvec(ginv, u)
             v = _mat_polyvec(ginv, grad_y)
         else:
             v = grad_y
-        self._grad_cache[key] = (f, u, v)
+        self._grad_cache[f] = (u, v)
         return u, v
 
     def bracket(self, f, g, candidates=None):
@@ -159,7 +89,8 @@ class PoissonEngine:
         ug, vg = self.gradient_polys(g)
         gram = self.alg.metric
         poly = uf.dot(vg, gram=gram) - ug.dot(vf, gram=gram)
-        poly = poly - _y_vec(self.alg).dot(poly_bracket(self.alg, vf, vg), gram=gram)
+        poly = poly - _y_vec(self.alg).dot(PolyVector(self.alg.bracket(vf, vg)),
+                                           gram=gram)
         matched = None
         if candidates and not poly.is_zero:
             matched = self._match(poly, candidates)

@@ -8,8 +8,6 @@ the denominator under every generator, which is what makes the composed
 function descend; ``shift_multiplier`` verifies that structurally.
 """
 
-import os
-
 import numpy as np
 
 from fractions import Fraction
@@ -17,6 +15,7 @@ from fractions import Fraction
 from . import group
 from .integrals import QuotientInduced, _w_vec
 from .ratpoly import RationalPolynomial
+from .solvers import sample_count
 
 
 class Lattice:
@@ -55,9 +54,7 @@ def invariance_check(alg, lattice, f, nsamples=None, seed=0, den_min=0.1):
     translated point.
     """
     n = alg.dim
-    if nsamples is None:
-        env = os.environ.get("NILFLOW_SAMPLES")
-        nsamples = int(env) if env else 200
+    nsamples = sample_count(nsamples)
     rng = np.random.default_rng(seed)
     worst = 0.0
     accepted = 0

@@ -285,15 +285,6 @@ class PolyVector:
     def __getitem__(self, i):
         return self.components[i]
 
-    def __add__(self, other):
-        return PolyVector([a + b for a, b in zip(self.components, other.components)])
-
-    def __sub__(self, other):
-        return PolyVector([a - b for a, b in zip(self.components, other.components)])
-
-    def scale(self, c):
-        return PolyVector([p * c for p in self.components])
-
     def dot(self, other, gram=None):
         """<self, other>, optionally with a rational Gram matrix."""
         n = len(self.components)
@@ -308,9 +299,6 @@ class PolyVector:
                 if gram[i][j] != 0:
                     total = total + self.components[i] * other.components[j] * gram[i][j]
         return total
-
-    def is_zero(self):
-        return all(p.is_zero for p in self.components)
 
     def __repr__(self):
         return "PolyVector(%s)" % ", ".join(p.render() for p in self.components)

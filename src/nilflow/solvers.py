@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from . import linalg
 from .integrals import (QuotientInduced, _mat_polyvec, basis_brackets,
-                        derivation_defects, poly_bracket)
+                        derivation_defects)
 from .ratpoly import PolyVector, RationalPolynomial
 
 
@@ -37,11 +37,20 @@ DEFAULT_SAMPLES = 200
 SINGULAR_THRESHOLD = 1e-10
 
 
-def _sample_count(nsamples):
-    if nsamples is not None:
-        return int(nsamples)
-    env = os.environ.get("NILFLOW_SAMPLES")
-    return int(env) if env else DEFAULT_SAMPLES
+def sample_count(nsamples):
+    """How many accepted samples a scan draws: ``nsamples`` if given, else
+    the NILFLOW_SAMPLES environment variable, else DEFAULT_SAMPLES.
+
+    A count below 1 raises ValueError: a scan over no samples would
+    report a vacuous pass.
+    """
+    if nsamples is None:
+        env = os.environ.get("NILFLOW_SAMPLES")
+        nsamples = env if env else DEFAULT_SAMPLES
+    count = int(nsamples)
+    if count < 1:
+        raise ValueError("sample count must be at least 1, got %d" % count)
+    return count
 
 
 def _skew_parameter_basis(alg):
@@ -109,7 +118,7 @@ def _cubic_columns(alg, params, vectors):
     nv = len(vectors)  # polynomial in the span coordinates
     coords = PolyVector([RationalPolynomial.variable(nv, i) for i in range(nv)])
     x_vec = _mat_polyvec(linalg.transpose(vectors), coords)
-    cubics = [x_vec.dot(poly_bracket(alg, _mat_polyvec(s, x_vec), x_vec),
+    cubics = [x_vec.dot(PolyVector(alg.bracket(_mat_polyvec(s, x_vec), x_vec)),
                         gram=alg.metric).terms for s in params]
     monomials = {}
     for terms in cubics:
@@ -218,7 +227,7 @@ def independence_scan(alg, integrals, predicate=None, nsamples=None, seed=0,
     row reduction, so the rank statement carries no floating error.
     """
     n = alg.dim
-    count = _sample_count(nsamples)
+    count = sample_count(nsamples)
     rng = np.random.default_rng(seed)
     target = len(integrals)
     accepted = 0

@@ -151,6 +151,16 @@ def test_sample_env_override():
     assert "25" in res.stdout
 
 
+def test_sample_env_below_one_is_usage_error():
+    for args in (("independence", "h3"), ("quotient", "h3", "Gamma_2"),
+                 ("check", "h3")):
+        for samples in ("0", "-3"):
+            res = _run(*args, env={"NILFLOW_SAMPLES": samples})
+            assert res.returncode == 2, (args, samples)
+            assert res.stderr.startswith("error:"), (args, samples)
+            assert "Traceback" not in res.stderr
+
+
 def test_bad_step_sizes_are_usage_errors():
     for flags in (("--dt", "0"), ("--dt", "nan"), ("--t", "-1"),
                   ("--t", "0.0001")):

@@ -34,6 +34,12 @@ def _free_23(metric=None):
     return LieAlgebraDescriptor(5, structure, metric=metric)
 
 
+def _filiform6():
+    # [e1, e_k] = e_{k+1}: step 5, so Psi reaches ad(w)^4
+    return LieAlgebraDescriptor(6, {(1, k): {k + 1: Fraction(1)}
+                                    for k in range(2, 6)})
+
+
 def _symbols(n):
     ws = sympy.symbols("w1:%d" % (n + 1))
     ys = sympy.symbols("y1:%d" % (n + 1))
@@ -129,6 +135,16 @@ def test_right_invariant_pair_three_step():
     g = RightInvariant(alg, _e(5, 2))
     assert sympy.simplify(_engine_bracket_sympy(alg, f, g)
                           - _independent_bracket(alg, f, g)) == 0
+
+
+def test_five_step_pairs():
+    # only a function of the central w6 sees the ad(w)^4 term of Psi
+    alg = _filiform6()
+    for f, g in ((RightInvariant(alg, _e(6, 1)), RightInvariant(alg, _e(6, 2))),
+                 (Energy(alg), RightInvariant(alg, _e(6, 3))),
+                 (_Coordinate(alg, 5), Energy(alg))):
+        assert sympy.simplify(_engine_bracket_sympy(alg, f, g)
+                              - _independent_bracket(alg, f, g)) == 0
 
 
 def test_derivation_linear_pair():

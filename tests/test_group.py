@@ -28,6 +28,12 @@ def _free_23():
     return LieAlgebraDescriptor(5, structure, name="free23")
 
 
+def _filiform(n):
+    # [e1, e_k] = e_{k+1} for k = 2..n-1: step n - 1
+    structure = {(1, k): {k + 1: Fraction(1)} for k in range(2, n)}
+    return LieAlgebraDescriptor(n, structure, name="filiform%d" % n)
+
+
 def _fr(*vals):
     return [Fraction(v) for v in vals]
 
@@ -79,37 +85,40 @@ def test_bch_with_central_element_is_addition():
 
 def test_step_unsupported_on_four_step():
     # dim-5 filiform: [e1,e2]=e3, [e1,e3]=e4, [e1,e4]=e5 is 4-step
-    structure = {
-        (1, 2): {3: Fraction(1)},
-        (1, 3): {4: Fraction(1)},
-        (1, 4): {5: Fraction(1)},
-    }
-    alg = LieAlgebraDescriptor(5, structure)
+    alg = _filiform(5)
     assert alg.analyze().step == 4
     with pytest.raises(StepUnsupported):
         bch(alg, _fr(1, 0, 0, 0, 0), _fr(0, 1, 0, 0, 0))
 
 
+# steps 4 and 5 reach the Psi coefficients 0 and -1/720 of ad(w)^3, ad(w)^4
+_HIGH_STEP_CASES = (
+    (_filiform(5), _fr(1, -1, 2, 0, 3), _fr(0, 3, 1, 0, -1)),
+    (_filiform(6), _fr(2, -1, 1, 3, 0, -2), _fr(0, 3, 1, 0, -1, 4)),
+)
+
+
 def test_dexp_matrix_inverse_pair():
-    alg = _free_23()
-    w = _fr(1, -1, 2, 0, 3)
-    m = dexp_matrix(alg, w)
-    mi = dexp_inverse_matrix(alg, w)
-    n = alg.dim
-    prod = [[sum(m[i][k] * mi[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
-    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    assert prod == ident
+    cases = ((_free_23(), _fr(1, -1, 2, 0, 3), None),) + _HIGH_STEP_CASES
+    for alg, w, _ in cases:
+        m = dexp_matrix(alg, w)
+        mi = dexp_inverse_matrix(alg, w)
+        n = alg.dim
+        prod = [[sum(m[i][k] * mi[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)]
+        ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        assert prod == ident, alg.name
 
 
 def test_dexp_apply_matches_matrix():
-    alg = _free_23()
-    w = _fr(1, 0, -2, 1, 0)
-    u = _fr(0, 3, 1, 0, -1)
-    m = dexp_matrix(alg, w)
-    mu = [sum(m[i][j] * u[j] for j in range(5)) for i in range(5)]
-    assert dexp_apply(alg, w, u) == mu
-    assert dexp_inverse_apply(alg, w, dexp_apply(alg, w, u)) == u
+    cases = ((_free_23(), _fr(1, 0, -2, 1, 0), _fr(0, 3, 1, 0, -1)),) \
+        + _HIGH_STEP_CASES
+    for alg, w, u in cases:
+        n = alg.dim
+        m = dexp_matrix(alg, w)
+        mu = [sum(m[i][j] * u[j] for j in range(n)) for i in range(n)]
+        assert dexp_apply(alg, w, u) == mu, alg.name
+        assert dexp_inverse_apply(alg, w, dexp_apply(alg, w, u)) == u, alg.name
 
 
 def test_dexp_at_zero_is_identity():

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 from nilflow.algebra import LieAlgebraDescriptor
@@ -235,6 +237,18 @@ def test_fresh_objects_get_fresh_gradients():
         fu = Linear(alg, [Fraction(0), Fraction(2), Fraction(-3)])
         seen.add(eng.bracket(fd, fu).poly.render())
     assert seen == {"(2) y1"}
+
+
+def test_gradient_cache_lets_integrals_go():
+    # criteria build fresh integrals per instance; the cache must not pin them
+    alg = _h3()
+    eng = PoissonEngine(alg)
+    f = RightInvariant(alg, _e(3, 1))
+    eng.bracket(f, Energy(alg))
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None
 
 
 def test_metric_changes_bracket_values():
