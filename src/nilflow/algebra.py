@@ -64,10 +64,14 @@ class LieAlgebraDescriptor:
         self.name = name
         self.params = dict(params) if params else {}
         self.structure = self._validate_structure(structure)
+        # 0-based (i, j, [(k, c), ...]) in the order of ``structure``
+        self._pairs = [(i - 1, j - 1, [(k - 1, c) for k, c in targets.items()])
+                       for (i, j), targets in self.structure.items()]
         self.metric = self._validate_metric(metric)
         self._check_jacobi()
         self._analysis = None
         self._gram_inv = None
+        self._solved = {}  # symmetry-space bases, see solvers._once_per_algebra
 
     # -- validation -----------------------------------------------------
 
@@ -137,15 +141,28 @@ class LieAlgebraDescriptor:
         constants multiply into: Fractions, floats, polynomials or a mix.
 
         Zero entries are the zero of the inputs' ring, so the result is
-        exact if the inputs are exact.
+        exact if the inputs are exact.  Only products of two nonzero
+        factors are formed, added in the order of the full formula, so a
+        float result (finite inputs) is bit for bit the formula's.
         """
         zero = 0 * u[0] + 0 * v[0]
         out = [zero] * self.dim
-        for (i, j), targets in self.structure.items():
-            c = u[i - 1] * v[j - 1] - u[j - 1] * v[i - 1]
+        for i, j, targets in self._pairs:
+            ui, uj = u[i], u[j]
+            if not (ui or uj):
+                continue
+            vi, vj = v[i], v[j]
+            if ui and vj:
+                c = ui * vj
+                if uj and vi:
+                    c = c - uj * vi
+            elif uj and vi:
+                c = -(uj * vi)
+            else:
+                continue
             if c:
-                for k, coeff in targets.items():
-                    out[k - 1] = out[k - 1] + coeff * c
+                for k, coeff in targets:
+                    out[k] = out[k] + coeff * c
         return out
 
     def ad(self, x):
@@ -266,26 +283,57 @@ class LieAlgebraDescriptor:
 
 # -- definition files ---------------------------------------------------
 
+def _integer(field, x):
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
+        try:
+            return int(x)
+        except ValueError:
+            pass
+    raise ValueError("%s: expected an integer, got %r" % (field, x))
+
+
+def _rational(field, x):
+    try:
+        return frac(x)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValueError("%s: expected an exact rational (an integer or a "
+                         "'p/q' string), got %r" % (field, x)) from None
+
+
+def _list(field, x):
+    if not isinstance(x, (list, tuple)):
+        raise ValueError("%s: expected a list, got %r" % (field, x))
+    return x
+
+
 def from_definition(data):
-    """Build a descriptor from a definition dict (see to_definition)."""
+    """Build a descriptor from a definition dict (see to_definition).
+
+    A malformed field raises ValueError naming the field.
+    """
     if not isinstance(data, dict):
         raise ValueError("definition must be a mapping")
     for key in ("dim", "brackets"):
         if key not in data:
             raise ValueError("definition is missing %r" % key)
     structure = {}
-    for item in data["brackets"]:
-        if len(item) != 4:
+    for item in _list("brackets", data["brackets"]):
+        if not isinstance(item, (list, tuple)) or len(item) != 4:
             raise ValueError("bracket entries are [i, j, k, coeff], got %r" % (item,))
-        i, j, k, c = item
-        structure.setdefault((int(i), int(j)), {})
-        key = int(k)
-        entry = structure[(int(i), int(j))]
-        entry[key] = entry.get(key, Fraction(0)) + frac(c)
-    params = {key: frac(val) for key, val in data.get("params", {}).items()}
+        i, j, k = (_integer("brackets", x) for x in item[:3])
+        entry = structure.setdefault((i, j), {})
+        entry[k] = entry.get(k, Fraction(0)) + _rational("brackets", item[3])
+    metric = data.get("metric")
+    if metric is not None:
+        metric = [[_rational("metric", x) for x in _list("metric", row)]
+                  for row in _list("metric", metric)]
+    params = data.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError("params: expected a mapping, got %r" % (params,))
     return LieAlgebraDescriptor(
-        dim=data["dim"], structure=structure, metric=data.get("metric"),
-        name=data.get("name", ""), params=params)
+        dim=_integer("dim", data["dim"]), structure=structure, metric=metric,
+        name=data.get("name", ""),
+        params={key: _rational("params", val) for key, val in params.items()})
 
 
 def to_definition(alg):

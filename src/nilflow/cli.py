@@ -225,12 +225,17 @@ def _parse_coords(text, n, what):
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) != n:
         raise ValueError("%s needs %d comma-separated values" % (what, n))
-    return [float(Fraction(p.strip())) for p in parts]
+    try:
+        return [float(Fraction(p.strip())) for p in parts]
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError("%s needs finite rational values, got %r"
+                         % (what, text)) from None
 
 
 def cmd_geodesic(args):
-    if not 0 < args.dt <= args.t < np.inf:
-        raise ValueError("--dt and --t must be finite with 0 < dt <= t")
+    if not (0 < args.dt <= args.t < np.inf and args.t / args.dt < np.inf):
+        raise ValueError("--dt and --t must be finite with 0 < dt <= t "
+                         "and a finite step count t / dt")
     target = _resolve(args)
     n = target.alg.dim
     rng = np.random.default_rng(args.seed)

@@ -40,13 +40,34 @@ def mat_scale(a, c):
     return [[c * x for x in row] for row in a]
 
 
+def _product_zero(x, y):
+    """What summing zero products of x's and y's ring gives: Fraction(0)
+    for Fractions, +0.0 (never -0.0) for floats."""
+    return 0 * x * y + 0
+
+
 def mat_mul(a, b):
+    """a @ b, forming only the products of two nonzero factors."""
     bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    if not (a and a[0] and bt):
+        return [[0] * len(bt) for _ in a]
+    zero = _product_zero(a[0][0], bt[0][0])
+    cols = [{k: y for k, y in enumerate(col) if y} for col in bt]
+    out = []
+    for row in a:
+        entries = [(k, x) for k, x in enumerate(row) if x]
+        out.append([sum([x * col[k] for k, x in entries if k in col], zero)
+                    for col in cols])
+    return out
 
 
 def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    """a @ v, forming only the products of two nonzero factors."""
+    if not (a and a[0] and v):
+        return [0] * len(a)
+    zero = _product_zero(a[0][0], v[0])
+    entries = [(k, y) for k, y in enumerate(v) if y]
+    return [sum([row[k] * y for k, y in entries if row[k]], zero) for row in a]
 
 
 def sparse_dot(u, v):

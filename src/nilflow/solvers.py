@@ -19,8 +19,14 @@ equation loops.  A returned basis depends only on the parameter basis,
 the column order and the row space of the equations, because the RREF
 of a matrix is determined by its row space; so how the rows are
 assembled cannot change a result.
+
+``skew_derivations`` and ``killing2_tensors`` depend only on the
+descriptor, so each is solved once per descriptor and memoized on it, as
+``analyze()`` is; every call returns fresh nested lists, so a caller that
+mutates a basis cannot change what the next caller gets.
 """
 
+import functools
 import os
 
 import numpy as np
@@ -102,6 +108,18 @@ def _solve_in_parameter_space(parameter_basis, per_param):
     return out
 
 
+def _once_per_algebra(solve):
+    """Memoize ``solve(alg)`` on the descriptor; return a copy each call."""
+    @functools.wraps(solve)
+    def memoized(alg):
+        basis = alg._solved.get(solve)
+        if basis is None:
+            basis = alg._solved[solve] = solve(alg)
+        return [[list(row) for row in m] for m in basis]
+    return memoized
+
+
+@_once_per_algebra
 def skew_derivations(alg):
     """Basis of the space of metric-skew derivations."""
     params = _skew_parameter_basis(alg)
@@ -127,6 +145,7 @@ def _cubic_columns(alg, params, vectors):
     return [[terms.get(e, Fraction(0)) for e in monomials] for terms in cubics]
 
 
+@_once_per_algebra
 def killing2_tensors(alg):
     """Basis of symmetric S with <Y, [S Y, Y]> identically zero."""
     params = _symmetric_parameter_basis(alg)

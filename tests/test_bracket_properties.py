@@ -68,3 +68,25 @@ def test_exp_series_undoes_exp_neg_series(case):
 
     there = group.ad_series(alg, w, exp_coeff, x)
     assert group.ad_series(alg, w, group.exp_neg_coeff, there) == x
+
+
+def _dense_bracket(alg, u, v):
+    """The bracket's pair formula with every product formed."""
+    out = [0 * u[0] + 0 * v[0]] * alg.dim
+    for (i, j), targets in alg.structure.items():
+        c = u[i - 1] * v[j - 1] - u[j - 1] * v[i - 1]
+        if c:
+            for k, coeff in targets.items():
+                out[k - 1] = out[k - 1] + coeff * c
+    return out
+
+
+@_SETTINGS
+@given(st.data())
+def test_float_bracket_is_the_dense_formula_bit_for_bit(data):
+    alg = data.draw(st.sampled_from(_ALGEBRAS))
+    entry = st.one_of(st.sampled_from([0.0, -0.0, 1e-300, -1e-300]),
+                      st.floats(min_value=-3, max_value=3))
+    u, v = (data.draw(st.lists(entry, min_size=alg.dim, max_size=alg.dim))
+            for _ in range(2))
+    assert repr(alg.bracket(u, v)) == repr(_dense_bracket(alg, u, v))

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 CLI = [sys.executable, "-m", "nilflow.cli"]
 
 
@@ -126,6 +128,28 @@ def test_verify_defective_entry_exits_one():
     assert "n1" in res.stdout
 
 
+_H3 = {"name": "h3", "dim": 3, "brackets": [[1, 2, 3, "1"]]}
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("dim", {"dim": None}),
+    ("brackets", {"brackets": 5}),
+    ("brackets", {"brackets": [[1, 2, 3, 1.0]]}),
+    ("brackets", {"brackets": [[1, 2, 3, "1/0"]]}),
+    ("brackets", {"brackets": [[None, 2, 3, "1"]]}),
+    ("metric", {"metric": [[1.5, 0, 0], [0, 1, 0], [0, 0, 1]]}),
+    ("metric", {"metric": 5}),
+    ("params", {"params": [1]}),
+])
+def test_malformed_definition_is_usage_error(tmp_path, field, bad):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**_H3, **bad}))
+    res = _run("derivations", "--file", str(path))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: %s" % field)
+    assert "Traceback" not in res.stderr
+
+
 def test_unknown_entry_is_usage_error():
     res = _run("catalog", "zzz")
     assert res.returncode == 2
@@ -164,6 +188,15 @@ def test_sample_env_below_one_is_usage_error():
 def test_bad_step_sizes_are_usage_errors():
     for flags in (("--dt", "0"), ("--dt", "nan"), ("--t", "-1"),
                   ("--t", "0.0001")):
+        res = _run("geodesic", "h3", *flags)
+        assert res.returncode == 2, flags
+        assert res.stderr.startswith("error:"), flags
+        assert "Traceback" not in res.stderr
+
+
+def test_bad_geodesic_values_are_usage_errors():
+    for flags in (("--w0", "1/0,0,0"), ("--w0", "1e400,0,0"),
+                  ("--y0", "0,1e400,0"), ("--t", "1e308", "--dt", "1e-300")):
         res = _run("geodesic", "h3", *flags)
         assert res.returncode == 2, flags
         assert res.stderr.startswith("error:"), flags

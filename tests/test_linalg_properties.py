@@ -1,0 +1,84 @@
+"""Property tests for the sparse matrix kernels against the dense formula."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nilflow import linalg
+
+_SETTINGS = settings(max_examples=60, deadline=None, database=None)
+
+# mostly zeros, as in the structure constants, Gram matrices and bases
+_FRACTIONS = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                       st.fractions(min_value=-3, max_value=3,
+                                    max_denominator=4))
+_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1e-300, -1e-300]),
+                    st.floats(min_value=-3, max_value=3))
+
+
+def _dense_mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def _dense_mat_vec(a, v):
+    return [sum(x * y for x, y in zip(row, v)) for row in a]
+
+
+@st.composite
+def _matrix(draw, rows, cols, entries=_FRACTIONS):
+    """A sparse rows x cols matrix over one ring; square ones may be the
+    identity, and any may have a zero row."""
+    if rows == cols and draw(st.booleans()):
+        return linalg.identity(rows)
+    m = [draw(st.lists(entries, min_size=cols, max_size=cols))
+         for _ in range(rows)]
+    if draw(st.booleans()):
+        m[draw(st.integers(0, rows - 1))] = [0 * m[0][0]] * cols
+    return m
+
+
+@st.composite
+def _product(draw, left=_FRACTIONS, right=_FRACTIONS):
+    r, k, c = (draw(st.integers(1, 4)) for _ in range(3))
+    return draw(_matrix(r, k, left)), draw(_matrix(k, c, right))
+
+
+def _same(got, want):
+    """Equal entries of the same type; floats equal bit for bit."""
+    return ([type(x) for x in got] == [type(x) for x in want]
+            and repr(got) == repr(want))
+
+
+@_SETTINGS
+@given(_product())
+def test_mat_mul_matches_dense_formula(case):
+    a, b = case
+    got = linalg.mat_mul(a, b)
+    assert got == _dense_mat_mul(a, b)
+    assert all(type(x) is Fraction for row in got for x in row)
+
+
+@_SETTINGS
+@given(_product(right=_FLOATS), _product(_FLOATS, _FLOATS))
+def test_mat_mul_with_floats_is_bit_identical(mixed, floats):
+    for a, b in (mixed, floats):
+        for got, want in zip(linalg.mat_mul(a, b), _dense_mat_mul(a, b)):
+            assert _same(got, want)
+
+
+@_SETTINGS
+@given(_product(), _product(right=_FLOATS), _product(_FLOATS, _FLOATS))
+def test_mat_vec_matches_dense_formula(exact, mixed, floats):
+    for a, b in (exact, mixed, floats):
+        v = [row[0] for row in b]
+        assert _same(linalg.mat_vec(a, v), _dense_mat_vec(a, v))
+
+
+def test_empty_shapes_unchanged():
+    one = [[Fraction(1)]]
+    for a, b in (([], one), (one, []), ([[]], []), ([[], []], [])):
+        assert linalg.mat_mul(a, b) == _dense_mat_mul(a, b)
+    for a, v in (([], [Fraction(1)]), (one, []), ([[]], [])):
+        assert linalg.mat_vec(a, v) == _dense_mat_vec(a, v)

@@ -11,6 +11,7 @@ from nilflow.integrals import (
     RightInvariant,
     validate_derivation,
 )
+from nilflow import solvers
 from nilflow.poisson import PoissonEngine
 from nilflow.solvers import (
     independence_scan,
@@ -181,6 +182,25 @@ def test_structured_solver_spans_same_space():
             assert _in_span(full, s)
         for s in full:
             assert _in_span(structured, s)
+
+
+@pytest.mark.parametrize("solve", [skew_derivations, killing2_tensors])
+def test_symmetry_space_solved_once_per_descriptor(solve, monkeypatch):
+    solves = []
+    inner = solvers._solve_in_parameter_space
+    monkeypatch.setattr(solvers, "_solve_in_parameter_space",
+                        lambda *a: solves.append(1) or inner(*a))
+    alg = _h3()
+    first = solve(alg)
+    expected = [[list(row) for row in m] for m in first]
+    first[0][0][0] = Fraction(99)
+    first[0].append([])
+    first.append(first[0])
+    assert solve(alg) == expected
+    assert len(solves) == 1
+    other = solve(_h3([[2, 1, 0], [1, 2, 1], [0, 1, 2]]))
+    assert len(solves) == 2
+    assert other != expected
 
 
 def test_independence_exact_full_rank():
