@@ -71,7 +71,9 @@ class LieAlgebraDescriptor:
         self._check_jacobi()
         self._analysis = None
         self._gram_inv = None
-        self._solved = {}  # symmetry-space bases, see solvers._once_per_algebra
+        # facts computed once per descriptor, keyed by the function that
+        # computes them: solvers._once_per_algebra, integrals._psi_columns
+        self._memo = {}
 
     # -- validation -----------------------------------------------------
 
@@ -121,18 +123,22 @@ class LieAlgebraDescriptor:
         return g
 
     def _check_jacobi(self):
+        """Raise on the first basis triple i < j < k, in lexicographic
+        order, with a nonzero Jacobi sum.  A triple whose three pair
+        brackets all vanish has a zero sum, so only triples containing a
+        bracketed pair are tried."""
         n = self.dim
         basis = linalg.identity(n)
-        for i in range(n):
-            for j in range(i + 1, n):
-                bij = self.bracket(basis[i], basis[j])
-                for k in range(j + 1, n):
-                    term1 = self.bracket(bij, basis[k])
-                    term2 = self.bracket(self.bracket(basis[j], basis[k]), basis[i])
-                    term3 = self.bracket(self.bracket(basis[k], basis[i]), basis[j])
-                    defect = linalg.vec_add(term1, linalg.vec_add(term2, term3))
-                    if not linalg.is_zero_vec(defect):
-                        raise JacobiViolation((i + 1, j + 1, k + 1), defect)
+        triples = sorted({tuple(sorted((i, j, k))) for i, j in self.structure
+                          for k in range(1, n + 1) if k != i and k != j})
+        for i, j, k in triples:
+            a, b, c = basis[i - 1], basis[j - 1], basis[k - 1]
+            term1 = self.bracket(self.bracket(a, b), c)
+            term2 = self.bracket(self.bracket(b, c), a)
+            term3 = self.bracket(self.bracket(c, a), b)
+            defect = linalg.vec_add(term1, linalg.vec_add(term2, term3))
+            if not linalg.is_zero_vec(defect):
+                raise JacobiViolation((i, j, k), defect)
 
     # -- basic operations ----------------------------------------------
 
@@ -184,13 +190,6 @@ class LieAlgebraDescriptor:
 
     def inner(self, u, v):
         return linalg.inner(u, v, self.metric)
-
-    def ad_transpose(self, x):
-        """Matrix M with <M a, b> = <a, [x, b]> for all a, b."""
-        at = linalg.transpose(self.ad(x))
-        if self.metric is None:
-            return at
-        return linalg.mat_mul(self.gram_inverse(), linalg.mat_mul(at, self.metric))
 
     # -- structural analysis -------------------------------------------
 

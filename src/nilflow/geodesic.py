@@ -121,18 +121,12 @@ def evaluate_along(f, traj):
             raise DenominatorVanished(
                 "|denominator| fell below %g along the flow" % DEN_CUTOFF)
         return np.exp(-1.0 / den ** 2) * np.sin(2.0 * np.pi * num / den)
-    poly = f.as_polynomial()
-    states = traj.states
-    total = np.zeros(states.shape[:2])
-    for exps, coeff in poly.terms.items():
-        term = np.full(states.shape[:2], float(coeff))
-        for var, k in enumerate(exps):
-            if k == 1:
-                term = term * states[:, :, var]
-            elif k > 1:
-                term = term * states[:, :, var] ** k
-        total += term
-    return total
+    coords = np.moveaxis(traj.states, 2, 0)  # (2n, T, batch) views
+    n = len(coords) // 2
+    values = f.value((coords[:n], coords[n:]))
+    if np.isscalar(values):  # a polynomial with no terms gives the scalar 0
+        return np.full(coords.shape[1:], float(values))
+    return values
 
 
 def conservation_report(integrals, traj):

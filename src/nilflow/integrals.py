@@ -1,9 +1,12 @@
 """Candidate first integrals of the geodesic flow.
 
-Every integral is bound to an algebra at construction and exposes three
-views: a numeric ``value`` at a phase-space point, a numeric ``gradient``
-(U, V) in the left trivialization, and, when the function is polynomial
-in (w, y), an exact ``as_polynomial`` expansion in 2n variables.
+Every integral is bound to an algebra at construction.  A polynomial
+integral has two exact expansions in the 2n variables (w, y): its value
+``as_polynomial`` and its left-trivialized gradient ``gradient_polys``
+(U, V), V = G^{-1} grad_y f and U = G^{-1} Psi(ad w)^T grad_w f.  The
+numeric ``value`` and ``gradient`` at a point evaluate these expansions
+through ``ratpoly.Evaluator``; only the quotient-induced functions, which
+are not polynomial, keep their own chain rule.
 
 Constructors validate what can be validated: a quadratic form must be
 symmetric for the metric, a derivation must actually satisfy the product
@@ -18,7 +21,7 @@ from fractions import Fraction
 from . import group, linalg
 from .algebra import StepMismatch
 from .linalg import frac
-from .ratpoly import PolyVector, RationalPolynomial
+from .ratpoly import Evaluator, PolyVector, RationalPolynomial
 
 
 class NonPolynomialVariant(TypeError):
@@ -38,11 +41,12 @@ class NotGramSkew(ValueError):
     """The matrix is not skew-adjoint for the metric."""
 
 
-def _wy(point):
+def _coordinates(point):
+    """w1..wn, y1..yn of a TangentPoint or a (w, y) pair."""
     if isinstance(point, group.TangentPoint):
-        return list(point.w), list(point.y)
+        return list(point.w) + list(point.y)
     w, y = point
-    return list(w), list(y)
+    return list(w) + list(y)
 
 
 def _vector_label(x):
@@ -87,10 +91,20 @@ def _gram_dot(alg, a, b):
     return a.dot(b, gram=alg.metric)
 
 
+def _psi_columns(alg):
+    """Psi(ad w) e_i for symbolic w (column i of Psi), once per descriptor."""
+    if _psi_columns not in alg._memo:
+        w = _w_vec(alg)
+        alg._memo[_psi_columns] = [
+            group.dexp_inverse_apply(alg, w, _const_vec(alg, e))
+            for e in linalg.identity(alg.dim)]
+    return alg._memo[_psi_columns]
+
+
 # -- the integral family ------------------------------------------------
 
 class FirstIntegral:
-    """Base class; concrete kinds set ``kind`` and the three views."""
+    """Base class; concrete kinds set ``kind`` and ``_expand``."""
 
     kind = None
 
@@ -98,17 +112,45 @@ class FirstIntegral:
         self.alg = alg
         self.label = label
         self._poly = None
+        self._grad = None
+        self._value_at = None
+        self._gradient_at = None
 
     def value(self, point):
-        raise NotImplementedError
+        """f at a point; see ``Evaluator`` for exact, float and array points."""
+        if self._value_at is None:
+            self._value_at = Evaluator([self.as_polynomial()])
+        return self._value_at(_coordinates(point))[0]
 
     def gradient(self, point):
-        raise NotImplementedError
+        """(U, V) at a point, the values of ``gradient_polys``."""
+        if self._gradient_at is None:
+            u, v = self.gradient_polys()
+            self._gradient_at = Evaluator(u.components + v.components)
+        uv = self._gradient_at(_coordinates(point))
+        return uv[:self.alg.dim], uv[self.alg.dim:]
 
     def as_polynomial(self):
         if self._poly is None:
             self._poly = self._expand()
         return self._poly
+
+    def gradient_polys(self):
+        """Exact (U, V) PolyVectors of the value polynomial."""
+        if self._grad is None:
+            alg, fp, n = self.alg, self.as_polynomial(), self.alg.dim
+            grad_w = [fp.partial(i) for i in range(n)]
+            grad_y = PolyVector([fp.partial(n + i) for i in range(n)])
+            # U_i = sum_j Psi[j][i] grad_w[j], skipping zeros: most
+            # integrals (Energy, Linear, Quadratic) have grad_w f = 0
+            zero = RationalPolynomial.zero(2 * n)
+            u = PolyVector([sum((p * g for p, g in zip(col, grad_w) if p and g),
+                                zero) for col in _psi_columns(alg)])
+            if alg.metric is not None:
+                ginv = alg.gram_inverse()
+                u, grad_y = _mat_polyvec(ginv, u), _mat_polyvec(ginv, grad_y)
+            self._grad = (u, grad_y)
+        return self._grad
 
     def _expand(self):
         raise NotImplementedError
@@ -127,14 +169,6 @@ class Energy(FirstIntegral):
     """E = (1/2) <Y, Y>, the Hamiltonian itself."""
 
     kind = "energy"
-
-    def value(self, point):
-        _, y = _wy(point)
-        return self.alg.inner(y, y) / 2
-
-    def gradient(self, point):
-        _, y = _wy(point)
-        return [0] * self.alg.dim, list(y)
 
     def _expand(self):
         y = _y_vec(self.alg)
@@ -156,13 +190,6 @@ class Linear(FirstIntegral):
             raise ValueError("direction has length %d, algebra has dimension %d"
                              % (len(self.x), alg.dim))
 
-    def value(self, point):
-        _, y = _wy(point)
-        return self.alg.inner(y, self.x)
-
-    def gradient(self, point):
-        return [0] * self.alg.dim, list(self.x)
-
     def _expand(self):
         return _gram_dot(self.alg, _y_vec(self.alg), _const_vec(self.alg, self.x))
 
@@ -181,14 +208,6 @@ class Quadratic(FirstIntegral):
         gs = linalg.mat_mul(alg.gram(), self.s)
         if linalg.transpose(gs) != gs:
             raise ValueError("quadratic operator is not symmetric for the metric")
-
-    def value(self, point):
-        _, y = _wy(point)
-        return self.alg.inner(y, linalg.mat_vec(self.s, y)) / 2
-
-    def gradient(self, point):
-        _, y = _wy(point)
-        return [0] * self.alg.dim, linalg.mat_vec(self.s, y)
 
     def _expand(self):
         y = _y_vec(self.alg)
@@ -210,19 +229,6 @@ class RightInvariant(FirstIntegral):
             raise ValueError("direction has length %d, algebra has dimension %d"
                              % (len(self.x), alg.dim))
 
-    def _transported(self, w):
-        return group.ad_series(self.alg, w, group.exp_neg_coeff, self.x)
-
-    def value(self, point):
-        w, y = _wy(point)
-        return self.alg.inner(self._transported(w), y)
-
-    def gradient(self, point):
-        w, y = _wy(point)
-        a = self._transported(w)
-        u = linalg.mat_vec(self.alg.ad_transpose(a), y)
-        return u, a
-
     def _expand(self):
         a = group.ad_series(self.alg, _w_vec(self.alg), group.exp_neg_coeff,
                             _const_vec(self.alg, self.x))
@@ -243,24 +249,6 @@ class DerivationIntegral(FirstIntegral):
         self.checked = bool(check)
         if check:
             validate_derivation(alg, self.d)
-
-    def value(self, point):
-        w, y = _wy(point)
-        b = group.dexp_apply(self.alg, w, linalg.mat_vec(self.d, w))
-        return self.alg.inner(b, y)
-
-    def gradient(self, point):
-        alg = self.alg
-        w, y = _wy(point)
-        dw = linalg.mat_vec(self.d, w)
-        u = linalg.vec_sub(linalg.mat_vec(alg.ad_transpose(dw), y),
-                           linalg.mat_vec(self.d, y))
-        if alg.analyze().step >= 3:
-            dww = alg.bracket(dw, w)
-            u = linalg.vec_add(u, linalg.vec_scale(
-                linalg.mat_vec(alg.ad_transpose(dww), y), Fraction(1, 2)))
-        v = group.dexp_apply(alg, w, dw)
-        return u, v
 
     def _expand(self):
         w = _w_vec(self.alg)
@@ -328,72 +316,17 @@ class Butler(FirstIntegral):
         self.gv = [[alg.inner(a, b) for b in self.v_basis] for a in self.v_basis]
         self._j_parts = [alg.j_map(z)[0] for z in self.z_basis]
 
-    def _split(self, y):
-        c = linalg.mat_vec(self._coords, y)
-        dv = len(self.v_basis)
-        return c[:dv], c[dv:]
-
-    def _jmat(self, zc):
-        dv = len(self.v_basis)
-        out = [[0] * dv for _ in range(dv)]
-        for coeff, part in zip(zc, self._j_parts):
-            for a in range(dv):
-                for b in range(dv):
-                    out[a][b] = out[a][b] + coeff * part[a][b]
-        return out
-
-    def _ambient(self, vc):
-        out = [0] * self.alg.dim
-        for c, b in zip(vc, self.v_basis):
-            for k in range(self.alg.dim):
-                out[k] = out[k] + c * b[k]
-        return out
-
-    def value(self, point):
-        _, y = _wy(point)
-        vc, zc = self._split(y)
-        jm = self._jmat(zc)
-        m = list(vc)
-        for _ in range(2 * self.index):
-            m = linalg.mat_vec(jm, m)
-        return linalg.inner(vc, linalg.mat_vec(self.gv, m))
-
-    def gradient(self, point):
-        alg = self.alg
-        _, y = _wy(point)
-        vc, zc = self._split(y)
-        jm = self._jmat(zc)
-        powers = [list(vc)]
-        for _ in range(2 * self.index):
-            powers.append(linalg.mat_vec(jm, powers[-1]))
-        v = linalg.vec_scale(self._ambient(powers[2 * self.index]), 2)
-        for j in range(2 * self.index):
-            term = alg.bracket(self._ambient(powers[j]),
-                               self._ambient(powers[2 * self.index - 1 - j]))
-            sign = (-1) ** (j + 1)
-            v = linalg.vec_add(v, linalg.vec_scale(term, sign))
-        return [0] * alg.dim, v
-
     def _expand(self):
-        alg = self.alg
-        nv = 2 * alg.dim
-        y = _y_vec(alg)
-        coords = _mat_polyvec(self._coords, y)
+        coords = _mat_polyvec(self._coords, _y_vec(self.alg))
         dv = len(self.v_basis)
-        vc = PolyVector(coords.components[:dv])
-        zc = coords.components[dv:]
-        jm = [[RationalPolynomial.zero(nv) for _ in range(dv)] for _ in range(dv)]
-        for zpoly, part in zip(zc, self._j_parts):
-            for a in range(dv):
-                for b in range(dv):
-                    if part[a][b] != 0:
-                        jm[a][b] = jm[a][b] + zpoly * part[a][b]
+        vc, zc = PolyVector(coords.components[:dv]), coords.components[dv:]
+        zero = RationalPolynomial.zero(2 * self.alg.dim)
         m = vc
         for _ in range(2 * self.index):
-            m = PolyVector([
-                sum((jm[a][b] * m[b] for b in range(dv)),
-                    RationalPolynomial.zero(nv))
-                for a in range(dv)])
+            # j(Z) m = sum_k z_k J_k m, with J_k = j(e_k) on the center basis
+            parts = [_mat_polyvec(part, m) for part in self._j_parts]
+            m = PolyVector([sum((z * jm[a] for z, jm in zip(zc, parts)), zero)
+                            for a in range(dv)])
         return vc.dot(m, gram=self.gv)
 
     def _default_label(self):

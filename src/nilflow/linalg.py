@@ -84,10 +84,6 @@ def vec_sub(u, v):
     return [x - y for x, y in zip(u, v)]
 
 
-def vec_scale(u, c):
-    return [c * x for x in u]
-
-
 def is_zero_vec(u):
     return all(x == 0 for x in u)
 

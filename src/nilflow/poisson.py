@@ -4,21 +4,18 @@ For f with gradient (U, V) and g with gradient (U', V'),
 
     {f, g}(p, Y) = <U, V'> - <U', V> - <Y, [V, V']>.
 
-Gradients are assembled from the polynomial expansion of each integral:
-V = G^{-1} grad_y f and U = G^{-1} Psi(ad w)^T grad_w f, where Psi is the
-inverse of the differential of exp.  This makes the bracket exact and
-independent of any closed-form gradient the integral may also carry.
+The gradients are each integral's exact ``gradient_polys`` (U, V),
+derived from its value polynomial, so the bracket is exact: the same
+polynomials give the numeric gradients of the independence scans.
 """
 
 import random
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import group, linalg
+from . import linalg
 from .integrals import (DerivationIntegral, Energy, QuotientInduced,
-                        RightInvariant, _const_vec, _mat_polyvec, _w_vec,
-                        _y_vec)
+                        RightInvariant, _y_vec)
 from .ratpoly import PolyVector, RationalPolynomial
 
 
@@ -50,39 +47,14 @@ class CriterionCheck:
 
 
 class PoissonEngine:
-    """Bracket evaluator with cached symbolic dexp data for one algebra."""
+    """Exact Poisson brackets of integrals bound to one algebra."""
 
     def __init__(self, alg):
         self.alg = alg
-        self.n = alg.dim
-        self.nvars = 2 * alg.dim
-        self._grad_cache = weakref.WeakKeyDictionary()
-        # Psi(ad w) e_i for symbolic w: column i of Psi, row i of Psi^T
-        w = _w_vec(alg)
-        self._psi_cols = [group.dexp_inverse_apply(alg, w, _const_vec(alg, e))
-                          for e in linalg.identity(self.n)]
 
     def gradient_polys(self, f):
-        """Exact (U, V) PolyVectors from the value polynomial of f."""
-        if f in self._grad_cache:
-            return self._grad_cache[f]
-        fp = f.as_polynomial()
-        n = self.n
-        grad_w = [fp.partial(i) for i in range(n)]
-        grad_y = PolyVector([fp.partial(n + i) for i in range(n)])
-        # U_i = sum_j Psi[j][i] grad_w[j], skipping zeros: most integrals
-        # (Energy, Linear, Quadratic) have grad_w f = 0
-        zero = RationalPolynomial.zero(self.nvars)
-        u = PolyVector([sum((p * g for p, g in zip(col, grad_w) if p and g),
-                            zero) for col in self._psi_cols])
-        ginv = self.alg.gram_inverse()
-        if self.alg.metric is not None:
-            u = _mat_polyvec(ginv, u)
-            v = _mat_polyvec(ginv, grad_y)
-        else:
-            v = grad_y
-        self._grad_cache[f] = (u, v)
-        return u, v
+        """Exact (U, V) PolyVectors of f, memoized on f."""
+        return f.gradient_polys()
 
     def bracket(self, f, g, candidates=None):
         uf, vf = self.gradient_polys(f)

@@ -8,9 +8,14 @@ unique and can be parsed back exactly.
 The default variable names describe a phase-space point on a group of
 dimension n: ``w1..wn`` for the exponential coordinates of the base point
 and ``y1..yn`` for the momentum, so ``nvars = 2n``.
+
+``Evaluator`` is the one route from polynomials to numbers: exact values
+at rational points, floats at float points, and arrays elementwise.
 """
 
 from fractions import Fraction
+
+import numpy as np
 
 from .linalg import frac
 
@@ -202,16 +207,7 @@ class RationalPolynomial:
 
     def evaluate(self, values):
         """Evaluate at a point (Fractions stay exact, floats go float)."""
-        if len(values) != self.nvars:
-            raise ValueError("expected %d values" % self.nvars)
-        total = 0
-        for e, c in self.terms.items():
-            term = c
-            for v, k in zip(values, e):
-                if k:
-                    term = term * v ** k
-            total = total + term
-        return total
+        return Evaluator([self])(values)[0]
 
     # -- rendering ------------------------------------------------------
 
@@ -269,6 +265,47 @@ class RationalPolynomial:
 
     def __repr__(self):
         return "RationalPolynomial(%s)" % self.render()
+
+
+class Evaluator:
+    """The values of a list of polynomials at a point, compiled once.
+
+    Each monomial of the polynomials is kept once, as its nonzero
+    (variable, exponent) factors with the (output, coefficient) pairs
+    that use it, and is formed once per call.  A point of ints and
+    Fractions gives exact values.  Any other point is evaluated in floats
+    with the coefficients converted once: scalars as Python floats, numpy
+    arrays (one per variable) elementwise.  An output with no terms is 0.
+    """
+
+    def __init__(self, polys):
+        self.nvars = polys[0].nvars
+        self.count = len(polys)
+        uses = {}
+        for out, p in enumerate(polys):
+            for e, c in p.terms.items():
+                uses.setdefault(e, []).append((out, c))
+        self._exact = [(tuple((v, k) for v, k in enumerate(e) if k), pairs)
+                       for e, pairs in uses.items()]
+        self._float = [(factors, [(out, float(c)) for out, c in pairs])
+                       for factors, pairs in self._exact]
+
+    def __call__(self, values):
+        if len(values) != self.nvars:
+            raise ValueError("expected %d values" % self.nvars)
+        monomials = self._exact
+        if not all(isinstance(v, (int, Fraction)) for v in values):
+            monomials = self._float
+            values = [v if isinstance(v, np.ndarray) else float(v)
+                      for v in values]
+        out = [0] * self.count
+        for factors, pairs in monomials:
+            m = 1
+            for v, k in factors:
+                m = m * (values[v] if k == 1 else values[v] ** k)
+            for i, c in pairs:
+                out[i] += c * m
+        return out
 
 
 class PolyVector:

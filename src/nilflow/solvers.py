@@ -112,9 +112,9 @@ def _once_per_algebra(solve):
     """Memoize ``solve(alg)`` on the descriptor; return a copy each call."""
     @functools.wraps(solve)
     def memoized(alg):
-        basis = alg._solved.get(solve)
+        basis = alg._memo.get(solve)
         if basis is None:
-            basis = alg._solved[solve] = solve(alg)
+            basis = alg._memo[solve] = solve(alg)
         return [[list(row) for row in m] for m in basis]
     return memoized
 

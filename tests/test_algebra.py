@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilflow.algebra import (
     JacobiViolation,
@@ -47,6 +49,58 @@ def test_jacobi_rejected():
     with pytest.raises(JacobiViolation) as err:
         LieAlgebraDescriptor(5, bad)
     assert err.value.triple == (1, 2, 3)
+    assert err.value.defect == [0, 0, 0, 0, 1]
+
+
+def _first_jacobi_defect(n, structure):
+    """Reference: scan every basis triple i < j < k in order."""
+    def br(u, v):
+        out = [Fraction(0)] * n
+        for (i, j), targets in structure.items():
+            c = u[i - 1] * v[j - 1] - u[j - 1] * v[i - 1]
+            for k, coeff in targets.items():
+                out[k - 1] += c * coeff
+        return out
+
+    e = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                defect = [a + b + c for a, b, c in zip(
+                    br(br(e[i], e[j]), e[k]), br(br(e[j], e[k]), e[i]),
+                    br(br(e[k], e[i]), e[j]))]
+                if any(defect):
+                    return (i + 1, j + 1, k + 1), defect
+    return None
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.dictionaries(
+    st.tuples(st.integers(1, 5), st.integers(1, 5)).filter(lambda p: p[0] < p[1]),
+    st.dictionaries(st.integers(1, 5), st.integers(-2, 2).map(Fraction),
+                    max_size=2),
+    max_size=4))
+def test_jacobi_check_reports_the_first_defective_triple(structure):
+    expected = _first_jacobi_defect(5, structure)
+    if expected is None:
+        LieAlgebraDescriptor(5, structure)
+        return
+    with pytest.raises(JacobiViolation) as err:
+        LieAlgebraDescriptor(5, structure)
+    assert (err.value.triple, err.value.defect) == expected
+
+
+def test_jacobi_check_skips_unbracketed_triples(monkeypatch):
+    calls = []
+    original = LieAlgebraDescriptor.bracket
+
+    def counting(self, u, v):
+        calls.append((u, v))
+        return original(self, u, v)
+
+    monkeypatch.setattr(LieAlgebraDescriptor, "bracket", counting)
+    from_definition({"dim": 60, "brackets": []})
+    assert calls == []
 
 
 def test_not_nilpotent_rejected():
@@ -76,18 +130,6 @@ def test_is_central():
     alg = _h3()
     assert alg.is_central([Fraction(0), Fraction(0), Fraction(7)])
     assert not alg.is_central([Fraction(1), Fraction(0), Fraction(0)])
-
-
-def test_ad_transpose_adjoint_identity():
-    alg = _free_23()
-    x = [Fraction(1), Fraction(-2), Fraction(3), Fraction(0), Fraction(1)]
-    a = [Fraction(2), Fraction(0), Fraction(1), Fraction(1), Fraction(0)]
-    b = [Fraction(0), Fraction(1), Fraction(0), Fraction(-1), Fraction(2)]
-    m = alg.ad_transpose(x)
-    ma = [sum(m[i][j] * a[j] for j in range(5)) for i in range(5)]
-    lhs = alg.inner(ma, b)
-    rhs = alg.inner(a, alg.bracket(x, b))
-    assert lhs == rhs
 
 
 def test_metric_inner_and_gram_inverse():

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,9 @@ import pytest
 from nilflow import catalog
 from nilflow.algebra import from_definition
 from nilflow.group import bch
+from nilflow.integrals import RightInvariant
+from nilflow.linalg import identity
+from nilflow.poisson import PoissonEngine
 
 # Outcome of every bundled entry's self-check.  Keys are the checks that
 # fail because the recorded reference data is defective; those entries are
@@ -140,3 +144,29 @@ def test_entries_without_sets_say_so():
     assert report.ok
     checks = {name for name, _, _ in report.checks}
     assert "set-involutive" not in checks
+
+
+# sha256 of the rendered value polynomial and exact gradient (U, V) of every
+# complete-set member and every right:e_i on all entries.  Rendered
+# polynomials are a regression gate: any change to them is a change of
+# results, not of speed or structure.
+EXPANSION_DIGEST = (
+    "fb4cbfc1bbd8281551c9467959223bb31d7502c674246f8117e15573757bfcb5")
+
+
+def test_expansions_match_the_recorded_digest():
+    lines = []
+    for name in catalog.names():
+        entry = catalog.get(name)
+        alg = entry.descriptor
+        engine = PoissonEngine(alg)
+        rights = [RightInvariant(alg, x) for x in identity(alg.dim)]
+        for f in list(entry.complete_set or []) + rights:
+            u, v = engine.gradient_polys(f)
+            lines.append("%s %s %s" % (name, f.spec_string(),
+                                       f.as_polynomial().render()))
+            lines.append(" U " + " | ".join(p.render() for p in u))
+            lines.append(" V " + " | ".join(p.render() for p in v))
+    assert len(lines) == 768
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == EXPANSION_DIGEST

@@ -112,6 +112,9 @@ def test_evaluate_along_matches_value():
     w = list(traj.states[7, 0, :3])
     y = list(traj.states[7, 0, 3:])
     assert abs(vals[7, 0] - float(f.value((w, y)))) < 1e-12
+    # an integral with no terms still gives one value per time and start
+    zero = Linear(alg, [Fraction(0)] * 3)
+    assert np.array_equal(evaluate_along(zero, traj), np.zeros(vals.shape))
 
 
 def test_quotient_denominator_cutoff():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from nilflow import catalog
 from nilflow.algebra import LieAlgebraDescriptor
 from nilflow.integrals import (
     Butler,
@@ -157,6 +158,11 @@ def test_derivation_integral_gradient():
          [Fraction(0), Fraction(0), Fraction(0)]]
     f = DerivationIntegral(alg, d)
     _assert_gradient_matches(f, [0.4, -0.2, 0.9], [1.1, 0.3, -0.7])
+    # n1 ships an unchecked matrix that is not a derivation; its gradient
+    # must still be the gradient of its own value
+    unchecked = catalog.get("n1").parse("der:D")
+    assert not unchecked.checked
+    _assert_gradient_matches(unchecked, W5, Y5)
 
 
 def test_non_derivation_rejected():
