@@ -1,20 +1,20 @@
 """Geodesic flow in left-trivialized coordinates, fixed-step RK4.
 
 The state is (w, Y): exponential coordinates of the base point and the
-body momentum.  The equations are
+body momentum.  The flow is the Hamiltonian flow of the energy E, so the
+field is dx_i/dt = {x_i, E} for each phase-space coordinate x_i, that is
 
-    dY/dt = G^{-1} ad^T(Y) G Y,        dw/dt = Psi(ad w) Y,
+    dY/dt = G^{-1} ad^T(Y) G Y,        dw/dt = Psi(ad w) Y.
 
-with Psi = 1 + ad/2 + ad^2/12 the inverse differential of exp for step
-<= 3.  The field is one matmul of the flattened outer product state ⊗ Y
-against a precomputed structure table, plus one for the ad^2 term.
-Batches of initial conditions integrate together.
+``GeodesicField`` compiles these 2n exact polynomials once per flow, so
+the flow runs on any nilpotent step.  Batches integrate together.
 """
 
 import numpy as np
 
-from .group import StepUnsupported
-from .integrals import QuotientInduced
+from .integrals import Coordinate, Energy, QuotientInduced
+from .poisson import PoissonEngine
+from .ratpoly import Evaluator
 
 
 class NonFinite(RuntimeError):
@@ -28,50 +28,17 @@ class DenominatorVanished(RuntimeError):
 DEN_CUTOFF = 1e-6
 
 
-def structure_tensor(alg):
-    """Dense float tensor C[k, i, j]: e_k coefficient of [e_i, e_j]."""
-    n = alg.dim
-    c = np.zeros((n, n, n))
-    for (i, j), targets in alg.structure.items():
-        for k, coeff in targets.items():
-            c[k - 1, i - 1, j - 1] = float(coeff)
-            c[k - 1, j - 1, i - 1] = -float(coeff)
-    return c
-
-
 class GeodesicField:
-    """Right-hand side evaluator for batched states (batch, 2n)."""
+    """Right-hand side {x_i, E} for batched states (batch, 2n)."""
 
     def __init__(self, alg):
-        self.n = n = alg.dim
-        self.step = alg.analyze().step
-        if self.step > 3:
-            raise StepUnsupported("flow implemented for step <= 3")
-        c = structure_tensor(alg)
-        # (u⊗v) @ c_flat = [u, v] and (Y⊗Y) @ q = G^{-1} ad^T(Y) G Y
-        c_flat = c.transpose(1, 2, 0).reshape(n * n, n)
-        g = np.eye(n) if alg.metric is None else np.array(alg.metric, float)
-        q = np.tensordot(g, c, axes=(0, 0)).reshape(n * n, n) \
-            @ np.linalg.inv(g).T
-        # (state⊗Y) @ table = [½[w, Y] | dY/dt | [w, Y] (step 3 only)]
-        self.table = np.zeros((2 * n * n, 3 * n if self.step == 3 else 2 * n))
-        self.table[:n * n, :n] = 0.5 * c_flat
-        self.table[n * n:, n:2 * n] = q
-        if self.step == 3:
-            self.table[:n * n, 2 * n:] = c_flat
-            self.c_twelfth = c_flat / 12.0
+        engine, energy = PoissonEngine(alg), Energy(alg)
+        self.evaluator = Evaluator(
+            [engine.bracket(Coordinate(alg, i), energy).poly
+             for i in range(2 * alg.dim)])
 
     def __call__(self, state):
-        n = self.n
-        y = state[:, n:]
-        outer = (state[:, :, None] * y[:, None, :]).reshape(len(state), -1)
-        r = outer @ self.table
-        r[:, :n] += y
-        if self.step == 3:
-            w_b1 = state[:, :n, None] * r[:, None, 2 * n:]
-            r[:, :n] += w_b1.reshape(len(state), -1) @ self.c_twelfth
-            return r[:, :2 * n]
-        return r
+        return self.evaluator.rows(state)
 
 
 class Trajectory:
@@ -84,15 +51,14 @@ class Trajectory:
         return self.states.shape[1]
 
 
-def integrate(alg, w0, y0, dt=1e-3, t_end=10.0, field=None):
+def integrate(alg, w0, y0, dt=1e-3, t_end=10.0):
     """Integrate a batch of initial conditions with classical RK4.
 
     ``w0`` and ``y0`` are (batch, n) arrays (or single vectors).
     """
     w0 = np.atleast_2d(np.asarray(w0, dtype=float))
     y0 = np.atleast_2d(np.asarray(y0, dtype=float))
-    if field is None:
-        field = GeodesicField(alg)
+    field = GeodesicField(alg)
     state = np.concatenate([w0, y0], axis=1)
     nsteps = int(round(t_end / dt))
     out = np.empty((nsteps + 1,) + state.shape)

@@ -178,6 +178,19 @@ class Energy(FirstIntegral):
         return "E"
 
 
+class Coordinate(FirstIntegral):
+    """The phase-space coordinate x_i of (w1..wn, y1..yn), 0-based i."""
+
+    kind = "coordinate"
+
+    def __init__(self, alg, index):
+        super().__init__(alg, label="x%d" % index)
+        self.index = index
+
+    def _expand(self):
+        return RationalPolynomial.variable(2 * self.alg.dim, self.index)
+
+
 class Linear(FirstIntegral):
     """f_X = <Y, X> for a fixed direction X (an integral when X is central)."""
 

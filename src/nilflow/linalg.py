@@ -196,19 +196,6 @@ def inverse(mat):
     return [row[n:] for row in red]
 
 
-def solve(mat, rhs):
-    """One solution of mat @ x = rhs, or None if inconsistent."""
-    n = len(mat[0])
-    aug = [list(row) + [b] for row, b in zip(mat, rhs)]
-    red, pivots = rref(aug)
-    if n in pivots:
-        return None
-    x = [_ZERO] * n
-    for ri, pc in enumerate(pivots):
-        x[pc] = red[ri][n]
-    return x
-
-
 def gram_schmidt(vectors, gram=None):
     """Orthogonalize (without normalizing) over the rationals."""
     out = []

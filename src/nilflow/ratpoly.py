@@ -276,6 +276,7 @@ class Evaluator:
     Fractions gives exact values.  Any other point is evaluated in floats
     with the coefficients converted once: scalars as Python floats, numpy
     arrays (one per variable) elementwise.  An output with no terms is 0.
+    ``rows`` evaluates every row of a (batch, nvars) float array at once.
     """
 
     def __init__(self, polys):
@@ -289,6 +290,24 @@ class Evaluator:
                        for e, pairs in uses.items()]
         self._float = [(factors, [(out, float(c)) for out, c in pairs])
                        for factors, pairs in self._exact]
+        # rows(): the monomials by falling degree, so that factor d of
+        # the first len(gather[d]) of them is x[:, gather[d]], with each
+        # variable repeated by its exponent; the constant term is apart
+        slots = sorted((([v for v, k in factors for _ in range(k)], pairs)
+                        for factors, pairs in self._float if factors),
+                       key=lambda s: -len(s[0]))
+        degree = len(slots[0][0]) if slots else 1
+        self._gather = [np.array([s[d] for s, _ in slots if len(s) > d],
+                                 dtype=np.intp) for d in range(degree)]
+        self._coeffs = np.zeros((len(slots), self.count))
+        for m, (_, pairs) in enumerate(slots):
+            for out, c in pairs:
+                self._coeffs[m, out] = c
+        self._constant = None
+        if (0,) * self.nvars in uses:
+            self._constant = np.zeros(self.count)
+            for out, c in uses[(0,) * self.nvars]:
+                self._constant[out] = c
 
     def __call__(self, values):
         if len(values) != self.nvars:
@@ -305,6 +324,18 @@ class Evaluator:
                 m = m * (values[v] if k == 1 else values[v] ** k)
             for i, c in pairs:
                 out[i] += c * m
+        return out
+
+    def rows(self, x):
+        """Values at each row of a (batch, nvars) float array: (batch, count)."""
+        if x.shape[1] != self.nvars:
+            raise ValueError("expected %d columns" % self.nvars)
+        m = x[:, self._gather[0]]
+        for slots in self._gather[1:]:
+            m[:, :len(slots)] *= x[:, slots]
+        out = m @ self._coeffs
+        if self._constant is not None:
+            out += self._constant
         return out
 
 

@@ -3,14 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from nilflow import catalog
 from nilflow.algebra import LieAlgebraDescriptor
 from nilflow.geodesic import (
     DenominatorVanished,
     conservation_report,
     evaluate_along,
     integrate,
-    structure_tensor,
     write_csv,
 )
 from nilflow.integrals import Energy, Linear, QuotientInduced, RightInvariant
@@ -33,11 +34,19 @@ def _free_23(metric=None):
     return LieAlgebraDescriptor(5, structure, metric=metric, name="free23")
 
 
-def test_structure_tensor_antisymmetric():
-    c = structure_tensor(_free_23())
-    assert c.shape == (5, 5, 5)
-    assert c[2, 0, 1] == 1.0 and c[2, 1, 0] == -1.0
-    assert np.allclose(c, -np.transpose(c, (0, 2, 1)))
+def _filiform6():
+    # [e1, e_k] = e_{k+1}: step 5, so Psi reaches ad(w)^4
+    return LieAlgebraDescriptor(6, {(1, k): {k + 1: Fraction(1)}
+                                    for k in range(2, 6)}, name="filiform6")
+
+
+def _tridiagonal(n):
+    return [[2 if i == j else 1 if abs(i - j) == 1 else 0 for j in range(n)]
+            for i in range(n)]
+
+
+def _e(n, k):
+    return [Fraction(int(i == k)) for i in range(n)]
 
 
 def test_h3_conserves_its_integrals():
@@ -58,6 +67,43 @@ def test_non_integral_drifts():
                      dt=1e-3, t_end=10.0)
     (_, drift), = conservation_report([not_conserved], traj)
     assert drift > 1e-3
+
+
+def test_step_five_flow_conserves_its_integrals():
+    alg = _filiform6()
+    fs = [Energy(alg)] + [RightInvariant(alg, _e(6, k)) for k in range(6)]
+    traj = integrate(alg, [0.3, -0.5, 0.2, 0.7, -0.4, 0.1],
+                     [0.8, -0.3, 0.6, 0.2, -0.9, 0.5], dt=1e-3, t_end=2.0)
+    for name, drift in conservation_report(fs, traj):
+        assert drift < 1e-10, "%s drifted by %g" % (name, drift)
+    (_, drift), = conservation_report([Linear(alg, _e(6, 0))], traj)
+    assert drift > 1e-3
+
+
+def test_two_step_flow_matches_closed_form():
+    # on a 2-step algebra, Y = V + Z with Z the metric-orthogonal
+    # projection onto the center has Z(t) = Z0 and V(t) = e^{t j(Z0)} V0
+    # (Eberlein, Ann. Sci. ENS 27, 1994): an oracle sharing no flow code
+    h3, h5 = _h3(), catalog.get("h5").descriptor
+    cases = [h3, LieAlgebraDescriptor(3, h3.structure, metric=_tridiagonal(3)),
+             h5, LieAlgebraDescriptor(5, h5.structure, metric=_tridiagonal(5))]
+    for alg in cases:
+        n = alg.dim
+        split = alg.analyze()
+        vb = np.array(split.v_complement, dtype=float).T
+        zb = np.array(split.center_basis, dtype=float).T
+        basis, dv = np.hstack([vb, zb]), vb.shape[1]
+        w0, y0 = np.random.default_rng(n).uniform(-1.0, 1.0, (2, n))
+        coords = np.linalg.solve(basis, y0)
+        v0, z0 = coords[:dv], coords[dv:]
+        j = sum(c * np.array(alg.j_map(z)[0], dtype=float)
+                for c, z in zip(z0, split.center_basis))
+        traj = integrate(alg, w0, y0, dt=1e-3, t_end=2.0)
+        assert traj.times[-1] == 2.0
+        coords = np.linalg.solve(basis, traj.states[-1, 0, n:])
+        v, z = coords[:dv], coords[dv:]
+        assert np.max(np.abs(zb @ (z - z0))) < 1e-9
+        assert np.max(np.abs(vb @ (v - expm(2.0 * j) @ v0))) < 1e-9
 
 
 def test_fourth_order_convergence():

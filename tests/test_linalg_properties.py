@@ -1,4 +1,5 @@
-"""Property tests for the sparse matrix kernels against the dense formula."""
+"""Property tests for the sparse matrix kernels against the dense formula,
+and for row reduction against the identities it must satisfy."""
 
 from fractions import Fraction
 
@@ -45,6 +46,17 @@ def _product(draw, left=_FRACTIONS, right=_FRACTIONS):
     return draw(_matrix(r, k, left)), draw(_matrix(k, c, right))
 
 
+@st.composite
+def _reducible(draw):
+    """A sparse Fraction matrix, sometimes with a row combining two others."""
+    r, c = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    m = draw(_matrix(r, c))
+    if r >= 2 and draw(st.booleans()):
+        k = draw(_FRACTIONS)
+        m.append([x + k * y for x, y in zip(m[0], m[1])])
+    return m
+
+
 def _same(got, want):
     """Equal entries of the same type; floats equal bit for bit."""
     return ([type(x) for x in got] == [type(x) for x in want]
@@ -82,3 +94,33 @@ def test_empty_shapes_unchanged():
         assert linalg.mat_mul(a, b) == _dense_mat_mul(a, b)
     for a, v in (([], [Fraction(1)]), (one, []), ([[]], [])):
         assert linalg.mat_vec(a, v) == _dense_mat_vec(a, v)
+
+
+@_SETTINGS
+@given(_reducible())
+def test_rref_is_reduced_and_spans_the_rows(a):
+    red, pivots = linalg.rref(a)
+    assert pivots == sorted(set(pivots))
+    for i, p in enumerate(pivots):
+        assert [row[p] for row in red] == [int(k == i) for k in range(len(red))]
+        assert not any(red[i][:p])
+    assert not any(any(row) for row in red[len(pivots):])
+    # every row of a is the combination of the pivot rows that its own
+    # pivot-column entries name
+    for row in a:
+        assert row == [sum((row[p] * red[i][j] for i, p in enumerate(pivots)),
+                           Fraction(0)) for j in range(len(row))]
+
+
+@_SETTINGS
+@given(_reducible())
+def test_nullspace_is_annihilated_and_completes_the_rank(a):
+    ncols = len(a[0])
+    null = linalg.nullspace(a)
+    rank = linalg.rank(a)
+    assert rank + len(null) == ncols
+    for v in null:
+        assert linalg.mat_vec(a, v) == [0] * len(a)
+    # one vector per free column, 1 there and 0 at the other free columns
+    free = [c for c in range(ncols) if c not in linalg.rref(a)[1]]
+    assert [[v[c] for c in free] for v in null] == linalg.identity(len(free))

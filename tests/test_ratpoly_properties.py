@@ -51,16 +51,33 @@ def test_exact_evaluation_is_a_ring_homomorphism(p, q, c, x):
     assert (vp, vq) == (p.evaluate(x), q.evaluate(x))
 
 
+def _close_to_exact(p, x, exact, got):
+    # the size of the largest partial sum bounds the rounding error
+    scale = sum(abs(c) * abs(np.prod([float(v) ** k for v, k in zip(x, exps)]))
+                for exps, c in p.terms.items())
+    return abs(got - float(exact)) <= 1e-12 * max(scale, 1e-300)
+
+
 @_SETTINGS
 @given(st.lists(_polys, min_size=1, max_size=3), _points)
 def test_float_evaluation_matches_the_exact_value(polys, x):
     exact = Evaluator(polys)(x)
     floats = Evaluator(polys)([float(v) for v in x])
     for p, e, f in zip(polys, exact, floats):
-        # the size of the largest partial sum bounds the rounding error
-        scale = sum(abs(c) * abs(np.prod([float(v) ** k for v, k in zip(x, exps)]))
-                    for exps, c in p.terms.items())
-        assert abs(f - float(e)) <= 1e-12 * max(scale, 1e-300)
+        assert _close_to_exact(p, x, e, f)
+
+
+@_SETTINGS
+@given(st.lists(_polys, min_size=1, max_size=3),
+       st.lists(_points, min_size=1, max_size=5), _coeffs)
+def test_row_evaluation_matches_the_exact_value(polys, points, c):
+    polys = polys + [polys[0] + c]  # a constant term, rare in _polys
+    ev = Evaluator(polys)
+    got = ev.rows(np.array(points, dtype=float))
+    assert got.shape == (len(points), len(polys))
+    for row, x in zip(got, points):
+        for p, e, f in zip(polys, ev(x), row):
+            assert _close_to_exact(p, x, e, f)
 
 
 @_SETTINGS
