@@ -294,10 +294,8 @@ def cmd_quotient(args):
     results = []
     worst = 0.0
     for f in fs:
-        dev, acc = quotients.invariance_check(entry.descriptor, lat, f,
-                                              nsamples=args.samples,
-                                              seed=args.seed)
-        worst = max(worst, dev)
+        # the exact shifts first: a non-polynomial numerator or denominator
+        # is a usage error, found before any sample is drawn
         shifts = {}
         if isinstance(f, QuotientInduced):
             for g in lat.generators:
@@ -305,6 +303,10 @@ def cmd_quotient(args):
                                                f.num, f.den)
                 key = "(" + ",".join(_frac_str(x) for x in g) + ")"
                 shifts[key] = None if c is None else _frac_str(c)
+        dev, acc = quotients.invariance_check(entry.descriptor, lat, f,
+                                              nsamples=args.samples,
+                                              seed=args.seed)
+        worst = max(worst, dev)
         results.append({"integral": f.spec_string(), "max_deviation": dev,
                         "accepted": acc, "shift_multipliers": shifts})
     payload = {"algebra": entry.name, "lattice": args.lattice,

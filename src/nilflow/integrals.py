@@ -21,10 +21,10 @@ from fractions import Fraction
 from . import group, linalg
 from .algebra import StepMismatch
 from .linalg import frac
-from .ratpoly import Evaluator, PolyVector, RationalPolynomial
+from .ratpoly import Evaluator, RationalPolynomial
 
 
-class NonPolynomialVariant(TypeError):
+class NonPolynomialVariant(ValueError):
     """The integral has no polynomial expansion in (w, y)."""
 
 
@@ -60,44 +60,20 @@ def _vector_label(x):
 
 def _w_vec(alg):
     nv = 2 * alg.dim
-    return PolyVector([RationalPolynomial.variable(nv, i) for i in range(alg.dim)])
+    return [RationalPolynomial.variable(nv, i) for i in range(alg.dim)]
 
 
 def _y_vec(alg):
     nv = 2 * alg.dim
-    return PolyVector([RationalPolynomial.variable(nv, alg.dim + i)
-                       for i in range(alg.dim)])
-
-
-def _const_vec(alg, x):
-    nv = 2 * alg.dim
-    return PolyVector([RationalPolynomial.constant(nv, c) for c in x])
-
-
-def _mat_polyvec(mat, pv):
-    """Rational matrix applied to a PolyVector."""
-    nv = pv[0].nvars
-    out = []
-    for row in mat:
-        acc = RationalPolynomial.zero(nv)
-        for c, p in zip(row, pv.components):
-            if c != 0:
-                acc = acc + p * c
-        out.append(acc)
-    return PolyVector(out)
-
-
-def _gram_dot(alg, a, b):
-    return a.dot(b, gram=alg.metric)
+    return [RationalPolynomial.variable(nv, alg.dim + i) for i in range(alg.dim)]
 
 
 def _psi_columns(alg):
     """Psi(ad w) e_i for symbolic w (column i of Psi), once per descriptor."""
     if _psi_columns not in alg._memo:
         w = _w_vec(alg)
-        alg._memo[_psi_columns] = [
-            group.dexp_inverse_apply(alg, w, _const_vec(alg, e))
-            for e in linalg.identity(alg.dim)]
+        alg._memo[_psi_columns] = [group.dexp_inverse_apply(alg, w, e)
+                                   for e in linalg.identity(alg.dim)]
     return alg._memo[_psi_columns]
 
 
@@ -126,7 +102,7 @@ class FirstIntegral:
         """(U, V) at a point, the values of ``gradient_polys``."""
         if self._gradient_at is None:
             u, v = self.gradient_polys()
-            self._gradient_at = Evaluator(u.components + v.components)
+            self._gradient_at = Evaluator(u + v)
         uv = self._gradient_at(_coordinates(point))
         return uv[:self.alg.dim], uv[self.alg.dim:]
 
@@ -136,19 +112,17 @@ class FirstIntegral:
         return self._poly
 
     def gradient_polys(self):
-        """Exact (U, V) PolyVectors of the value polynomial."""
+        """Exact (U, V) of the value polynomial: two lists of polynomials."""
         if self._grad is None:
             alg, fp, n = self.alg, self.as_polynomial(), self.alg.dim
             grad_w = [fp.partial(i) for i in range(n)]
-            grad_y = PolyVector([fp.partial(n + i) for i in range(n)])
-            # U_i = sum_j Psi[j][i] grad_w[j], skipping zeros: most
-            # integrals (Energy, Linear, Quadratic) have grad_w f = 0
-            zero = RationalPolynomial.zero(2 * n)
-            u = PolyVector([sum((p * g for p, g in zip(col, grad_w) if p and g),
-                                zero) for col in _psi_columns(alg)])
+            grad_y = [fp.partial(n + i) for i in range(n)]
+            # U_i = <Psi e_i, grad_w f>; most integrals (Energy, Linear,
+            # Quadratic) have grad_w f = 0, and inner skips zero factors
+            u = [linalg.inner(col, grad_w) for col in _psi_columns(alg)]
             if alg.metric is not None:
                 ginv = alg.gram_inverse()
-                u, grad_y = _mat_polyvec(ginv, u), _mat_polyvec(ginv, grad_y)
+                u, grad_y = linalg.mat_vec(ginv, u), linalg.mat_vec(ginv, grad_y)
             self._grad = (u, grad_y)
         return self._grad
 
@@ -172,7 +146,7 @@ class Energy(FirstIntegral):
 
     def _expand(self):
         y = _y_vec(self.alg)
-        return _gram_dot(self.alg, y, y) * Fraction(1, 2)
+        return self.alg.inner(y, y) * Fraction(1, 2)
 
     def _default_label(self):
         return "E"
@@ -204,7 +178,7 @@ class Linear(FirstIntegral):
                              % (len(self.x), alg.dim))
 
     def _expand(self):
-        return _gram_dot(self.alg, _y_vec(self.alg), _const_vec(self.alg, self.x))
+        return self.alg.inner(_y_vec(self.alg), self.x)
 
     def _default_label(self):
         return "lin:%s" % _vector_label(self.x)
@@ -224,7 +198,7 @@ class Quadratic(FirstIntegral):
 
     def _expand(self):
         y = _y_vec(self.alg)
-        return _gram_dot(self.alg, y, _mat_polyvec(self.s, y)) * Fraction(1, 2)
+        return self.alg.inner(y, linalg.mat_vec(self.s, y)) * Fraction(1, 2)
 
     def _default_label(self):
         return "quad:S"
@@ -244,8 +218,8 @@ class RightInvariant(FirstIntegral):
 
     def _expand(self):
         a = group.ad_series(self.alg, _w_vec(self.alg), group.exp_neg_coeff,
-                            _const_vec(self.alg, self.x))
-        return _gram_dot(self.alg, PolyVector(a), _y_vec(self.alg))
+                            self.x)
+        return self.alg.inner(a, _y_vec(self.alg))
 
     def _default_label(self):
         return "right:%s" % _vector_label(self.x)
@@ -265,8 +239,8 @@ class DerivationIntegral(FirstIntegral):
 
     def _expand(self):
         w = _w_vec(self.alg)
-        b = group.dexp_apply(self.alg, w, _mat_polyvec(self.d, w))
-        return _gram_dot(self.alg, PolyVector(b), _y_vec(self.alg))
+        b = group.dexp_apply(self.alg, w, linalg.mat_vec(self.d, w))
+        return self.alg.inner(b, _y_vec(self.alg))
 
     def _default_label(self):
         return "der:D"
@@ -330,17 +304,15 @@ class Butler(FirstIntegral):
         self._j_parts = [alg.j_map(z)[0] for z in self.z_basis]
 
     def _expand(self):
-        coords = _mat_polyvec(self._coords, _y_vec(self.alg))
+        coords = linalg.mat_vec(self._coords, _y_vec(self.alg))
         dv = len(self.v_basis)
-        vc, zc = PolyVector(coords.components[:dv]), coords.components[dv:]
-        zero = RationalPolynomial.zero(2 * self.alg.dim)
+        vc, zc = coords[:dv], coords[dv:]
         m = vc
         for _ in range(2 * self.index):
             # j(Z) m = sum_k z_k J_k m, with J_k = j(e_k) on the center basis
-            parts = [_mat_polyvec(part, m) for part in self._j_parts]
-            m = PolyVector([sum((z * jm[a] for z, jm in zip(zc, parts)), zero)
-                            for a in range(dv)])
-        return vc.dot(m, gram=self.gv)
+            parts = [linalg.mat_vec(part, m) for part in self._j_parts]
+            m = [linalg.inner(zc, [jm[a] for jm in parts]) for a in range(dv)]
+        return linalg.inner(vc, m, self.gv)
 
     def _default_label(self):
         return "butler:%d" % self.index

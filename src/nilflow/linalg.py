@@ -3,6 +3,8 @@
 Matrices are lists of row lists of Fraction.  All routines are
 deterministic: row reduction always picks the lowest-index usable column,
 and nullspace basis vectors carry the 1/0 free-variable pattern.
+``mat_mul``, ``mat_vec`` and ``inner`` serve every coefficient ring the
+entries multiply in, exact polynomials included.
 """
 
 from fractions import Fraction
@@ -89,10 +91,18 @@ def is_zero_vec(u):
 
 
 def inner(u, v, gram=None):
-    """<u, v>, optionally with respect to a Gram matrix."""
-    if gram is None:
-        return sum(x * y for x, y in zip(u, v))
-    return sum(x * g * y for x, row in zip(u, gram) for g, y in zip(row, v))
+    """<u, v>, optionally with respect to a Gram matrix (u . G v), over any
+    ring: Fractions, floats, polynomials or a mix.
+
+    Only the products of two nonzero factors are formed; the ring's zero
+    is formed only when no product survives.
+    """
+    if gram is not None:
+        v = mat_vec(gram, v)
+    terms = [x * y for x, y in zip(u, v) if x and y]
+    if terms:
+        return sum(terms[1:], terms[0])
+    return _product_zero(u[0], v[0]) if u and v else 0
 
 
 def rref(mat):

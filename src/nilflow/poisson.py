@@ -4,9 +4,10 @@ For f with gradient (U, V) and g with gradient (U', V'),
 
     {f, g}(p, Y) = <U, V'> - <U', V> - <Y, [V, V']>.
 
-The gradients are each integral's exact ``gradient_polys`` (U, V),
-derived from its value polynomial, so the bracket is exact: the same
-polynomials give the numeric gradients of the independence scans.
+The gradients are each integral's exact ``gradient_polys`` (U, V), two
+lists of polynomials derived from its value polynomial, so the bracket is
+exact: the same polynomials give the numeric gradients of the
+independence scans.
 """
 
 import random
@@ -16,7 +17,7 @@ from fractions import Fraction
 from . import linalg
 from .integrals import (DerivationIntegral, Energy, QuotientInduced,
                         RightInvariant, _y_vec)
-from .ratpoly import PolyVector, RationalPolynomial
+from .ratpoly import Evaluator, RationalPolynomial, coefficient_rows
 
 
 @dataclass
@@ -53,16 +54,15 @@ class PoissonEngine:
         self.alg = alg
 
     def gradient_polys(self, f):
-        """Exact (U, V) PolyVectors of f, memoized on f."""
+        """Exact (U, V) of f, two lists of polynomials, memoized on f."""
         return f.gradient_polys()
 
     def bracket(self, f, g, candidates=None):
         uf, vf = self.gradient_polys(f)
         ug, vg = self.gradient_polys(g)
-        gram = self.alg.metric
-        poly = uf.dot(vg, gram=gram) - ug.dot(vf, gram=gram)
-        poly = poly - _y_vec(self.alg).dot(PolyVector(self.alg.bracket(vf, vg)),
-                                           gram=gram)
+        alg = self.alg
+        poly = (alg.inner(uf, vg) - alg.inner(ug, vf)
+                - alg.inner(_y_vec(alg), alg.bracket(vf, vg)))
         matched = None
         if candidates and not poly.is_zero:
             matched = self._match(poly, candidates)
@@ -106,10 +106,11 @@ class PoissonEngine:
 def _nonzero_point(poly):
     """A rational point where the (nonzero) polynomial does not vanish."""
     rnd = random.Random(20240817)
+    value = Evaluator([poly])
     for _ in range(500):
         values = [Fraction(rnd.randint(-9, 9), rnd.randint(1, 3))
                   for _ in range(poly.nvars)]
-        if poly.evaluate(values) != 0:
+        if value(values)[0] != 0:
             return tuple(values)
     return None
 
@@ -178,21 +179,9 @@ def verify_iso_homomorphism(alg, deriv_basis=None, engine=None):
                 failures.append("{e%d*, e%d*} != [e%d, e%d]*" % (k + 1, m + 1, k + 1, m + 1))
 
     # injectivity: coefficient vectors of the generating functions
-    monomials = {}
-    rows = []
-    for f in d_ints + x_ints:
-        rows.append(f.as_polynomial())
-    for poly in rows:
-        for e in poly.terms:
-            monomials.setdefault(e, len(monomials))
-    matrix = []
-    for poly in rows:
-        row = [Fraction(0)] * len(monomials)
-        for e, c in poly.terms.items():
-            row[monomials[e]] = c
-        matrix.append(row)
+    matrix = coefficient_rows([f.as_polynomial() for f in d_ints + x_ints])
     expected = len(deriv_basis) + n
-    got = linalg.rank(matrix) if matrix else 0
+    got = linalg.rank(matrix)
     inj_ok = got == expected
 
     return IsoReport(ok=not failures and inj_ok, identity_failures=failures,

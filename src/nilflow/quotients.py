@@ -13,8 +13,7 @@ import numpy as np
 from fractions import Fraction
 
 from . import group
-from .integrals import QuotientInduced, _w_vec
-from .ratpoly import RationalPolynomial
+from .integrals import QuotientInduced, _w_vec, _y_vec
 from .solvers import sample_count
 
 
@@ -86,26 +85,16 @@ def shift_multiplier(alg, g_coords, num, den):
     """
     num_poly = num.as_polynomial()
     den_poly = den.as_polynomial()
-    n = alg.dim
-    nv = 2 * n
-    if den_poly.degree_in(range(n)) != 0:
+    if den_poly.degree_in(range(alg.dim)) != 0:
         raise ValueError("denominator must be invariant (independent of w)")
-    shift = group.bch(alg, [Fraction(c) if not isinstance(c, Fraction) else c
-                            for c in g_coords],
-                      list(_w_vec(alg).components))
-    mapping = {i: shift[i] for i in range(n)}
-    translated = num_poly.substitute(mapping)
-    diff = translated - num_poly
+    shift = group.bch(alg, [Fraction(c) for c in g_coords], _w_vec(alg))
+    diff = num.value((shift, _y_vec(alg))) - num_poly
     if diff.is_zero:
         return Fraction(0)
-    # diff must be a constant multiple of den_poly
-    for exps, coeff in diff.terms.items():
-        dc = den_poly.coefficient(exps)
-        if dc != 0:
-            ratio = coeff / dc
-            break
-    else:
-        return None
-    if diff == den_poly * ratio:
-        return ratio
+    # diff must be a constant multiple of den_poly, so any one of its
+    # monomials fixes the constant
+    exps, coeff = next(iter(diff.terms.items()))
+    dc = den_poly.coefficient(exps)
+    if dc != 0 and diff == den_poly * (coeff / dc):
+        return coeff / dc
     return None

@@ -10,7 +10,9 @@ dimension n: ``w1..wn`` for the exponential coordinates of the base point
 and ``y1..yn`` for the momentum, so ``nvars = 2n``.
 
 ``Evaluator`` is the one route from polynomials to numbers: exact values
-at rational points, floats at float points, and arrays elementwise.
+at rational points, floats at float points, and arrays elementwise.  At a
+point of polynomials it composes.  ``coefficient_rows`` lists the
+coefficients of several polynomials over one shared monomial order.
 """
 
 from fractions import Fraction
@@ -189,22 +191,6 @@ class RationalPolynomial:
         res.terms = out
         return res
 
-    def substitute(self, mapping):
-        """Replace variables by polynomials; unmapped variables survive."""
-        out = RationalPolynomial(self.nvars)
-        for e, c in self.terms.items():
-            term = RationalPolynomial.constant(self.nvars, c)
-            for i, k in enumerate(e):
-                if k == 0:
-                    continue
-                if i in mapping:
-                    term = term * (mapping[i] ** k)
-                else:
-                    term = term * RationalPolynomial.monomial(
-                        self.nvars, [k if j == i else 0 for j in range(self.nvars)], 1)
-            out = out + term
-        return out
-
     def evaluate(self, values):
         """Evaluate at a point (Fractions stay exact, floats go float)."""
         return Evaluator([self])(values)[0]
@@ -267,15 +253,26 @@ class RationalPolynomial:
         return "RationalPolynomial(%s)" % self.render()
 
 
+def coefficient_rows(polys):
+    """One row of coefficients per polynomial, over the monomials of all of
+    them in the order in which they first appear."""
+    monomials = {}
+    for p in polys:
+        for e in p.terms:
+            monomials.setdefault(e, len(monomials))
+    return [[p.terms.get(e, Fraction(0)) for e in monomials] for p in polys]
+
+
 class Evaluator:
     """The values of a list of polynomials at a point, compiled once.
 
     Each monomial of the polynomials is kept once, as its nonzero
     (variable, exponent) factors with the (output, coefficient) pairs
-    that use it, and is formed once per call.  A point of ints and
-    Fractions gives exact values.  Any other point is evaluated in floats
-    with the coefficients converted once: scalars as Python floats, numpy
-    arrays (one per variable) elementwise.  An output with no terms is 0.
+    that use it, and is formed once per call.  A point of ints, Fractions
+    and polynomials gives exact values (at polynomials, the composition).
+    Any other point is evaluated in floats with the coefficients converted
+    once: scalars as Python floats, numpy arrays (one per variable)
+    elementwise.  An output with no terms is 0.
     ``rows`` evaluates every row of a (batch, nvars) float array at once.
     """
 
@@ -313,7 +310,8 @@ class Evaluator:
         if len(values) != self.nvars:
             raise ValueError("expected %d values" % self.nvars)
         monomials = self._exact
-        if not all(isinstance(v, (int, Fraction)) for v in values):
+        if not all(isinstance(v, (int, Fraction, RationalPolynomial))
+                   for v in values):
             monomials = self._float
             values = [v if isinstance(v, np.ndarray) else float(v)
                       for v in values]
@@ -337,36 +335,3 @@ class Evaluator:
         if self._constant is not None:
             out += self._constant
         return out
-
-
-class PolyVector:
-    """A coordinate vector of polynomials (used for gradients)."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components):
-        self.components = list(components)
-
-    def __len__(self):
-        return len(self.components)
-
-    def __getitem__(self, i):
-        return self.components[i]
-
-    def dot(self, other, gram=None):
-        """<self, other>, optionally with a rational Gram matrix."""
-        n = len(self.components)
-        if gram is None:
-            total = RationalPolynomial(self.components[0].nvars)
-            for a, b in zip(self.components, other.components):
-                total = total + a * b
-            return total
-        total = RationalPolynomial(self.components[0].nvars)
-        for i in range(n):
-            for j in range(n):
-                if gram[i][j] != 0:
-                    total = total + self.components[i] * other.components[j] * gram[i][j]
-        return total
-
-    def __repr__(self):
-        return "PolyVector(%s)" % ", ".join(p.render() for p in self.components)

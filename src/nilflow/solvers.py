@@ -34,9 +34,9 @@ import numpy as np
 from fractions import Fraction
 
 from . import linalg
-from .integrals import (QuotientInduced, _mat_polyvec, basis_brackets,
+from .integrals import (NonPolynomialVariant, QuotientInduced, basis_brackets,
                         derivation_defects)
-from .ratpoly import PolyVector, RationalPolynomial
+from .ratpoly import RationalPolynomial, coefficient_rows
 
 
 DEFAULT_SAMPLES = 200
@@ -134,15 +134,10 @@ def _cubic_columns(alg, params, vectors):
     """Per parameter S, the coefficients of <X, [S X, X]> over X in
     span(vectors), listed in one monomial order shared by all S."""
     nv = len(vectors)  # polynomial in the span coordinates
-    coords = PolyVector([RationalPolynomial.variable(nv, i) for i in range(nv)])
-    x_vec = _mat_polyvec(linalg.transpose(vectors), coords)
-    cubics = [x_vec.dot(PolyVector(alg.bracket(_mat_polyvec(s, x_vec), x_vec)),
-                        gram=alg.metric).terms for s in params]
-    monomials = {}
-    for terms in cubics:
-        for e in terms:
-            monomials.setdefault(e, len(monomials))
-    return [[terms.get(e, Fraction(0)) for e in monomials] for terms in cubics]
+    coords = [RationalPolynomial.variable(nv, i) for i in range(nv)]
+    x = linalg.mat_vec(linalg.transpose(vectors), coords)
+    return coefficient_rows([alg.inner(x, alg.bracket(linalg.mat_vec(s, x), x))
+                             for s in params])
 
 
 @_once_per_algebra
@@ -243,8 +238,16 @@ def independence_scan(alg, integrals, predicate=None, nsamples=None, seed=0,
 
     Float path: uniform samples in [-2, 2]^{2n}, numpy singular values
     with a relative cutoff.  Exact path: rational sample points and exact
-    row reduction, so the rank statement carries no floating error.
+    row reduction, so the rank statement carries no floating error; it
+    takes polynomial integrals only, and a quotient-induced one raises
+    NonPolynomialVariant before any sample is drawn.
     """
+    if exact:
+        for f in integrals:
+            if isinstance(f, QuotientInduced):
+                raise NonPolynomialVariant(
+                    "the exact scan needs polynomial integrals; %s is "
+                    "quotient-induced" % f.spec_string())
     n = alg.dim
     count = sample_count(nsamples)
     rng = np.random.default_rng(seed)
@@ -262,10 +265,7 @@ def independence_scan(alg, integrals, predicate=None, nsamples=None, seed=0,
         if not _accepts(integrals, predicate, w, y, den_min):
             continue
         accepted += 1
-        rows = []
-        for f in integrals:
-            u, v = f.gradient((w, y))
-            rows.append(list(u) + list(v))
+        rows = [u + v for u, v in (f.gradient((w, y)) for f in integrals)]
         if exact:
             rk = linalg.rank(rows)
         else:

@@ -74,7 +74,7 @@ def _first_jacobi_defect(n, structure):
     return None
 
 
-@settings(max_examples=80, deadline=None, database=None)
+@settings(max_examples=80)
 @given(st.dictionaries(
     st.tuples(st.integers(1, 5), st.integers(1, 5)).filter(lambda p: p[0] < p[1]),
     st.dictionaries(st.integers(1, 5), st.integers(-2, 2).map(Fraction),

@@ -9,7 +9,7 @@ from nilflow import catalog, group
 from nilflow.ratpoly import RationalPolynomial
 
 _ALGEBRAS = [catalog.get(name).descriptor for name in catalog.names()]
-_SETTINGS = settings(max_examples=60, deadline=None, database=None)
+_SETTINGS = settings(max_examples=60)
 
 
 @st.composite

@@ -1,10 +1,15 @@
 import hashlib
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilflow import catalog
-from nilflow.algebra import from_definition
+from nilflow.algebra import (LieAlgebraDescriptor, dump_algebra,
+                             from_definition, load_algebra, to_definition)
 from nilflow.group import bch
 from nilflow.integrals import RightInvariant
 from nilflow.linalg import identity
@@ -93,6 +98,37 @@ def test_definition_round_trip():
         alg = from_definition(entry.definition())
         assert alg.dim == entry.descriptor.dim
         assert alg.structure == entry.descriptor.structure
+
+
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@pytest.mark.parametrize("name", catalog.names())
+@settings(max_examples=5)
+@given(data=st.data())
+def test_definition_round_trip_keeps_metric_and_params(name, data):
+    base = catalog.get(name).descriptor
+    n = base.dim
+    # G = L L^T, positive definite for a lower-triangular L with a
+    # positive diagonal
+    low = [[data.draw(_RATIONALS) for _ in range(i)]
+           + [data.draw(_RATIONALS.filter(lambda x: x > 0))]
+           + [Fraction(0)] * (n - i - 1) for i in range(n)]
+    metric = [[sum(a * b for a, b in zip(ri, rj)) for rj in low] for ri in low]
+    params = data.draw(st.dictionaries(
+        st.text("abcxyz_", min_size=1, max_size=4), _RATIONALS, max_size=3))
+    alg = LieAlgebraDescriptor(n, base.structure, metric=metric,
+                               name=base.name, params=params)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "alg.json")
+        dump_algebra(alg, path)
+        copies = [from_definition(to_definition(alg)), load_algebra(path)]
+    for copy in copies:
+        assert copy.dim == n
+        assert copy.structure == alg.structure
+        assert copy.metric == metric
+        assert copy.params == params
+        assert copy.name == alg.name
 
 
 def test_engine_is_cached():

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nilflow import cli
 
 CLI = [sys.executable, "-m", "nilflow.cli"]
 
@@ -223,3 +229,74 @@ def test_flow_blow_up_is_a_result():
     assert res.returncode == 1
     payload = json.loads(res.stdout)
     assert payload["ok"] is False and "no longer finite" in payload["reason"]
+
+
+def test_quotient_specs_where_a_polynomial_is_needed_are_usage_errors():
+    quot = "quot(right:X1 / lin:Z)"
+    for args in (("bracket", "h3", quot, "E"), ("involution", "h3", "E", quot),
+                 ("quotient", "h3", "Gamma_2", "quot(lin:e1 / quot(E / E))"),
+                 ("independence", "h3", quot, "--exact")):
+        res = _run(*args)
+        assert res.returncode == 2, args
+        assert res.stderr.startswith("error:"), args
+        assert res.stderr.count("\n") == 1, args
+        assert "Traceback" not in res.stderr
+
+
+def _mostly(good, bad):
+    """Draw from ``good`` three times in four, else from ``bad``."""
+    good = st.sampled_from(good)
+    return st.one_of(good, good, good, st.sampled_from(bad))
+
+
+# catalog names, good and bad, and specs with nesting and bad references
+_NAMES = _mostly(["h3", "h5", "n1", "n3", "n23free", "r2+h3", "n6_19(1)",
+                  "n6_22(0)"], ["n6_19", "n6_19(x)", "n6_19(1/0)", "h4", ""])
+_LEAVES = _mostly(["E", "lin:e1", "lin:e3", "lin:Z", "right:e1", "right:e2",
+                   "right:X1", "right:Y1", "butler:1", "quad:S1"],
+                  ["lin:e9", "butler:-1", "butler:x", "quad:S", "der:D",
+                   "nope:e1", "quot(E)", "E / E"])
+_SPECS = st.one_of(_LEAVES, _LEAVES, st.recursive(
+    _LEAVES, lambda parts: st.tuples(parts, parts).map("quot(%s / %s)".__mod__),
+    max_leaves=3))
+
+
+@st.composite
+def _argv(draw):
+    verb = draw(st.sampled_from(["bracket", "involution", "independence",
+                                 "independence --exact", "quotient",
+                                 "derivations", "killing2", "catalog"]))
+    name = draw(_NAMES)
+    samples = ["--samples", str(draw(st.integers(1, 3)))]
+    specs = draw(st.lists(_SPECS, max_size=3))
+    if verb == "bracket":
+        argv = ["bracket", name, draw(_SPECS), draw(_SPECS)]
+    elif verb == "involution":
+        argv = ["involution", name] + specs
+    elif verb.startswith("independence"):
+        argv = verb.split() + [name] + specs + samples
+    elif verb == "quotient":
+        name, lattice = draw(st.one_of(
+            st.sampled_from([("h3", "Gamma_2"), ("h5", "Gamma_1_1"),
+                             ("n3", "Lambda_2")]),
+            st.tuples(_NAMES, st.sampled_from(["Gamma_2", "nope"]))))
+        argv = ["quotient", name, lattice] + specs + samples
+    else:
+        argv = [verb, name]
+    if draw(st.booleans()):
+        argv += ["--format", "json"]
+    return argv
+
+
+@settings(max_examples=100)
+@given(_argv())
+def test_cli_fuzz_keeps_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    if code == 2:
+        assert "error:" in err.getvalue(), argv

@@ -1,5 +1,6 @@
-"""Property tests for the sparse matrix kernels against the dense formula,
-and for row reduction against the identities it must satisfy."""
+"""Property tests for the sparse matrix and inner-product kernels against
+the dense formula, and for row reduction against the identities it must
+satisfy."""
 
 from fractions import Fraction
 
@@ -7,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilflow import linalg
+from nilflow.ratpoly import RationalPolynomial
 
-_SETTINGS = settings(max_examples=60, deadline=None, database=None)
+_SETTINGS = settings(max_examples=60)
 
 # mostly zeros, as in the structure constants, Gram matrices and bases
 _FRACTIONS = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
@@ -16,6 +18,10 @@ _FRACTIONS = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
                                     max_denominator=4))
 _FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1e-300, -1e-300]),
                     st.floats(min_value=-3, max_value=3))
+_NVARS = 3
+_POLYS = st.dictionaries(st.tuples(*[st.integers(0, 2)] * _NVARS), _FRACTIONS,
+                         max_size=3).map(
+                             lambda terms: RationalPolynomial(_NVARS, terms))
 
 
 def _dense_mat_mul(a, b):
@@ -25,6 +31,12 @@ def _dense_mat_mul(a, b):
 
 def _dense_mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
+
+
+def _dense_inner(u, v, gram=None):
+    if gram is not None:
+        v = _dense_mat_vec(gram, v)
+    return sum(x * y for x, y in zip(u, v))
 
 
 @st.composite
@@ -124,3 +136,33 @@ def test_nullspace_is_annihilated_and_completes_the_rank(a):
     # one vector per free column, 1 there and 0 at the other free columns
     free = [c for c in range(ncols) if c not in linalg.rref(a)[1]]
     assert [[v[c] for c in free] for v in null] == linalg.identity(len(free))
+
+
+@st.composite
+def _inner_case(draw):
+    """Sparse vectors u, v over one ring pairing (polynomials also against
+    Fractions, as <Y, X> is) and a sparse Fraction Gram matrix or None."""
+    left, right = draw(st.sampled_from([
+        (_FRACTIONS, _FRACTIONS), (_FLOATS, _FLOATS), (_FRACTIONS, _FLOATS),
+        (_POLYS, _POLYS), (_POLYS, _FRACTIONS), (_FRACTIONS, _POLYS)]))
+    n = draw(st.integers(1, 4))
+    u = draw(st.lists(left, min_size=n, max_size=n))
+    v = draw(st.lists(right, min_size=n, max_size=n))
+    gram = draw(st.one_of(st.none(), _matrix(n, n)))
+    return u, v, gram
+
+
+@_SETTINGS
+@given(_inner_case())
+def test_inner_matches_dense_formula(case):
+    u, v, gram = case
+    got, want = linalg.inner(u, v, gram), _dense_inner(u, v, gram)
+    assert type(got) is type(want)
+    assert got == want
+    # all-zero inputs give the ring's zero: a zero polynomial for polynomials
+    zeros = [0 * x for x in u]
+    got = linalg.inner(zeros, v, gram)
+    assert type(got) is type(_dense_inner(zeros, v, gram))
+    assert not got
+    if isinstance(u[0], RationalPolynomial):
+        assert got == RationalPolynomial.zero(_NVARS)

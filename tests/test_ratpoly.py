@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from nilflow.ratpoly import PolyVector, RationalPolynomial, phase_names
+from nilflow import linalg
+from nilflow.ratpoly import RationalPolynomial, phase_names
 
 
 def _p(nvars, text):
@@ -47,11 +48,16 @@ def test_partial_derivative():
 
 
 def test_substitute_is_composition():
+    # evaluating at a point of polynomials substitutes them
     x = RationalPolynomial.variable(2, 0)
     y = RationalPolynomial.variable(2, 1)
     p = x * x + y
-    sub = p.substitute({0: y + 1})
+    sub = p.evaluate([y + 1, y])
+    assert sub == (y + 1) * (y + 1) + y
     assert sub.evaluate([Fraction(5), Fraction(2)]) == 9 + 2
+    # unmoved variables and a mixed point of polynomials and Fractions
+    assert p.evaluate([x, y]) == p
+    assert p.evaluate([x + y, Fraction(3)]) == (x + y) * (x + y) + 3
 
 
 def test_total_degree_and_degree_in():
@@ -85,13 +91,12 @@ def test_phase_names():
 
 
 def test_poly_vector_dot_with_gram():
+    # linalg.inner on vectors of polynomials
     g = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
-    a = PolyVector([RationalPolynomial.variable(2, 0),
-                    RationalPolynomial.constant(2, 1)])
-    b = PolyVector([RationalPolynomial.constant(2, 1),
-                    RationalPolynomial.variable(2, 1)])
-    plain = a.dot(b)
-    weighted = a.dot(b, gram=g)
+    a = [RationalPolynomial.variable(2, 0), RationalPolynomial.constant(2, 1)]
+    b = [RationalPolynomial.constant(2, 1), RationalPolynomial.variable(2, 1)]
+    plain = linalg.inner(a, b)
+    weighted = linalg.inner(a, b, g)
     x = [Fraction(2), Fraction(5)]
     assert plain.evaluate(x) == 2 + 5
     # a = (w, 1), b = (1, y) at w=2, y=5: a^T G b = (2*1 + 1*5)*... computed directly

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from nilflow.ratpoly import Evaluator, RationalPolynomial
 
 NVARS = 4
-_SETTINGS = settings(max_examples=60, deadline=None, database=None)
+_SETTINGS = settings(max_examples=60)
 
 _coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 _polys = st.dictionaries(
