@@ -115,11 +115,19 @@ class LieAlgebraDescriptor:
             for j in range(i):
                 if g[i][j] != g[j][i]:
                     raise ValueError("metric must be symmetric")
-        for k in range(1, n + 1):
-            minor = [row[:k] for row in g[:k]]
-            if linalg.det(minor) <= 0:
-                raise ValueError(
-                    "metric is not positive definite (leading minor %d)" % k)
+        # Sylvester's criterion by one elimination without row swaps: while
+        # the leading minors D_1..D_{k-1} are positive, pivot k is
+        # D_k / D_{k-1}, so the first pivot <= 0 names the first minor <= 0
+        rows = [list(row) for row in g]
+        for k in range(n):
+            pivot = rows[k][k]
+            if pivot <= 0:
+                raise ValueError("metric is not positive definite "
+                                 "(leading minor %d)" % (k + 1))
+            for i in range(k + 1, n):
+                f = rows[i][k] / pivot
+                if f:
+                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
         return g
 
     def _check_jacobi(self):

@@ -135,24 +135,6 @@ def _identity_chart(law):
                      coordinate_law=law)
 
 
-def _h3_chart():
-    def from_exp(c):
-        a, b, z = c
-        return (a, b, z + Fraction(1, 2) * a * b if isinstance(z, Fraction)
-                else z + 0.5 * a * b)
-
-    def to_exp(c):
-        a, b, z = c
-        return (a, b, z - Fraction(1, 2) * a * b if isinstance(z, Fraction)
-                else z - 0.5 * a * b)
-
-    def law(u, v):
-        return (u[0] + v[0], u[1] + v[1], u[2] + v[2] + u[0] * v[1])
-
-    return ChartMaps(to_exponential=to_exp, from_exponential=from_exp,
-                     coordinate_law=law)
-
-
 def _heisenberg_chart(npairs):
     half = Fraction(1, 2)
 
@@ -222,7 +204,7 @@ def _entry_h3():
             "y3 != 0 and (y1 != 0 or y2 != 0)",
             lambda w, y: y[2] != 0 and (y[0] != 0 or y[1] != 0)),
         lattices={"Gamma_2": Lattice("Gamma_2", [(2, 0, 0), (0, 1, 0), (0, 0, 1)])},
-        chart_maps=_h3_chart(),
+        chart_maps=_heisenberg_chart(1),
         expected={"step": 2, "center_dim": 1, "skew_derivation_dim": 1,
                   "killing2_dim": 2},
         notes="The display coordinates are the upper-triangular matrix "

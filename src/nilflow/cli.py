@@ -59,6 +59,17 @@ class _Target:
             return self.entry.parse(spec)
         return parse_integral(self.alg, spec)
 
+    def members(self, specs, default=None):
+        """The integrals named by ``specs``, else the entry's complete set,
+        else those named by ``default``; with no default that is an error."""
+        if specs:
+            return [self.parse(s) for s in specs]
+        if self.entry is not None and self.entry.complete_set:
+            return list(self.entry.complete_set)
+        if default is None:
+            raise ValueError("no integrals given and no bundled set available")
+        return [self.parse(s) for s in default]
+
 
 def _resolve(args):
     if getattr(args, "file", None):
@@ -152,9 +163,8 @@ def cmd_bracket(args):
     target = _resolve(args)
     f = target.parse(args.f)
     g = target.parse(args.g)
-    engine = target.entry.engine() if target.entry else PoissonEngine(target.alg)
     cands = target.entry.candidates() if target.entry else None
-    res = engine.bracket(f, g, candidates=cands)
+    res = PoissonEngine(target.alg).bracket(f, g, candidates=cands)
     payload = {"algebra": target.label, "f": f.spec_string(),
                "g": g.spec_string(), "bracket": str(res.poly),
                "is_zero": res.is_zero, "matches": res.matched_integral}
@@ -169,16 +179,10 @@ def cmd_bracket(args):
 
 def cmd_involution(args):
     target = _resolve(args)
-    if args.integrals:
-        fs = [target.parse(s) for s in args.integrals]
-    elif target.entry and target.entry.complete_set:
-        fs = list(target.entry.complete_set)
-    else:
-        raise ValueError("no integrals given and no bundled set available")
-    engine = target.entry.engine() if target.entry else PoissonEngine(target.alg)
+    fs = target.members(args.integrals)
     pairs = []
     bad = 0
-    for i, j, res in engine.involution_table(fs):
+    for i, j, res in PoissonEngine(target.alg).involution_table(fs):
         pairs.append({"f": fs[i].spec_string(), "g": fs[j].spec_string(),
                       "is_zero": res.is_zero, "bracket": str(res.poly)})
         if not res.is_zero:
@@ -196,12 +200,7 @@ def cmd_involution(args):
 
 def cmd_independence(args):
     target = _resolve(args)
-    if args.integrals:
-        fs = [target.parse(s) for s in args.integrals]
-    elif target.entry and target.entry.complete_set:
-        fs = list(target.entry.complete_set)
-    else:
-        raise ValueError("no integrals given and no bundled set available")
+    fs = target.members(args.integrals)
     pred = target.entry.dense_predicate if target.entry else None
     rep = solvers.independence_scan(target.alg, fs, predicate=pred,
                                     nsamples=args.samples, seed=args.seed,
@@ -247,12 +246,7 @@ def cmd_geodesic(args):
         y0 = np.array([_parse_coords(args.y0, n, "--y0")])
     else:
         y0 = rng.uniform(-1.0, 1.0, (1, n))
-    if args.integrals:
-        fs = [target.parse(s) for s in args.integrals]
-    elif target.entry and target.entry.complete_set:
-        fs = list(target.entry.complete_set)
-    else:
-        fs = [target.parse("E")]
+    fs = target.members(args.integrals, default=["E"])
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             traj = geodesic.integrate(target.alg, w0, y0, dt=args.dt,

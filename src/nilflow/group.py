@@ -1,8 +1,10 @@
 """Group-level geometry in exponential coordinates.
 
 Points of the simply connected group are identified with their
-logarithms, so the product is the Baker-Campbell-Hausdorff series, which
-closes at the terms implemented here for step at most 3.  The
+logarithms, so a group point is a plain list of exponential coordinates
+(and a phase-space point a plain (w, y) pair of such lists), and the
+product is the Baker-Campbell-Hausdorff series, which closes at the
+terms implemented here for step at most 3.  The
 differential of exp, Ad(exp(-w)) and the inverse of the differential are
 finite power series in the nilpotent operator ad w, all evaluated by
 ``ad_series``: Phi(ad w) = sum_k (-ad w)^k / (k+1)!, exp(-ad w) and
@@ -10,43 +12,13 @@ Psi(ad w) = Phi(ad w)^{-1}, whose coefficients invert Phi's as scalars.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 
 
-CHART_EXPONENTIAL = "exponential"
-CHART_CATALOG = "catalog-coordinates"
-
-
 class StepUnsupported(ValueError):
     """The closed product formula only covers step <= 3."""
-
-
-@dataclass
-class GroupElement:
-    """Group point as a coordinate tuple in a named chart."""
-
-    coords: tuple
-    chart: str = CHART_EXPONENTIAL
-
-    def __post_init__(self):
-        self.coords = tuple(self.coords)
-        if self.chart not in (CHART_EXPONENTIAL, CHART_CATALOG):
-            raise ValueError("unknown chart %r" % self.chart)
-
-
-@dataclass
-class TangentPoint:
-    """Phase-space point: base coordinates w, left-trivialized momentum y."""
-
-    w: tuple
-    y: tuple
-
-    def __post_init__(self):
-        self.w = tuple(self.w)
-        self.y = tuple(self.y)
 
 
 def _require_low_step(alg):

@@ -42,9 +42,7 @@ class NotGramSkew(ValueError):
 
 
 def _coordinates(point):
-    """w1..wn, y1..yn of a TangentPoint or a (w, y) pair."""
-    if isinstance(point, group.TangentPoint):
-        return list(point.w) + list(point.y)
+    """w1..wn, y1..yn of a (w, y) pair."""
     w, y = point
     return list(w) + list(y)
 

@@ -171,31 +171,6 @@ def span_equal(vectors_a, vectors_b):
     return row_space_basis(vectors_a) == row_space_basis(vectors_b)
 
 
-def det(mat):
-    n = len(mat)
-    rows = [[frac(x) for x in row] for row in mat]
-    sign = _ONE
-    out = _ONE
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return _ZERO
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            sign = -sign
-        out *= rows[c][c]
-        inv = _ONE / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return sign * out
-
-
 def inverse(mat):
     n = len(mat)
     aug = [[frac(x) for x in row] + [_ONE if i == j else _ZERO for j in range(n)]

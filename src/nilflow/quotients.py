@@ -1,36 +1,31 @@
 """Lattice quotients and invariance of quotient-induced functions.
 
-A lattice is stored by its generators in exponential coordinates.  Left
-translation acts on the base coordinates through the group product and
-leaves the body momentum alone.  For the bundled examples the numerator
-of a quotient-induced function shifts by an exact integer multiple of
-the denominator under every generator, which is what makes the composed
-function descend; ``shift_multiplier`` verifies that structurally.
+A lattice is stored by its generators, tuples of exponential
+coordinates.  A phase-space point is a plain (w, y) pair; left
+translation acts on the base coordinates w through the group product and
+leaves the body momentum y alone.  The numeric invariance check draws
+its points through ``solvers.sample_points`` and rejects them by
+``solvers.denominators_clear``, as the independence scan does.  For the
+bundled examples the numerator of a quotient-induced function shifts by
+an exact integer multiple of the denominator under every generator,
+which is what makes the composed function descend; ``shift_multiplier``
+verifies that structurally.
 """
-
-import numpy as np
 
 from fractions import Fraction
 
 from . import group
-from .integrals import QuotientInduced, _w_vec, _y_vec
-from .solvers import sample_count
+from .integrals import _w_vec, _y_vec
+from .solvers import denominators_clear, sample_points
 
 
 class Lattice:
-    """A finitely generated subgroup given by generators."""
+    """A finitely generated subgroup given by generators in exponential
+    coordinates, each stored as a tuple."""
 
     def __init__(self, name, generators):
         self.name = name
-        self.generators = []
-        for g in generators:
-            if isinstance(g, group.GroupElement):
-                if g.chart != group.CHART_EXPONENTIAL:
-                    raise ValueError("store lattice generators in the "
-                                     "exponential chart")
-                self.generators.append(tuple(g.coords))
-            else:
-                self.generators.append(tuple(g))
+        self.generators = [tuple(g) for g in generators]
 
     def __repr__(self):
         return "<Lattice %s, %d generators>" % (self.name, len(self.generators))
@@ -38,41 +33,28 @@ class Lattice:
 
 def left_translate(alg, g_coords, point):
     """(w, y) -> (g * w, y) in exponential coordinates."""
-    if isinstance(point, group.TangentPoint):
-        w, y = list(point.w), list(point.y)
-    else:
-        w, y = list(point[0]), list(point[1])
-    return group.TangentPoint(group.bch(alg, list(g_coords), w), y)
+    w, y = point
+    return group.bch(alg, list(g_coords), list(w)), y
 
 
 def invariance_check(alg, lattice, f, nsamples=None, seed=0, den_min=0.1):
-    """Max |f(g x) - f(x)| over samples and generators.
+    """Max |f(g x) - f(x)| over the points ``sample_points`` accepts and
+    the generators g, with the number of accepted points.
 
-    Samples are uniform in [-2, 2]^{2n}; a sample is skipped when a
-    quotient denominator is below ``den_min`` at the sample or at any
-    translated point.
+    A draw is rejected when a quotient denominator is below ``den_min``
+    at the point or at any of its translates.
     """
-    n = alg.dim
-    nsamples = sample_count(nsamples)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    accepted = 0
-    attempts = 0
-    while accepted < nsamples and attempts < 1000 * nsamples:
-        attempts += 1
-        pt = rng.uniform(-2.0, 2.0, 2 * n)
-        w, y = list(pt[:n]), list(pt[n:])
-        translated = [left_translate(alg, g, (w, y)) for g in lattice.generators]
-        if isinstance(f, QuotientInduced):
-            dens = [abs(float(f.den.value((w, y))))]
-            dens += [abs(float(f.den.value(tp))) for tp in translated]
-            if min(dens) < den_min:
-                continue
-        accepted += 1
+    def deviation(w, y):
+        translated = [left_translate(alg, g, (w, y))
+                      for g in lattice.generators]
+        if not denominators_clear([f], [(w, y)] + translated, den_min):
+            return None
         base = float(f.value((w, y)))
-        for tp in translated:
-            worst = max(worst, abs(float(f.value(tp)) - base))
-    return worst, accepted
+        return max((abs(float(f.value(tp)) - base) for tp in translated),
+                   default=0.0)
+
+    deviations = list(sample_points(alg, nsamples, seed, deviation))
+    return max(deviations, default=0.0), len(deviations)
 
 
 def shift_multiplier(alg, g_coords, num, den):

@@ -24,6 +24,12 @@ assembled cannot change a result.
 descriptor, so each is solved once per descriptor and memoized on it, as
 ``analyze()`` is; every call returns fresh nested lists, so a caller that
 mutates a basis cannot change what the next caller gets.
+
+The float checks that sample, the independence scan here and the lattice
+invariance check in ``quotients``, draw their points through the one
+generator ``sample_points``: one random stream per seed, one acceptance
+callback per draw, one draw budget, and one denominator rule,
+``denominators_clear``, for quotient-induced integrals.
 """
 
 import functools
@@ -40,6 +46,7 @@ from .ratpoly import RationalPolynomial, coefficient_rows
 
 
 DEFAULT_SAMPLES = 200
+DRAWS_PER_SAMPLE = 1000
 SINGULAR_THRESHOLD = 1e-10
 
 
@@ -59,30 +66,65 @@ def sample_count(nsamples):
     return count
 
 
-def _skew_parameter_basis(alg):
-    """Basis of metric-skew matrices: D = G^{-1} A, A antisymmetric."""
+class NoSampleAccepted(ValueError):
+    """A scan rejected all of its first DRAWS_PER_SAMPLE draws, so it
+    would test nothing."""
+
+
+def sample_points(alg, nsamples, seed, accept, exact=False):
+    """Yield ``accept(w, y)`` at random phase-space points, skipping None.
+
+    Points are uniform in [-2, 2]^{2n}, drawn from one ``default_rng(seed)``
+    stream; the exact path rounds them to multiples of 1/32.  ``accept``
+    is called once per draw.  The generator stops after
+    ``sample_count(nsamples)`` accepted draws or DRAWS_PER_SAMPLE draws
+    per sample, and raises NoSampleAccepted when the first
+    DRAWS_PER_SAMPLE draws are all rejected.
+    """
+    n = alg.dim
+    count = sample_count(nsamples)
+    rng = np.random.default_rng(seed)
+    accepted = 0
+    for draws in range(1, DRAWS_PER_SAMPLE * count + 1):
+        pt = rng.uniform(-2.0, 2.0, 2 * n)
+        if exact:
+            pt = [Fraction(int(round(x * 32)), 32) for x in pt]
+        out = accept(list(pt[:n]), list(pt[n:]))
+        if out is not None:
+            yield out
+            accepted += 1
+            if accepted == count:
+                return
+        elif not accepted and draws == DRAWS_PER_SAMPLE:
+            raise NoSampleAccepted("no sample point accepted in %d draws"
+                                   % draws)
+
+
+def denominators_clear(integrals, points, den_min):
+    """True unless the denominator of a quotient-induced integral, or of
+    one nested in it, is below ``den_min`` in absolute value at one of the
+    points.  The nested ones are tested first, so no denominator is
+    evaluated where a division inside it is by zero."""
+    for f in integrals:
+        if isinstance(f, QuotientInduced):
+            if not denominators_clear([f.num, f.den], points, den_min):
+                return False
+            if any(abs(float(f.den.value(p))) < den_min for p in points):
+                return False
+    return True
+
+
+def _parameter_basis(alg, sign):
+    """Basis of G^{-1} B over B with B^T = sign * B: the metric-skew
+    matrices for sign -1, the metric-symmetric ones for sign +1."""
     n = alg.dim
     ginv = alg.gram_inverse()
     out = []
     for i in range(n):
-        for j in range(i + 1, n):
-            a = linalg.zeros(n, n)
-            a[i][j] = Fraction(1)
-            a[j][i] = Fraction(-1)
-            out.append(linalg.mat_mul(ginv, a) if alg.metric is not None else a)
-    return out
-
-
-def _symmetric_parameter_basis(alg):
-    """Basis of metric-symmetric matrices: S = G^{-1} B, B symmetric."""
-    n = alg.dim
-    ginv = alg.gram_inverse()
-    out = []
-    for i in range(n):
-        for j in range(i, n):
+        for j in range(i if sign > 0 else i + 1, n):
             b = linalg.zeros(n, n)
             b[i][j] = Fraction(1)
-            b[j][i] = Fraction(1)
+            b[j][i] = Fraction(sign)
             out.append(linalg.mat_mul(ginv, b) if alg.metric is not None else b)
     return out
 
@@ -122,7 +164,7 @@ def _once_per_algebra(solve):
 @_once_per_algebra
 def skew_derivations(alg):
     """Basis of the space of metric-skew derivations."""
-    params = _skew_parameter_basis(alg)
+    params = _parameter_basis(alg, -1)
     brackets = basis_brackets(alg)
     # one equation block per basis pair (i, j): D[ei,ej] = [D ei, ej] + [ei, D ej]
     per_param = [[c for _, defect in derivation_defects(alg, d, brackets)
@@ -143,7 +185,7 @@ def _cubic_columns(alg, params, vectors):
 @_once_per_algebra
 def killing2_tensors(alg):
     """Basis of symmetric S with <Y, [S Y, Y]> identically zero."""
-    params = _symmetric_parameter_basis(alg)
+    params = _parameter_basis(alg, 1)
     return _solve_in_parameter_space(
         params, _cubic_columns(alg, params, linalg.identity(alg.dim)))
 
@@ -154,7 +196,7 @@ def killing2_structured(alg):
     step = analysis.step
     if step > 3:
         raise ValueError("structured conditions implemented for step <= 3")
-    params = _symmetric_parameter_basis(alg)
+    params = _parameter_basis(alg, 1)
     if step == 1:
         return _solve_in_parameter_space(params, [[] for _ in params])
 
@@ -222,21 +264,12 @@ class ScanReport:
                 % (self.full_rank, self.accepted, self.target_rank))
 
 
-def _accepts(integrals, predicate, w, y, den_min):
-    if predicate is not None and not predicate(w, y):
-        return False
-    for f in integrals:
-        if isinstance(f, QuotientInduced):
-            if abs(float(f.den.value((w, y)))) < den_min:
-                return False
-    return True
-
-
 def independence_scan(alg, integrals, predicate=None, nsamples=None, seed=0,
                       exact=False, threshold=SINGULAR_THRESHOLD, den_min=0.1):
-    """Rank of the stacked gradients at random accepted sample points.
+    """Rank of the stacked gradients at the points ``sample_points`` accepts.
 
-    Float path: uniform samples in [-2, 2]^{2n}, numpy singular values
+    A draw is accepted when ``predicate`` holds there and every quotient
+    denominator clears ``den_min``.  Float path: numpy singular values
     with a relative cutoff.  Exact path: rational sample points and exact
     row reduction, so the rank statement carries no floating error; it
     takes polynomial integrals only, and a quotient-induced one raises
@@ -248,31 +281,19 @@ def independence_scan(alg, integrals, predicate=None, nsamples=None, seed=0,
                 raise NonPolynomialVariant(
                     "the exact scan needs polynomial integrals; %s is "
                     "quotient-induced" % f.spec_string())
-    n = alg.dim
-    count = sample_count(nsamples)
-    rng = np.random.default_rng(seed)
-    target = len(integrals)
-    accepted = 0
-    full = 0
-    ranks = []
-    attempts = 0
-    while accepted < count and attempts < 1000 * count:
-        attempts += 1
-        pt = rng.uniform(-2.0, 2.0, 2 * n)
-        if exact:
-            pt = [Fraction(int(round(x * 32)), 32) for x in pt]
-        w, y = list(pt[:n]), list(pt[n:])
-        if not _accepts(integrals, predicate, w, y, den_min):
-            continue
-        accepted += 1
+
+    def rank_at(w, y):
+        if predicate is not None and not predicate(w, y):
+            return None
+        if not denominators_clear(integrals, [(w, y)], den_min):
+            return None
         rows = [u + v for u, v in (f.gradient((w, y)) for f in integrals)]
         if exact:
-            rk = linalg.rank(rows)
-        else:
-            mat = np.array([[float(x) for x in row] for row in rows])
-            sv = np.linalg.svd(mat, compute_uv=False)
-            rk = int(np.sum(sv > threshold * sv[0])) if sv[0] > 0 else 0
-        ranks.append(rk)
-        if rk == target:
-            full += 1
-    return ScanReport(accepted, full, target, ranks)
+            return linalg.rank(rows)
+        mat = np.array([[float(x) for x in row] for row in rows])
+        sv = np.linalg.svd(mat, compute_uv=False)
+        return int(np.sum(sv > threshold * sv[0])) if sv[0] > 0 else 0
+
+    target = len(integrals)
+    ranks = list(sample_points(alg, nsamples, seed, rank_at, exact))
+    return ScanReport(len(ranks), ranks.count(target), target, ranks)

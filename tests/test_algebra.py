@@ -154,6 +154,44 @@ def test_metric_must_be_positive_definite():
         LieAlgebraDescriptor(3, {(1, 2): {3: Fraction(1)}}, metric=g)
 
 
+def _cofactor_det(m):
+    """Determinant by cofactor expansion along the first row."""
+    if not m:
+        return Fraction(1)
+    return sum((-1) ** j * m[0][j]
+               * _cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+@st.composite
+def _symmetric_matrix(draw):
+    """A symmetric rational matrix; the diagonal shift makes positive
+    definite matrices common, so both outcomes are exercised."""
+    n = draw(st.integers(1, 4))
+    shift = draw(st.sampled_from([0, 1, 3, 8]))
+    entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    g = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = draw(entries)
+        g[i][i] += shift
+    return g
+
+
+@settings(max_examples=200)
+@given(_symmetric_matrix())
+def test_metric_check_names_the_first_nonpositive_leading_minor(g):
+    n = len(g)
+    bad = [k for k in range(1, n + 1)
+           if _cofactor_det([row[:k] for row in g[:k]]) <= 0]
+    if not bad:
+        assert LieAlgebraDescriptor(n, {}, metric=g).metric == g
+    else:
+        with pytest.raises(ValueError,
+                           match=r"\(leading minor %d\)$" % bad[0]):
+            LieAlgebraDescriptor(n, {}, metric=g)
+
+
 def test_j_map_identity():
     alg = _h3()
     z = [Fraction(0), Fraction(0), Fraction(1)]

@@ -243,6 +243,20 @@ def test_quotient_specs_where_a_polynomial_is_needed_are_usage_errors():
         assert "Traceback" not in res.stderr
 
 
+def test_scan_that_accepts_no_draw_is_a_usage_error():
+    # the innermost denominator quot(E / E) never clears the cutoff; where
+    # E is small, it underflows to 0.0, and a denominator built on it must
+    # not be evaluated there
+    for spec in ("quot(E / quot(E / E))", "quot(E / quot(E / quot(E / E)))",
+                 "quot(E / quot(lin:Z / quot(E / E)))"):
+        res = _run("independence", "h3", spec, "--samples", "3")
+        assert res.returncode == 2, spec
+        assert res.stderr.startswith("error:"), spec
+        assert "1000 draws" in res.stderr, spec
+        assert res.stderr.count("\n") == 1, spec
+        assert "Traceback" not in res.stderr
+
+
 def _mostly(good, bad):
     """Draw from ``good`` three times in four, else from ``bad``."""
     good = st.sampled_from(good)
@@ -255,7 +269,9 @@ _NAMES = _mostly(["h3", "h5", "n1", "n3", "n23free", "r2+h3", "n6_19(1)",
 _LEAVES = _mostly(["E", "lin:e1", "lin:e3", "lin:Z", "right:e1", "right:e2",
                    "right:X1", "right:Y1", "butler:1", "quad:S1"],
                   ["lin:e9", "butler:-1", "butler:x", "quad:S", "der:D",
-                   "nope:e1", "quot(E)", "E / E"])
+                   "nope:e1", "quot(E)", "E / E",
+                   # nested quotients whose denominator never clears
+                   "quot(E / quot(E / E))", "quot(lin:Z / quot(E / E))"])
 _SPECS = st.one_of(_LEAVES, _LEAVES, st.recursive(
     _LEAVES, lambda parts: st.tuples(parts, parts).map("quot(%s / %s)".__mod__),
     max_leaves=3))

@@ -5,13 +5,15 @@ import pytest
 from nilflow import catalog
 from nilflow.algebra import LieAlgebraDescriptor
 from nilflow.group import bch
-from nilflow.integrals import Linear, QuotientInduced, RightInvariant
+from nilflow.integrals import (Linear, QuotientInduced, RightInvariant,
+                               parse_integral)
 from nilflow.quotients import (
     Lattice,
     invariance_check,
     left_translate,
     shift_multiplier,
 )
+from nilflow.solvers import NoSampleAccepted
 
 INVARIANCE_TOL = 1e-10
 
@@ -29,9 +31,9 @@ def test_left_translate_is_bch_on_w():
     g = _fr(2, 0, 0)
     w = _fr(1, 1, 0)
     y = _fr(0, 1, 2)
-    moved = left_translate(alg, g, (w, y))
-    assert list(moved.w) == bch(alg, g, w)
-    assert list(moved.y) == y
+    moved_w, moved_y = left_translate(alg, g, (w, y))
+    assert moved_w == bch(alg, g, w)
+    assert moved_y == y
 
 
 def test_shift_multipliers_h3():
@@ -96,6 +98,16 @@ def test_raw_right_invariant_does_not_descend():
     raw = RightInvariant(alg, _fr(1, 0, 0))
     worst, _ = invariance_check(alg, lattice, raw, nsamples=100, seed=0)
     assert worst > 0.1
+
+
+def test_invariance_check_that_accepts_nothing_raises():
+    # the denominator quot(E / E) = exp(-1) sin(2 pi) is below den_min
+    # everywhere, so no draw is ever accepted
+    entry = catalog.get("h3")
+    alg = entry.descriptor
+    nested = parse_integral(alg, "quot(E / quot(E / E))")
+    with pytest.raises(NoSampleAccepted, match="1000 draws"):
+        invariance_check(alg, entry.lattices["Gamma_2"], nested, nsamples=5)
 
 
 def test_integer_shifts_leave_value_fixed():

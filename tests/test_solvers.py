@@ -9,11 +9,13 @@ from nilflow.integrals import (
     NotADerivation,
     Quadratic,
     RightInvariant,
+    parse_integral,
     validate_derivation,
 )
 from nilflow import solvers
 from nilflow.poisson import PoissonEngine
 from nilflow.solvers import (
+    NoSampleAccepted,
     independence_scan,
     killing2_structured,
     killing2_tensors,
@@ -255,3 +257,35 @@ def test_sample_count_env_override(monkeypatch):
     alg = _h3()
     rep = independence_scan(alg, [Energy(alg)], seed=0)
     assert rep.accepted == 17
+
+
+def test_scan_that_accepts_nothing_raises():
+    # the denominator quot(E / E) = exp(-1) sin(2 pi) is below den_min
+    # everywhere, so no draw is ever accepted
+    alg = _h3()
+    nested = parse_integral(alg, "quot(E / quot(E / E))")
+    with pytest.raises(NoSampleAccepted, match="1000 draws"):
+        independence_scan(alg, [nested], nsamples=5)
+
+
+def test_sample_points_stops_at_the_draw_budget():
+    draws = []
+
+    def first_only(w, y):
+        draws.append((w, y))
+        return "hit" if len(draws) == 1 else None
+
+    got = list(solvers.sample_points(_h3(), 3, 0, first_only))
+    assert got == ["hit"]
+    assert len(draws) == 3 * solvers.DRAWS_PER_SAMPLE
+    assert all(len(w) == len(y) == 3 for w, y in draws)
+
+
+def test_sample_points_exact_draws_are_rational():
+    points = list(solvers.sample_points(_h3(), 4, 7, lambda w, y: (w, y),
+                                        exact=True))
+    assert len(points) == 4
+    for w, y in points:
+        for x in w + y:
+            assert isinstance(x, Fraction) and 32 % x.denominator == 0
+            assert -2 <= x <= 2
