@@ -73,6 +73,7 @@ class LieAlgebraDescriptor:
         self._gram_inv = None
         # facts computed once per descriptor, keyed by the function that
         # computes them: solvers._once_per_algebra, integrals._psi_columns
+        # and integrals.derivation_rows
         self._memo = {}
 
     # -- validation -----------------------------------------------------
@@ -181,9 +182,8 @@ class LieAlgebraDescriptor:
 
     def ad(self, x):
         """Matrix of ad(x) = [x, .] in the fixed basis."""
-        n = self.dim
-        cols = [self.bracket(x, col) for col in linalg.identity(n)]
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
+        return linalg.transpose([self.bracket(x, col)
+                                 for col in linalg.identity(self.dim)])
 
     def gram(self):
         return self.metric if self.metric is not None else linalg.identity(self.dim)
@@ -237,15 +237,7 @@ class LieAlgebraDescriptor:
             raise NotNilpotent("descending central series does not terminate")
         step = len(chain) + 1
 
-        if step == 1:
-            split = center
-        elif step == 2:
-            split = center
-        elif step == 3:
-            split = chain[0]
-        else:
-            split = None
-
+        split = center if step <= 2 else chain[0] if step == 3 else None
         if split is not None:
             gram = self.gram()
             rows = [linalg.mat_vec(gram, s) for s in split]
@@ -260,10 +252,8 @@ class LieAlgebraDescriptor:
         return self._analysis
 
     def is_central(self, z):
-        for col in linalg.identity(self.dim):
-            if not linalg.is_zero_vec(self.bracket(z, col)):
-                return False
-        return True
+        return all(linalg.is_zero_vec(self.bracket(z, col))
+                   for col in linalg.identity(self.dim))
 
     def j_map(self, z):
         """Matrix of j(z) on the complement basis of a 2-step algebra.
@@ -289,6 +279,11 @@ class LieAlgebraDescriptor:
 
 
 # -- definition files ---------------------------------------------------
+
+# largest dim of a definition file: at dim 24 (free step 2 on 6 generators,
+# plus 3 abelian directions) the Killing-tensor solve takes about 18 s
+MAX_FILE_DIM = 24
+
 
 def _integer(field, x):
     if isinstance(x, (int, str)) and not isinstance(x, bool):
@@ -358,8 +353,15 @@ def to_definition(alg):
 
 
 def load_algebra(path):
+    """Read a definition file; its dim must not exceed MAX_FILE_DIM."""
     with open(path) as fh:
-        return from_definition(json.load(fh))
+        data = json.load(fh)
+    if isinstance(data, dict) and "dim" in data:
+        dim = _integer("dim", data["dim"])
+        if dim > MAX_FILE_DIM:
+            raise ValueError("dim: %d exceeds the limit of %d for "
+                             "definition files" % (dim, MAX_FILE_DIM))
+    return from_definition(data)
 
 
 def dump_algebra(alg, path):

@@ -483,21 +483,17 @@ def _entry_extension(k, base_name):
     structure = {}
     for (i, j), targets in balg.structure.items():
         structure[(i + k, j + k)] = {t + k: c for t, c in targets.items()}
-    alg = LieAlgebraDescriptor(dim=n, structure=structure,
-                               name="r%s+%s" % (k if k > 1 else "", base_name))
-    name = ("r%d+%s" % (k, base_name)) if k > 1 else ("r+%s" % base_name)
-    alg.name = name
+    name = "r%s+%s" % (k if k > 1 else "", base_name)
+    alg = LieAlgebraDescriptor(dim=n, structure=structure, name=name)
     members = [Linear(alg, _unit(n, i + 1), label="lin:e%d" % (i + 1))
                for i in range(k)]
     for f in base.complete_set:
         if isinstance(f, Energy):
             members.append(Energy(alg, label="E"))
-        elif isinstance(f, Linear):
-            members.append(Linear(alg, [Fraction(0)] * k + f.x,
-                                  label="lin:e%d" % (f.x.index(1) + 1 + k)))
-        elif isinstance(f, RightInvariant):
-            members.append(RightInvariant(alg, [Fraction(0)] * k + f.x,
-                                          label="right:e%d" % (f.x.index(1) + 1 + k)))
+        elif isinstance(f, (Linear, RightInvariant)):
+            label = "%s:e%d" % (f.spec_string().split(":")[0],
+                                f.x.index(1) + 1 + k)
+            members.append(type(f)(alg, [Fraction(0)] * k + f.x, label=label))
         else:
             raise ValueError("cannot lift %r to a trivial extension" % f)
     e = CatalogEntry(

@@ -10,9 +10,10 @@ are not polynomial, keep their own chain rule.
 
 Constructors validate what can be validated: a quadratic form must be
 symmetric for the metric, a derivation must actually satisfy the product
-rule and be skew for the metric.  The ``check=False`` escape hatch on
-DerivationIntegral stores a matrix without validation so that defective
-reference data can still be evaluated and reported against.
+rule, written as linear equations by ``derivation_rows``, and be skew for
+the metric.  The ``check=False`` escape hatch on DerivationIntegral
+stores a matrix without validation so that defective reference data can
+still be evaluated and reported against.
 """
 
 import math
@@ -244,36 +245,55 @@ class DerivationIntegral(FirstIntegral):
         return "der:D"
 
 
-def basis_brackets(alg):
-    """[e_i, e_j] over the basis pairs i < j, in order."""
-    basis = linalg.identity(alg.dim)
-    return [alg.bracket(basis[i], basis[j])
-            for i in range(alg.dim) for j in range(i + 1, alg.dim)]
+def derivation_rows(alg):
+    """The product rule D[e_i, e_j] = [D e_i, e_j] + [e_i, D e_j] as linear
+    equations in vec(D), once per descriptor: one (pair, rows) per basis
+    pair i < j (1-based, in order), row k listing the terms (p, c) on
+    x_p = D_{p // n, p % n}: +c_ij^l on D_kl, -c_aj^k on D_ai and -c_ia^k
+    on D_aj.  Applied to vec(D), row k is component k of the defect.  Only
+    structure constants enter, never the metric."""
+    if derivation_rows not in alg._memo:
+        n = alg.dim
+        into = [[] for _ in range(n)]  # into[b]: (a, k, c_ab^k), all a != b
+        for i, j, targets in alg._pairs:
+            into[j] += [(i, k, c) for k, c in targets]
+            into[i] += [(j, k, -c) for k, c in targets]
+        blocks = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                ij = alg.structure.get((i + 1, j + 1), {}).items()
+                rows = [[(k * n + l - 1, c) for l, c in ij] for k in range(n)]
+                for a, k, c in into[j]:
+                    rows[k].append((a * n + i, -c))
+                for a, k, c in into[i]:  # c_ia^k = -c_ai^k
+                    rows[k].append((a * n + j, c))
+                blocks.append(((i + 1, j + 1), rows))
+        alg._memo[derivation_rows] = blocks
+    return alg._memo[derivation_rows]
 
 
-def derivation_defects(alg, d, brackets):
-    """Yield ((i, j), D[e_i, e_j] - [D e_i, e_j] - [e_i, D e_j]) over the
-    basis pairs i < j (1-based), in order; ``brackets`` is
-    ``basis_brackets(alg)``, passed in so that a caller testing many
-    matrices computes it once."""
-    n = alg.dim
-    basis = linalg.identity(n)
-    cols = linalg.transpose(d)  # cols[i] = D e_i
-    pairs = ((i, j) for i in range(n) for j in range(i + 1, n))
-    for (i, j), bij in zip(pairs, brackets):
-        lhs = [linalg.sparse_dot(bij, row) for row in d]
-        rhs = linalg.vec_add(alg.bracket(cols[i], basis[j]),
-                             alg.bracket(basis[i], cols[j]))
-        yield (i + 1, j + 1), linalg.vec_sub(lhs, rhs)
+def derivation_defects(alg, d):
+    """Yield (pair, D[e_i, e_j] - [D e_i, e_j] - [e_i, D e_j]) in pair
+    order, the blocks of ``derivation_rows`` applied to vec(D)."""
+    x = [c for row in d for c in row]
+    zero = Fraction(0)
+    for pair, block in derivation_rows(alg):
+        yield pair, [sum([c * x[p] for p, c in row if x[p]], zero)
+                     for row in block]
+
+
+def is_metric_skew(alg, m):
+    """True when G m is antisymmetric, i.e. m is skew for the metric."""
+    gm = linalg.mat_mul(alg.gram(), m)
+    return linalg.transpose(gm) == linalg.mat_scale(gm, Fraction(-1))
 
 
 def validate_derivation(alg, d):
     """Raise unless d is a derivation that is skew for the metric."""
-    for pair, defect in derivation_defects(alg, d, basis_brackets(alg)):
+    for pair, defect in derivation_defects(alg, d):
         if not linalg.is_zero_vec(defect):
             raise NotADerivation(pair, defect)
-    gd = linalg.mat_mul(alg.gram(), d)
-    if linalg.transpose(gd) != linalg.mat_scale(gd, Fraction(-1)):
+    if not is_metric_skew(alg, d):
         raise NotGramSkew("matrix is not skew-adjoint for the metric")
 
 

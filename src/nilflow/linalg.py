@@ -72,12 +72,6 @@ def mat_vec(a, v):
     return [sum([row[k] * y for k, y in entries if row[k]], zero) for row in a]
 
 
-def sparse_dot(u, v):
-    """u . v summed over the nonzero entries of u only.  For exact entries
-    this is the value of ``inner(u, v)``, cheaper when u is mostly zero."""
-    return sum((x * y for x, y in zip(u, v) if x), _ZERO)
-
-
 def vec_add(u, v):
     return [x + y for x, y in zip(u, v)]
 

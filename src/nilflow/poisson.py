@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import linalg
 from .integrals import (DerivationIntegral, Energy, QuotientInduced,
-                        RightInvariant, _y_vec)
+                        RightInvariant, _y_vec, is_metric_skew)
 from .ratpoly import Evaluator, RationalPolynomial, coefficient_rows
 
 
@@ -191,11 +191,6 @@ def verify_iso_homomorphism(alg, deriv_basis=None, engine=None):
 
 # -- involution criteria ------------------------------------------------
 
-def _gram_antisymmetric(alg, m):
-    gm = linalg.mat_mul(alg.gram(), m)
-    return linalg.transpose(gm) == linalg.mat_scale(gm, Fraction(-1))
-
-
 def criterion_linear_linear(engine, fu, fv):
     """{f_U, f_V} = 0 iff [U, V] = 0."""
     res = engine.bracket(fu, fv)
@@ -207,7 +202,7 @@ def criterion_linear_quadratic(engine, fu, gs):
     """{f_U, g_S} = 0 iff ad(U) S is skew for the metric."""
     res = engine.bracket(fu, gs)
     m = linalg.mat_mul(engine.alg.ad(fu.x), gs.s)
-    return CriterionCheck(res.is_zero, _gram_antisymmetric(engine.alg, m))
+    return CriterionCheck(res.is_zero, is_metric_skew(engine.alg, m))
 
 
 def criterion_derivation_linear(engine, fd, fu):
@@ -221,4 +216,4 @@ def criterion_derivation_quadratic(engine, fd, gs):
     """{f_{D*}, g_S} = 0 iff D S is skew for the metric."""
     res = engine.bracket(fd, gs)
     m = linalg.mat_mul(fd.d, gs.s)
-    return CriterionCheck(res.is_zero, _gram_antisymmetric(engine.alg, m))
+    return CriterionCheck(res.is_zero, is_metric_skew(engine.alg, m))

@@ -9,16 +9,16 @@ The two symmetry spaces are computed exactly as nullspaces:
 
 ``killing2_structured`` solves the same problem through the splitting
 conditions of the 2- and 3-step normal forms, which gives an independent
-route whose span must agree with the direct cubic computation.
+route whose span must agree with the direct cubic computation.  It forms
+its conditions from brackets of vectors and shares only the step-3 cubic
+builder, ``_cubic_columns``, with ``killing2_tensors``.
 
-Each solve gathers one coefficient column per parameter matrix.  What
-does not depend on the parameter (basis brackets, the splitting bases,
-G w for the metric) is computed once per solve, and what depends on the
-parameter alone (S v, D e_i) once per parameter, never inside the
-equation loops.  A returned basis depends only on the parameter basis,
-the column order and the row space of the equations, because the RREF
-of a matrix is determined by its row space; so how the rows are
-assembled cannot change a result.
+The product rule is linear in D, so ``integrals.derivation_rows`` writes
+it once per descriptor as equation rows over the entries of D, and
+``skew_derivations`` applies them to each parameter matrix.  A returned
+basis depends only on the parameter basis, the column order and the row
+space of the equations, because the RREF of a matrix is determined by
+its row space; so how the rows are assembled cannot change a result.
 
 ``skew_derivations`` and ``killing2_tensors`` depend only on the
 descriptor, so each is solved once per descriptor and memoized on it, as
@@ -40,7 +40,7 @@ import numpy as np
 from fractions import Fraction
 
 from . import linalg
-from .integrals import (NonPolynomialVariant, QuotientInduced, basis_brackets,
+from .integrals import (NonPolynomialVariant, QuotientInduced,
                         derivation_defects)
 from .ratpoly import RationalPolynomial, coefficient_rows
 
@@ -139,15 +139,10 @@ def _solve_in_parameter_space(parameter_basis, per_param):
         return []
     coeffs = linalg.nullspace(linalg.transpose(per_param),
                               ncols=len(parameter_basis))
-    out = []
     n = len(parameter_basis[0])
-    for combo in coeffs:
-        m = linalg.zeros(n, n)
-        for c, base in zip(combo, parameter_basis):
-            if c != 0:
-                m = linalg.mat_add(m, linalg.mat_scale(base, c))
-        out.append(m)
-    return out
+    # basis matrix sum_p c_p P_p: coordinate rows times the flattened P_p
+    flat = linalg.mat_mul(coeffs, [sum(m, []) for m in parameter_basis])
+    return [[v[r * n:(r + 1) * n] for r in range(n)] for v in flat]
 
 
 def _once_per_algebra(solve):
@@ -165,9 +160,7 @@ def _once_per_algebra(solve):
 def skew_derivations(alg):
     """Basis of the space of metric-skew derivations."""
     params = _parameter_basis(alg, -1)
-    brackets = basis_brackets(alg)
-    # one equation block per basis pair (i, j): D[ei,ej] = [D ei, ej] + [ei, D ej]
-    per_param = [[c for _, defect in derivation_defects(alg, d, brackets)
+    per_param = [[c for _, defect in derivation_defects(alg, d)
                   for c in defect] for d in params]
     return _solve_in_parameter_space(params, per_param)
 
@@ -197,22 +190,17 @@ def killing2_structured(alg):
     if step > 3:
         raise ValueError("structured conditions implemented for step <= 3")
     params = _parameter_basis(alg, 1)
-    if step == 1:
-        return _solve_in_parameter_space(params, [[] for _ in params])
-
+    # for step 1 the complement vb is empty, so no condition remains
     vb = analysis.v_complement
-    if step == 2:
-        wb = analysis.center_basis
-    else:
-        wb = analysis.commutator_chain[0]
+    wb = analysis.center_basis if step <= 2 else analysis.commutator_chain[0]
     gw = [linalg.mat_vec(alg.gram(), w) for w in wb]  # <t, w> = t . (G w)
 
     per_param = []
     for s in params:
-        # v, w and the brackets t below are mostly zero: sparse_dot skips
-        # the products with their zero entries
-        sv = [[linalg.sparse_dot(v, row) for row in s] for v in vb]
-        sw = [[linalg.sparse_dot(w, row) for row in s] for w in wb]
+        # v, w and the brackets t below are mostly zero: mat_vec and inner
+        # skip the products with their zero entries
+        sv = [linalg.mat_vec(s, v) for v in vb]
+        sw = [linalg.mat_vec(s, w) for w in wb]
         block = []
         # (i) [S X, X'] = [X, S X'] on the complement, diagonal included
         # (at a == b the defect is 2 [S v_a, v_a])
@@ -230,8 +218,8 @@ def killing2_structured(alg):
                      for tc, wc in zip(t, wb)]
             for c in range(len(wb)):
                 for d in range(c, len(wb)):
-                    block.append(linalg.sparse_dot(t[c], gw[d])
-                                 + linalg.sparse_dot(t[d], gw[c]))
+                    block.append(linalg.inner(t[c], gw[d])
+                                 + linalg.inner(t[d], gw[c]))
         per_param.append(block)
     # (iii) for step 3: the cubic restricted to the distinguished ideal
     if step == 3:

@@ -10,12 +10,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilflow import cli
+from nilflow.algebra import MAX_FILE_DIM, load_algebra
 
 CLI = [sys.executable, "-m", "nilflow.cli"]
+# the package directory this process imports nilflow from, so that the CLI
+# subprocesses find it too when the checkout is not installed
+SRC = os.path.dirname(os.path.dirname(cli.__file__))
+
+
+def _main(argv):
+    """(exit code, stdout, stderr) of one in-process CLI call; an argparse
+    rejection counts with its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def _run(*args, env=None):
     full_env = dict(os.environ)
+    full_env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + [p for p in [full_env.get("PYTHONPATH")] if p])
     if env:
         full_env.update(env)
     return subprocess.run(CLI + list(args), capture_output=True, text=True,
@@ -154,6 +172,19 @@ def test_malformed_definition_is_usage_error(tmp_path, field, bad):
     assert res.returncode == 2
     assert res.stderr.startswith("error: %s" % field)
     assert "Traceback" not in res.stderr
+
+
+def test_definition_file_above_the_dim_limit_is_usage_error(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dim": MAX_FILE_DIM, "brackets": []}))
+    assert load_algebra(str(path)).dim == MAX_FILE_DIM
+    path.write_text(json.dumps({"dim": MAX_FILE_DIM + 1, "brackets": []}))
+    for verb in ("derivations", "killing2"):
+        code, out, err = _main([verb, "--file", str(path)])
+        assert code == 2, verb
+        assert out == ""
+        assert err == ("error: dim: %d exceeds the limit of %d for definition "
+                       "files\n" % (MAX_FILE_DIM + 1, MAX_FILE_DIM))
 
 
 def test_unknown_entry_is_usage_error():
@@ -307,12 +338,50 @@ def _argv(draw):
 @settings(max_examples=100)
 @given(_argv())
 def test_cli_fuzz_keeps_the_exit_code_contract(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse rejects the arguments
-            code = exc.code
+    code, _, err = _main(argv)
     assert code in (0, 1, 2), (argv, code)
     if code == 2:
-        assert "error:" in err.getvalue(), argv
+        assert "error:" in err, argv
+
+
+# (t, dt): the good pairs keep t <= 0.05 and dt >= 0.005, so no flow runs
+# more than 10 steps; every bad pair is rejected before the flow starts
+_STEPS = st.sampled_from(
+    [(0.05, 0.005), (0.05, 0.01), (0.02, 0.005), (0.01, 0.01)] * 4
+    + [(float("nan"), 0.01), (0.05, float("nan")), (float("inf"), 0.01),
+       (0.05, float("inf")), (-0.05, 0.01), (0.05, -0.01), (0.05, 0.0),
+       (0.01, 0.02)])
+_COORD = st.one_of(st.floats(-1, 1).map(repr),
+                   st.fractions(-1, 1, max_denominator=5).map(str))
+
+
+@st.composite
+def _geodesic_argv(draw):
+    name, n = draw(st.sampled_from([("h3", 3), ("r+h3", 4), ("n23free", 5)]
+                                   * 2 + [("h4", 3)]))
+    t, dt = draw(_STEPS)
+    argv = ["geodesic", name, "--t=%r" % t, "--dt=%r" % dt]
+    for flag in ("--w0", "--y0"):
+        kind = draw(st.sampled_from(["none", "good", "good", "bad"]))
+        if kind == "none":
+            continue
+        coords = draw(st.lists(_COORD, min_size=n, max_size=n))
+        if kind == "bad" and draw(st.booleans()):  # too short
+            coords = coords[:draw(st.integers(0, n - 1))]
+        elif kind == "bad":  # one malformed value
+            coords[draw(st.integers(0, n - 1))] = draw(st.sampled_from(
+                ["x", "1/0", "1e400", "nan", "inf", "1,,", ""]))
+        argv.append("%s=%s" % (flag, ",".join(coords)))
+    argv += ["--format", draw(st.sampled_from(["text", "json", "csv"]))]
+    return argv
+
+
+@settings(max_examples=80)
+@given(_geodesic_argv())
+def test_geodesic_fuzz_keeps_the_exit_code_contract(argv):
+    code, _, err = _main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code == 2:
+        assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+    else:
+        assert err == "", argv

@@ -1,12 +1,17 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nilflow import catalog, linalg
 from nilflow.algebra import LieAlgebraDescriptor
 from nilflow.integrals import (
     Energy,
     Linear,
     NotADerivation,
+    NotGramSkew,
     Quadratic,
     RightInvariant,
     parse_integral,
@@ -53,8 +58,9 @@ def _abelian(n):
     return LieAlgebraDescriptor(n, {})
 
 
-def _first_defect(alg, d):
-    """First basis pair (1-based, in order) breaking the Leibniz rule."""
+def _defects(alg, d):
+    """Yield (pair, D[e_i, e_j] - [D e_i, e_j] - [e_i, D e_j]) over the
+    basis pairs i < j (1-based, in order), from brackets of basis vectors."""
     n = alg.dim
     for i in range(n):
         for j in range(i + 1, n):
@@ -66,9 +72,24 @@ def _first_defect(alg, d):
             d_br = [sum(d[a][b] * br[b] for b in range(n)) for a in range(n)]
             leib = [x + y for x, y in zip(alg.bracket(d_ei, ej),
                                           alg.bracket(ei, d_ej))]
-            if d_br != leib:
-                return (i + 1, j + 1)
-    return None
+            yield (i + 1, j + 1), [x - y for x, y in zip(d_br, leib)]
+
+
+def _first_defect(alg, d):
+    """(pair, defect) of the first basis pair breaking the Leibniz rule, or
+    None for a derivation."""
+    return next(((pair, defect) for pair, defect in _defects(alg, d)
+                 if any(defect)), None)
+
+
+def _defect_message(pair, defect):
+    return ("matrix fails the derivation identity on basis pair (e%d, e%d): "
+            "defect %s" % (pair[0], pair[1], defect))
+
+
+def _tridiagonal(n):
+    return [[2 if i == j else 1 if abs(i - j) == 1 else 0 for j in range(n)]
+            for i in range(n)]
 
 
 def _is_derivation(alg, d):
@@ -158,7 +179,114 @@ def test_validate_derivation_reports_first_defective_pair():
                         continue
                     with pytest.raises(NotADerivation) as err:
                         validate_derivation(alg, bad)
-                    assert err.value.pair == expected
+                    assert err.value.pair == expected[0]
+                    assert err.value.defect == expected[1]
+                    assert str(err.value) == _defect_message(*expected)
+
+
+_ORACLE_ALGEBRAS = (_h3(), _free_23(), _plain_and_metric()[3])
+_ALL_DERIVATIONS = {}
+
+
+def _all_derivations(alg):
+    """Basis of every derivation, skew or not, from the oracle's defects of
+    the n^2 matrix units."""
+    if alg not in _ALL_DERIVATIONS:
+        n = alg.dim
+        cols = []
+        for p in range(n * n):
+            unit = linalg.zeros(n, n)
+            unit[p // n][p % n] = Fraction(1)
+            cols.append([c for _, defect in _defects(alg, unit)
+                         for c in defect])
+        _ALL_DERIVATIONS[alg] = [[v[r * n:(r + 1) * n] for r in range(n)]
+                                 for v in linalg.nullspace(
+                                     linalg.transpose(cols), ncols=n * n)]
+    return _ALL_DERIVATIONS[alg]
+
+
+_SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@st.composite
+def _candidate_derivations(draw):
+    """(alg, D): a random combination of skew derivations, of derivations,
+    or of derivations plus a few random entries."""
+    alg = draw(st.sampled_from(_ORACLE_ALGEBRAS))
+    kind = draw(st.sampled_from(["skew", "derivation", "perturbed"]))
+    n = alg.dim
+    d = linalg.zeros(n, n)
+    basis = skew_derivations(alg) if kind == "skew" else _all_derivations(alg)
+    for m in basis:
+        d = linalg.mat_add(d, linalg.mat_scale(m, draw(_SMALL)))
+    if kind == "perturbed":
+        for _ in range(draw(st.integers(1, 3))):
+            r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            d[r][c] += draw(_SMALL)
+    return alg, d
+
+
+@settings(max_examples=80)
+@given(_candidate_derivations())
+def test_validate_derivation_agrees_with_the_bracket_oracle(candidate):
+    alg, d = candidate
+    expected = _first_defect(alg, d)
+    if expected is not None:
+        with pytest.raises(NotADerivation) as err:
+            validate_derivation(alg, d)
+        assert (err.value.pair, err.value.defect) == expected
+        assert str(err.value) == _defect_message(*expected)
+    elif not _is_metric_skew(alg, d):
+        with pytest.raises(NotGramSkew):
+            validate_derivation(alg, d)
+    else:
+        validate_derivation(alg, d)
+
+
+def test_the_oracle_sees_every_outcome():
+    """The candidates above reach all three outcomes: on h3, diag(1, 0, 1)
+    is a derivation that is not skew."""
+    alg = _h3()
+    assert _all_derivations(alg)
+    d = [[Fraction(int(i == j != 1)) for j in range(3)] for i in range(3)]
+    assert _first_defect(alg, d) is None and not _is_metric_skew(alg, d)
+    with pytest.raises(NotGramSkew):
+        validate_derivation(alg, d)
+    for d in skew_derivations(alg):
+        assert _first_defect(alg, d) is None and _is_metric_skew(alg, d)
+        validate_derivation(alg, d)
+
+
+# sha256 of the rendered bases of the three symmetry solvers on every
+# catalog structure, without a metric and under a tridiagonal one; a
+# step > 3 ValueError of the structured solver counts as its message.  As
+# with the expansion digest in test_catalog.py, the bases are a regression
+# gate: any change to them is a change of results, not of speed or
+# structure.
+SOLVER_DIGEST = (
+    "e0702d9bec3e5c947f04064c65e1d793b4b29de7cbffa267fb45a3e070a46c6f")
+
+
+def test_solver_bases_match_the_recorded_digest():
+    lines = []
+    for name in catalog.names():
+        alg = catalog.get(name).descriptor
+        for metric in (None, _tridiagonal(alg.dim)):
+            variant = LieAlgebraDescriptor(alg.dim, alg.structure,
+                                           metric=metric)
+            for solve in (skew_derivations, killing2_tensors,
+                          killing2_structured):
+                try:
+                    out = " ; ".join(
+                        " | ".join(" ".join(str(x) for x in row) for row in m)
+                        for m in solve(variant))
+                except ValueError as exc:
+                    out = "ValueError: %s" % exc
+                lines.append("%s %s %s %s" % (name, metric is not None,
+                                              solve.__name__, out))
+    assert len(lines) == 156
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == SOLVER_DIGEST
 
 
 def test_killing_tensors_are_integrals():
