@@ -2,13 +2,16 @@
 
 Exit codes: 0 when every requested check passes, 1 when a bundled claim
 fails verification, 2 for usage errors (unknown names, malformed specs,
-bad files).  ``--format json`` emits canonical JSON: keys sorted,
-rationals rendered as "p/q" strings, so reports round-trip byte for
-byte through a parse/re-render cycle.
+bad files), and 141 (128 + SIGPIPE) with no message when the reader
+closes stdout early, as in ``nilflow geodesic ... | head -1``.
+``--format json`` emits canonical JSON: keys sorted, rationals rendered
+as "p/q" strings, so reports round-trip byte for byte through a
+parse/re-render cycle.
 """
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -22,6 +25,7 @@ from .poisson import PoissonEngine, verify_iso_homomorphism
 EXIT_OK = 0
 EXIT_CLAIM_FAILED = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141
 
 DRIFT_TOL = 1e-8
 
@@ -445,7 +449,14 @@ def main(argv=None):
     try:
         if getattr(args, "samples", None) is not None and args.samples < 1:
             raise ValueError("--samples must be at least 1")
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so
+        # that the interpreter's own flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ValueError, KeyError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -75,8 +75,10 @@ def shift_multiplier(alg, g_coords, num, den):
         return Fraction(0)
     # diff must be a constant multiple of den_poly, so any one of its
     # monomials fixes the constant
-    exps, coeff = next(iter(diff.terms.items()))
+    exps = next(iter(diff.numerators))
     dc = den_poly.coefficient(exps)
-    if dc != 0 and diff == den_poly * (coeff / dc):
-        return coeff / dc
+    if dc != 0:
+        c = diff.coefficient(exps) / dc
+        if diff == den_poly * c:
+            return c
     return None

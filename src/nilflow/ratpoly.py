@@ -1,9 +1,18 @@
 """Sparse polynomials with exact rational coefficients.
 
-A polynomial in ``nvars`` variables is a dict mapping exponent tuples to
-nonzero Fractions.  The canonical term order (graded lexicographic,
-highest degree first) is imposed when rendering, so rendered strings are
-unique and can be parsed back exactly.
+A polynomial in ``nvars`` variables is stored as integer numerators over
+one common denominator: ``numerators`` maps exponent tuples to nonzero
+ints and ``denominator`` is a positive int.  The storage is canonical:
+the gcd of the denominator and all numerators is 1, and the zero
+polynomial has no terms and denominator 1, so equal polynomials store
+equal data.  Arithmetic works on the ints and divides out the common
+factor once per operation, not once per term.  ``terms`` is a read-only
+view of the same polynomial as exponent tuples mapped to Fractions.
+
+The canonical term order (graded lexicographic, highest degree first) is
+imposed when rendering, so rendered strings are unique and can be parsed
+back exactly.  Each operation keeps its result's monomials in the order
+in which it first meets them; ``Evaluator`` compiles them in that order.
 
 The default variable names describe a phase-space point on a group of
 dimension n: ``w1..wn`` for the exponential coordinates of the base point
@@ -15,7 +24,10 @@ point of polynomials it composes.  ``coefficient_rows`` lists the
 coefficients of several polynomials over one shared monomial order.
 """
 
+from collections.abc import Mapping
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 
 import numpy as np
 
@@ -35,13 +47,35 @@ def _term_key(exps):
     return (sum(exps), exps)
 
 
-class RationalPolynomial:
-    """Multivariate polynomial over Q with sparse exact storage."""
+class _Terms(Mapping):
+    """Read-only view of a polynomial's terms: exponent tuple -> Fraction."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("_nums", "_den")
+
+    def __init__(self, nums, den):
+        self._nums = nums
+        self._den = den
+
+    def __len__(self):
+        return len(self._nums)
+
+    def __iter__(self):
+        return iter(self._nums)
+
+    def __getitem__(self, exps):
+        return Fraction(self._nums[exps], self._den)
+
+
+class RationalPolynomial:
+    """Multivariate polynomial over Q with sparse exact storage.
+
+    ``numerators`` and ``denominator`` are the canonical storage and are
+    read-only; ``terms`` shows the same polynomial with Fraction values.
+    """
+
+    __slots__ = ("nvars", "numerators", "denominator")
 
     def __init__(self, nvars, terms=None):
-        self.nvars = nvars
         clean = {}
         if terms:
             for exps, coeff in terms.items():
@@ -54,26 +88,30 @@ class RationalPolynomial:
                 clean[e] = clean.get(e, Fraction(0)) + c
                 if clean[e] == 0:
                     del clean[e]
-        self.terms = clean
+        # over the lcm of the reduced denominators the form is canonical
+        den = lcm(*(c.denominator for c in clean.values()))
+        self.nvars = nvars
+        self.numerators = {e: c.numerator * (den // c.denominator)
+                           for e, c in clean.items()}
+        self.denominator = den
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls, nvars):
-        return cls(nvars)
+        return _canonical(nvars, {}, 1)
 
     @classmethod
     def constant(cls, nvars, c):
         c = frac(c)
-        if c == 0:
-            return cls(nvars)
-        return cls(nvars, {tuple([0] * nvars): c})
+        return _canonical(nvars, {(0,) * nvars: c.numerator} if c else {},
+                          c.denominator)
 
     @classmethod
     def variable(cls, nvars, index):
         exps = [0] * nvars
         exps[index] = 1
-        return cls(nvars, {tuple(exps): Fraction(1)})
+        return _canonical(nvars, {tuple(exps): 1}, 1)
 
     @classmethod
     def monomial(cls, nvars, exps, coeff):
@@ -82,86 +120,109 @@ class RationalPolynomial:
     # -- queries --------------------------------------------------------
 
     @property
+    def terms(self):
+        return _Terms(self.numerators, self.denominator)
+
+    @property
     def is_zero(self):
-        return not self.terms
+        return not self.numerators
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.numerators)
 
     def total_degree(self):
-        if not self.terms:
+        if not self.numerators:
             return 0
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.numerators)
 
     def degree_in(self, indices):
         """Highest combined exponent over the given variable indices."""
         idx = list(indices)
-        if not self.terms:
+        if not self.numerators:
             return 0
-        return max(sum(e[i] for i in idx) for e in self.terms)
+        return max(sum(e[i] for i in idx) for e in self.numerators)
 
     def coefficient(self, exps):
-        return self.terms.get(tuple(exps), Fraction(0))
+        return Fraction(self.numerators.get(tuple(exps), 0), self.denominator)
 
     def __eq__(self, other):
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return (self.nvars == other.nvars
+                and self.denominator == other.denominator
+                and self.numerators == other.numerators)
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.denominator,
+                     frozenset(self.numerators.items())))
 
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        """self + other over the lcm of the two denominators."""
+        if not isinstance(other, RationalPolynomial):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            if not other:
+                return self
             other = RationalPolynomial.constant(self.nvars, other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
+        den, d2 = self.denominator, other.denominator
+        if den == d2:
+            out = dict(self.numerators)
+            m2 = 1
+        else:
+            g = gcd(den, d2)
+            m1, m2 = d2 // g, den // g
+            out = {e: c * m1 for e, c in self.numerators.items()}
+            den *= m1
+        for e, c in other.numerators.items():
+            s = out.get(e, 0) + c * m2
+            if s:
                 out[e] = s
-        res = RationalPolynomial(self.nvars)
-        res.terms = out
-        return res
+            else:
+                del out[e]
+        return _canonical(self.nvars, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        res = RationalPolynomial(self.nvars)
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
+        return _canonical(self.nvars, {e: -c for e, c in self.numerators.items()},
+                          self.denominator)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RationalPolynomial.constant(self.nvars, other)
+        if not isinstance(other, (RationalPolynomial, int, Fraction)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = frac(other)
-            if c == 0:
-                return RationalPolynomial(self.nvars)
-            res = RationalPolynomial(self.nvars)
-            res.terms = {e: c * v for e, v in self.terms.items()}
-            return res
+        if not isinstance(other, RationalPolynomial):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            # p/q * nums/den = (p * nums) / (q * den)
+            p, q = other.numerator, other.denominator
+            if p == 0:
+                return _canonical(self.nvars, {}, 1)
+            if p == q:
+                return self
+            return _canonical(self.nvars,
+                              {e: c * p for e, c in self.numerators.items()},
+                              self.denominator * q)
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
+        for e1, c1 in self.numerators.items():
+            for e2, c2 in other.numerators.items():
+                e = tuple(map(add, e1, e2))
+                s = out.get(e, 0) + c1 * c2
+                if s:
                     out[e] = s
-        res = RationalPolynomial(self.nvars)
-        res.terms = out
-        return res
+                else:
+                    del out[e]
+        return _canonical(self.nvars, out,
+                          self.denominator * other.denominator)
 
     __rmul__ = __mul__
 
@@ -180,16 +241,14 @@ class RationalPolynomial:
     def partial(self, index):
         """Partial derivative with respect to variable ``index``."""
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self.numerators.items():
             k = e[index]
             if k == 0:
                 continue
             ne = list(e)
             ne[index] = k - 1
             out[tuple(ne)] = c * k
-        res = RationalPolynomial(self.nvars)
-        res.terms = out
-        return res
+        return _canonical(self.nvars, out, self.denominator)
 
     def evaluate(self, values):
         """Evaluate at a point (Fractions stay exact, floats go float)."""
@@ -197,18 +256,15 @@ class RationalPolynomial:
 
     # -- rendering ------------------------------------------------------
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: _term_key(t[0]), reverse=True)
-
     def render(self, names=None):
         """Canonical string like ``(1/2) y1^2 + (-1) w1 y2``."""
         if names is None:
             names = phase_names(self.nvars)
-        if not self.terms:
+        if not self.numerators:
             return "(0)"
         parts = []
-        for exps, coeff in self.sorted_terms():
-            factors = ["(%s)" % coeff]
+        for exps in sorted(self.numerators, key=_term_key, reverse=True):
+            factors = ["(%s)" % Fraction(self.numerators[exps], self.denominator)]
             for name, k in zip(names, exps):
                 if k == 1:
                     factors.append(name)
@@ -253,14 +309,30 @@ class RationalPolynomial:
         return "RationalPolynomial(%s)" % self.render()
 
 
+def _canonical(nvars, nums, den):
+    """The polynomial nums / den (nonzero int numerators, den > 0) with the
+    common factor of den and all numerators divided out."""
+    if den != 1:
+        g = gcd(den, *nums.values())  # den itself when nums is empty
+        if g != 1:
+            nums = {e: c // g for e, c in nums.items()}
+            den //= g
+    poly = object.__new__(RationalPolynomial)
+    poly.nvars = nvars
+    poly.numerators = nums
+    poly.denominator = den
+    return poly
+
+
 def coefficient_rows(polys):
     """One row of coefficients per polynomial, over the monomials of all of
     them in the order in which they first appear."""
     monomials = {}
     for p in polys:
-        for e in p.terms:
+        for e in p.numerators:
             monomials.setdefault(e, len(monomials))
-    return [[p.terms.get(e, Fraction(0)) for e in monomials] for p in polys]
+    return [[Fraction(p.numerators.get(e, 0), p.denominator) for e in monomials]
+            for p in polys]
 
 
 class Evaluator:
@@ -281,8 +353,8 @@ class Evaluator:
         self.count = len(polys)
         uses = {}
         for out, p in enumerate(polys):
-            for e, c in p.terms.items():
-                uses.setdefault(e, []).append((out, c))
+            for e, c in p.numerators.items():
+                uses.setdefault(e, []).append((out, Fraction(c, p.denominator)))
         self._exact = [(tuple((v, k) for v, k in enumerate(e) if k), pairs)
                        for e, pairs in uses.items()]
         self._float = [(factors, [(out, float(c)) for out, c in pairs])

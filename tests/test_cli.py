@@ -30,14 +30,18 @@ def _main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _run(*args, env=None):
+def _env(env=None):
     full_env = dict(os.environ)
     full_env["PYTHONPATH"] = os.pathsep.join(
         [SRC] + [p for p in [full_env.get("PYTHONPATH")] if p])
     if env:
         full_env.update(env)
+    return full_env
+
+
+def _run(*args, env=None):
     return subprocess.run(CLI + list(args), capture_output=True, text=True,
-                          env=full_env)
+                          env=_env(env))
 
 
 def test_catalog_lists_everything():
@@ -132,6 +136,19 @@ def test_geodesic_csv():
     lines = res.stdout.strip().split("\n")
     assert lines[0] == "t,w1,w2,w3,y1,y2,y3"
     assert len(lines) == 7
+
+
+def test_closed_stdout_ends_quietly_with_141():
+    # about 280 KB of csv, more than a pipe buffer holds, so the CLI is
+    # still writing when the reader closes the pipe after one line
+    proc = subprocess.Popen(
+        CLI + ["geodesic", "h3", "--t", "2", "--dt", "0.001", "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_env())
+    assert proc.stdout.readline() == "t,w1,w2,w3,y1,y2,y3\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+    with proc.stderr:
+        assert proc.stderr.read() == ""
 
 
 def test_quotient_invariance():

@@ -80,30 +80,61 @@ def test_step_five_flow_conserves_its_integrals():
     assert drift > 1e-3
 
 
+def _momentum_oracle(alg):
+    """A start (w0, y0) and the error of a momentum y at time t against
+    the closed form, as (center part, complement part).
+
+    On a 2-step algebra, Y = V + Z with Z the metric-orthogonal projection
+    onto the center has Z(t) = Z0 and V(t) = e^{t j(Z0)} V0 (Eberlein,
+    Ann. Sci. ENS 27, 1994): an oracle sharing no flow code.
+    """
+    n = alg.dim
+    split = alg.analyze()
+    vb = np.array(split.v_complement, dtype=float).T
+    zb = np.array(split.center_basis, dtype=float).T
+    basis, dv = np.hstack([vb, zb]), vb.shape[1]
+    w0, y0 = np.random.default_rng(n).uniform(-1.0, 1.0, (2, n))
+    coords = np.linalg.solve(basis, y0)
+    v0, z0 = coords[:dv], coords[dv:]
+    j = sum(c * np.array(alg.j_map(z)[0], dtype=float)
+            for c, z in zip(z0, split.center_basis))
+
+    def errors(t, y):
+        coords = np.linalg.solve(basis, y)
+        v, z = coords[:dv], coords[dv:]
+        return (np.max(np.abs(zb @ (z - z0))),
+                np.max(np.abs(vb @ (v - expm(t * j) @ v0))))
+
+    return w0, y0, errors
+
+
 def test_two_step_flow_matches_closed_form():
-    # on a 2-step algebra, Y = V + Z with Z the metric-orthogonal
-    # projection onto the center has Z(t) = Z0 and V(t) = e^{t j(Z0)} V0
-    # (Eberlein, Ann. Sci. ENS 27, 1994): an oracle sharing no flow code
     h3, h5 = _h3(), catalog.get("h5").descriptor
     cases = [h3, LieAlgebraDescriptor(3, h3.structure, metric=_tridiagonal(3)),
              h5, LieAlgebraDescriptor(5, h5.structure, metric=_tridiagonal(5))]
     for alg in cases:
-        n = alg.dim
-        split = alg.analyze()
-        vb = np.array(split.v_complement, dtype=float).T
-        zb = np.array(split.center_basis, dtype=float).T
-        basis, dv = np.hstack([vb, zb]), vb.shape[1]
-        w0, y0 = np.random.default_rng(n).uniform(-1.0, 1.0, (2, n))
-        coords = np.linalg.solve(basis, y0)
-        v0, z0 = coords[:dv], coords[dv:]
-        j = sum(c * np.array(alg.j_map(z)[0], dtype=float)
-                for c, z in zip(z0, split.center_basis))
+        w0, y0, errors = _momentum_oracle(alg)
         traj = integrate(alg, w0, y0, dt=1e-3, t_end=2.0)
         assert traj.times[-1] == 2.0
-        coords = np.linalg.solve(basis, traj.states[-1, 0, n:])
-        v, z = coords[:dv], coords[dv:]
-        assert np.max(np.abs(zb @ (z - z0))) < 1e-9
-        assert np.max(np.abs(vb @ (v - expm(2.0 * j) @ v0))) < 1e-9
+        center, complement = errors(2.0, traj.states[-1, 0, alg.dim:])
+        assert center < 1e-9
+        assert complement < 1e-9
+
+
+@pytest.mark.parametrize("metric", [None, _tridiagonal(5)])
+def test_rk4_global_error_scales_as_dt4(metric):
+    # halving dt divides RK4's global error by about 2^4 = 16; h5 keeps
+    # the finest error (about 6e-9) well above roundoff
+    alg = LieAlgebraDescriptor(5, catalog.get("h5").descriptor.structure,
+                               metric=metric)
+    w0, y0, errors = _momentum_oracle(alg)
+    errs = []
+    for dt in (0.1, 0.05, 0.025):
+        traj = integrate(alg, w0, y0, dt=dt, t_end=2.0)
+        assert traj.times[-1] == 2.0
+        errs.append(max(errors(2.0, traj.states[-1, 0, 5:])))
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 14 <= coarse / fine <= 18, errs
 
 
 def test_fourth_order_convergence():

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nilflow import linalg
@@ -28,6 +29,15 @@ def test_arithmetic_exact():
     assert (p - q).is_zero
     r = p * Fraction(1, 3) + 2
     assert r.evaluate([Fraction(1), 0, Fraction(2), 0]) == Fraction(-1) + 2
+
+
+def test_arithmetic_with_a_float_is_a_type_error():
+    x = RationalPolynomial.variable(2, 0)
+    for op in (lambda: x + 1.5, lambda: 1.5 + x, lambda: x - 1.5,
+               lambda: 1.5 - x, lambda: x * 1.5, lambda: 1.5 * x,
+               lambda: x * np.float64(2), lambda: np.float64(2) * x):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_pow_matches_repeated_mul():

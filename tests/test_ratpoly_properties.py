@@ -1,6 +1,7 @@
 """Property tests for RationalPolynomial and its Evaluator."""
 
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 from hypothesis import given, settings
@@ -12,9 +13,9 @@ NVARS = 4
 _SETTINGS = settings(max_examples=60)
 
 _coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
-_polys = st.dictionaries(
-    st.tuples(*[st.integers(0, 3)] * NVARS), _coeffs, max_size=6).map(
-        lambda terms: RationalPolynomial(NVARS, terms))
+_term_dicts = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * NVARS), _coeffs, max_size=6)
+_polys = _term_dicts.map(lambda terms: RationalPolynomial(NVARS, terms))
 # dyadic points, so that float(x) is x exactly
 _points = st.lists(st.integers(-64, 64).map(lambda k: Fraction(k, 16)),
                    min_size=NVARS, max_size=NVARS)
@@ -91,3 +92,133 @@ def test_array_evaluation_is_pointwise(polys, points):
         pointwise = ev([float(v) for v in pt])
         for col, val in zip(columns, pointwise):
             assert np.broadcast_to(col, len(points))[s] == val
+
+
+# -- integer storage against a dict-of-Fraction reference ---------------
+# The reference keeps each term as a Fraction and adds, multiplies and
+# differentiates term by term, so it shares no normalisation with the
+# integer numerators over one denominator that RationalPolynomial stores.
+
+def _ref(terms):
+    return {e: c for e, c in terms.items() if c != 0}
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e, Fraction(0)) + c
+        if s == 0:
+            out.pop(e, None)
+        else:
+            out[e] = s
+    return out
+
+
+def _ref_neg(a):
+    return {e: -c for e, c in a.items()}
+
+
+def _ref_scale(a, c):
+    return {e: c * v for e, v in a.items()} if c != 0 else {}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = out.get(e, Fraction(0)) + c1 * c2
+            if s == 0:
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return out
+
+
+def _ref_pow(a, k):
+    out, base = {(0,) * NVARS: Fraction(1)}, a
+    while k:
+        if k & 1:
+            out = _ref_mul(out, base)
+        base = _ref_mul(base, base)
+        k >>= 1
+    return out
+
+
+def _ref_partial(a, index):
+    out = {}
+    for e, c in a.items():
+        if e[index]:
+            ne = list(e)
+            ne[index] -= 1
+            out[tuple(ne)] = c * e[index]
+    return out
+
+
+def _ref_render(a):
+    if not a:
+        return "(0)"
+    parts = []
+    for e in sorted(a, key=lambda e: (sum(e), e), reverse=True):
+        factors = ["(%s)" % a[e]]
+        for i, k in enumerate(e):
+            name = ("w%d" if i < NVARS // 2 else "y%d") % (i % (NVARS // 2) + 1)
+            if k:
+                factors.append(name if k == 1 else "%s^%d" % (name, k))
+        parts.append(" ".join(factors))
+    return " + ".join(parts)
+
+
+def _assert_canonical(p):
+    nums, den = p.numerators, p.denominator
+    assert type(den) is int and den > 0
+    assert all(type(c) is int and c != 0 for c in nums.values())
+    assert gcd(den, *nums.values()) == 1
+    assert nums or den == 1
+
+
+@settings(max_examples=150)
+@given(_term_dicts, _term_dicts, _coeffs, st.integers(-6, 6),
+       st.integers(0, 3), st.integers(0, NVARS - 1))
+def test_storage_matches_the_fraction_reference(a, b, c, k, power, index):
+    ra, rb = _ref(a), _ref(b)
+    p, q = RationalPolynomial(NVARS, a), RationalPolynomial(NVARS, b)
+    cases = [
+        (p, ra),
+        (p + q, _ref_add(ra, rb)),
+        (p - q, _ref_add(ra, _ref_neg(rb))),
+        (-p, _ref_neg(ra)),
+        (p + c, _ref_add(ra, _ref({(0,) * NVARS: c}))),
+        (k - p, _ref_add(_ref_neg(ra), _ref({(0,) * NVARS: Fraction(k)}))),
+        (c * p, _ref_scale(ra, c)),
+        (p * c, _ref_scale(ra, c)),
+        (k * p, _ref_scale(ra, Fraction(k))),
+        (p * q, _ref_mul(ra, rb)),
+        (p ** power, _ref_pow(ra, power)),
+        (p.partial(index), _ref_partial(ra, index)),
+    ]
+    for got, want in cases:
+        _assert_canonical(got)
+        # the same terms in the same insertion order, and the same string
+        assert list(got.terms.items()) == list(want.items())
+        assert len(got.terms) == len(want)
+        assert got.render() == _ref_render(want)
+        for e in list(want)[:2] + [(3,) * NVARS]:
+            assert got.coefficient(e) == want.get(e, 0)
+
+
+@_SETTINGS
+@given(_polys, _polys, _polys, _coeffs.filter(bool))
+def test_equal_polynomials_have_equal_storage_and_hash(p, q, r, c):
+    routes = [
+        ((p + q) * r, p * r + q * r),
+        ((p * c) * (1 / c), p),
+        (p - q + q, p),
+        (p * 2 - p * Fraction(1, 2), Fraction(3, 2) * p),
+        (RationalPolynomial(NVARS, dict(p.terms)), p),
+        (RationalPolynomial.parse(p.render(), NVARS), p),
+    ]
+    for x, y in routes:
+        _assert_canonical(x)
+        assert x == y and hash(x) == hash(y)
+        assert (x.numerators, x.denominator) == (y.numerators, y.denominator)
