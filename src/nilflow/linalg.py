@@ -1,16 +1,28 @@
 """Exact dense linear algebra over the rationals.
 
-Matrices are lists of row lists of Fraction.  All routines are
-deterministic: row reduction always picks the lowest-index usable column,
-and nullspace basis vectors carry the 1/0 free-variable pattern.
-``mat_mul``, ``mat_vec`` and ``inner`` serve every coefficient ring the
-entries multiply in, exact polynomials included.
+Matrices are lists of row lists of Fraction (ints are accepted too).  All
+routines are deterministic: nullspace basis vectors carry the 1/0
+free-variable pattern.  ``mat_mul``, ``mat_vec`` and ``inner`` serve every
+coefficient ring the entries multiply in, exact polynomials included.
+
+``rref`` is the one row reduction; ``rank``, ``nullspace``,
+``row_space_basis``, ``span_equal`` and ``inverse`` call it.  It scales
+each row to integers by the lcm of its denominators and eliminates
+fraction-free (Bareiss, Math. Comp. 22, 1968): a row with entry a in the
+pivot column becomes (p/g) row - (a/g) pivot_row, with p the pivot and
+g = gcd(p, a), and each updated row is divided by the gcd of its entries,
+so the integers stay small.  Only at the end is each pivot row divided by
+its pivot.  The reduced row echelon form of a matrix is unique, so the
+result is the same Fraction matrix and pivot list that Gauss-Jordan
+elimination over Q gives.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_EXACT = {int, Fraction}
 
 
 def frac(x) -> Fraction:
@@ -99,40 +111,66 @@ def inner(u, v, gram=None):
     return _product_zero(u[0], v[0]) if u and v else 0
 
 
+def _integer_rows(mat, ncols):
+    """The nonzero rows of mat, each scaled to coprime ints."""
+    # every entry's type is checked, zeros included: anything but an int
+    # or a Fraction goes through frac, which rejects a float such as 0.0
+    types = set()
+    for row in mat:
+        types.update(map(type, row))
+    if not types <= _EXACT:
+        mat = [[frac(x) for x in row] for row in mat]
+    rows = []
+    for row in mat:
+        entries = [(j, x) for j, x in enumerate(row) if x]
+        if not entries:
+            continue
+        den = lcm(*[x.denominator for _, x in entries])
+        ints = [0] * ncols
+        for j, x in entries:
+            ints[j] = x.numerator * (den // x.denominator)
+        g = gcd(*ints)
+        rows.append([x // g for x in ints] if g != 1 else ints)
+    return rows
+
+
 def rref(mat):
     """Reduced row echelon form.  Returns (rows, pivot_columns)."""
-    rows = [[frac(x) for x in row] for row in mat]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+    nrows = len(mat)
+    ncols = len(mat[0]) if nrows else 0
+    rows = _integer_rows(mat, ncols)
     pivots = []
-    r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = _ONE / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivot = rows[r]
+        p = pivot[c]
+        support = [(j, x) for j, x in enumerate(pivot) if x]
+        for i, row in enumerate(rows):
+            a = row[c]
+            if a and i != r:
+                g = gcd(p, a)
+                if p != g:
+                    row = [(p // g) * x for x in row]
+                a //= g
+                for j, x in support:
+                    row[j] -= a * x
+                g = gcd(*row)  # 0 when the row is now zero
+                rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+    out = [[Fraction(x, row[c]) if x else _ZERO for x in row]
+           for row, c in zip(rows, pivots)]
+    out.extend([_ZERO] * ncols for _ in range(nrows - len(pivots)))
+    return out, pivots
 
 
 def rank(mat):
-    if not mat:
-        return 0
-    _, pivots = rref(mat)
-    return len(pivots)
+    return len(rref(mat)[1])
 
 
 def nullspace(mat, ncols=None):
@@ -167,7 +205,7 @@ def span_equal(vectors_a, vectors_b):
 
 def inverse(mat):
     n = len(mat)
-    aug = [[frac(x) for x in row] + [_ONE if i == j else _ZERO for j in range(n)]
+    aug = [list(row) + [_ONE if i == j else _ZERO for j in range(n)]
            for i, row in enumerate(mat)]
     red, pivots = rref(aug)
     if pivots != list(range(n)):

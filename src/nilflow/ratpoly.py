@@ -166,6 +166,7 @@ class RationalPolynomial:
             if not other:
                 return self
             other = RationalPolynomial.constant(self.nvars, other)
+        _same_size(self, other)
         den, d2 = self.denominator, other.denominator
         if den == d2:
             out = dict(self.numerators)
@@ -212,6 +213,7 @@ class RationalPolynomial:
             return _canonical(self.nvars,
                               {e: c * p for e, c in self.numerators.items()},
                               self.denominator * q)
+        _same_size(self, other)
         out = {}
         for e1, c1 in self.numerators.items():
             for e2, c2 in other.numerators.items():
@@ -309,6 +311,12 @@ class RationalPolynomial:
         return "RationalPolynomial(%s)" % self.render()
 
 
+def _same_size(p, q):
+    if p.nvars != q.nvars:
+        raise ValueError("polynomials in %d and %d variables do not combine"
+                         % (p.nvars, q.nvars))
+
+
 def _canonical(nvars, nums, den):
     """The polynomial nums / den (nonzero int numerators, den > 0) with the
     common factor of den and all numerators divided out."""
@@ -359,24 +367,7 @@ class Evaluator:
                        for e, pairs in uses.items()]
         self._float = [(factors, [(out, float(c)) for out, c in pairs])
                        for factors, pairs in self._exact]
-        # rows(): the monomials by falling degree, so that factor d of
-        # the first len(gather[d]) of them is x[:, gather[d]], with each
-        # variable repeated by its exponent; the constant term is apart
-        slots = sorted((([v for v, k in factors for _ in range(k)], pairs)
-                        for factors, pairs in self._float if factors),
-                       key=lambda s: -len(s[0]))
-        degree = len(slots[0][0]) if slots else 1
-        self._gather = [np.array([s[d] for s, _ in slots if len(s) > d],
-                                 dtype=np.intp) for d in range(degree)]
-        self._coeffs = np.zeros((len(slots), self.count))
-        for m, (_, pairs) in enumerate(slots):
-            for out, c in pairs:
-                self._coeffs[m, out] = c
-        self._constant = None
-        if (0,) * self.nvars in uses:
-            self._constant = np.zeros(self.count)
-            for out, c in uses[(0,) * self.nvars]:
-                self._constant[out] = c
+        self._arrays = None
 
     def __call__(self, values):
         if len(values) != self.nvars:
@@ -400,10 +391,36 @@ class Evaluator:
         """Values at each row of a (batch, nvars) float array: (batch, count)."""
         if x.shape[1] != self.nvars:
             raise ValueError("expected %d columns" % self.nvars)
-        m = x[:, self._gather[0]]
-        for slots in self._gather[1:]:
+        if self._arrays is None:
+            self._arrays = self._row_arrays()
+        gather, coeffs, constant = self._arrays
+        m = x[:, gather[0]]
+        for slots in gather[1:]:
             m[:, :len(slots)] *= x[:, slots]
-        out = m @ self._coeffs
-        if self._constant is not None:
-            out += self._constant
+        out = m @ coeffs
+        if constant is not None:
+            out += constant
         return out
+
+    def _row_arrays(self):
+        """The gather indices and coefficients of ``rows``, built on its
+        first call: the monomials by falling degree, so that factor d of
+        the first len(gather[d]) of them is x[:, gather[d]], with each
+        variable repeated by its exponent; the constant term is apart."""
+        slots = sorted((([v for v, k in factors for _ in range(k)], pairs)
+                        for factors, pairs in self._float if factors),
+                       key=lambda s: -len(s[0]))
+        degree = len(slots[0][0]) if slots else 1
+        gather = [np.array([s[d] for s, _ in slots if len(s) > d],
+                           dtype=np.intp) for d in range(degree)]
+        coeffs = np.zeros((len(slots), self.count))
+        for m, (_, pairs) in enumerate(slots):
+            for out, c in pairs:
+                coeffs[m, out] = c
+        constant = None
+        for factors, pairs in self._float:
+            if not factors:
+                constant = np.zeros(self.count)
+                for out, c in pairs:
+                    constant[out] = c
+        return gather, coeffs, constant

@@ -1,9 +1,10 @@
 """Property tests for the sparse matrix and inner-product kernels against
-the dense formula, and for row reduction against the identities it must
-satisfy."""
+the dense formula, and for row reduction against Gauss-Jordan elimination
+over Fractions and the identities it must satisfy."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -106,6 +107,91 @@ def test_empty_shapes_unchanged():
         assert linalg.mat_mul(a, b) == _dense_mat_mul(a, b)
     for a, v in (([], [Fraction(1)]), (one, []), ([[]], [])):
         assert linalg.mat_vec(a, v) == _dense_mat_vec(a, v)
+
+
+def _reference_rref(mat):
+    """Gauss-Jordan elimination over Fractions, one Fraction operation per
+    cell: the pivot row is divided by its pivot and subtracted from every
+    other row with a nonzero entry in the pivot column."""
+    rows = [[linalg.frac(x) for x in row] for row in mat]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if rows[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+# ints and Fractions as the solvers and the exact scan feed them, with
+# denominators up to 2^20 and either sign
+_EXACT_ENTRIES = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-8, max_value=8, max_denominator=4),
+    st.fractions(min_value=-2**10, max_value=2**10, max_denominator=2**20),
+    st.builds(Fraction, st.integers(-3, 3), st.sampled_from([2**20, 393216])))
+
+
+@st.composite
+def _exact_matrix(draw):
+    """A sparse matrix of ints and Fractions: 1 x n, n x 1, small, or one
+    of the solvers' tall shapes such as 90 x 15.  Each row's zeros are
+    int 0 or Fraction(0); sometimes a row combining two others is
+    appended."""
+    rows, cols = draw(st.one_of(
+        st.tuples(st.just(1), st.integers(1, 24)),
+        st.tuples(st.integers(1, 24), st.just(1)),
+        st.tuples(st.integers(1, 8), st.integers(1, 8)),
+        st.sampled_from([(90, 15), (74, 21), (50, 10)])))
+    m = [[draw(st.sampled_from([0, Fraction(0)]))] * cols for _ in range(rows)]
+    cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1),
+                      _EXACT_ENTRIES)
+    for i, j, x in draw(st.lists(cells, max_size=3 * max(rows, cols))):
+        m[i][j] = x
+    if rows >= 2 and draw(st.booleans()):
+        i, k = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+        f = draw(_EXACT_ENTRIES)
+        m.append([x + f * y for x, y in zip(m[i], m[k])])
+    return m
+
+
+@settings(max_examples=150)
+@given(_exact_matrix())
+def test_rref_and_rank_match_gauss_jordan(a):
+    want_rows, want_pivots = _reference_rref(a)
+    red, pivots = linalg.rref(a)
+    assert (red, pivots) == (want_rows, want_pivots)
+    assert all(type(x) is Fraction for row in red for x in row)
+    assert linalg.rank(a) == len(want_pivots)
+
+
+@_SETTINGS
+@given(_exact_matrix(), st.data())
+def test_rref_rejects_a_float_entry(a, data):
+    i = data.draw(st.integers(0, len(a) - 1))
+    j = data.draw(st.integers(0, len(a[0]) - 1))
+    a[i][j] = data.draw(st.sampled_from([0.0, -0.0, 1.0, 0.5]))
+    for reduce in (linalg.rref, linalg.rank, linalg.nullspace,
+                   linalg.inverse):
+        with pytest.raises(TypeError):
+            reduce(a)
 
 
 @_SETTINGS

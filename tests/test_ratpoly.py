@@ -40,6 +40,18 @@ def test_arithmetic_with_a_float_is_a_type_error():
             op()
 
 
+def test_arithmetic_across_variable_counts_is_a_value_error():
+    small = RationalPolynomial.variable(2, 0)
+    big = RationalPolynomial.variable(4, 3)
+    for op in (lambda: small + big, lambda: big + small, lambda: small - big,
+               lambda: big - small, lambda: small * big, lambda: big * small):
+        with pytest.raises(ValueError, match="2 and 4|4 and 2"):
+            op()
+    # scalars still combine with a polynomial of any size
+    assert (big + 1) * Fraction(1, 2) - 1 == RationalPolynomial.parse(
+        "(1/2) y2 + (-1/2)", 4)
+
+
 def test_pow_matches_repeated_mul():
     x = RationalPolynomial.variable(2, 0)
     y = RationalPolynomial.variable(2, 1)
