@@ -111,8 +111,10 @@ def inner(u, v, gram=None):
     return _product_zero(u[0], v[0]) if u and v else 0
 
 
-def _integer_rows(mat, ncols):
-    """The nonzero rows of mat, each scaled to coprime ints."""
+def integer_rows(mat, ncols):
+    """The nonzero rows of mat, each times a positive rational that makes
+    it coprime ints: the lcm of its denominators over the gcd of the
+    resulting numerators."""
     # every entry's type is checked, zeros included: anything but an int
     # or a Fraction goes through frac, which rejects a float such as 0.0
     types = set()
@@ -138,7 +140,7 @@ def rref(mat):
     """Reduced row echelon form.  Returns (rows, pivot_columns)."""
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
-    rows = _integer_rows(mat, ncols)
+    rows = integer_rows(mat, ncols)
     pivots = []
     for c in range(ncols):
         r = len(pivots)

@@ -334,13 +334,19 @@ def _canonical(nvars, nums, den):
 
 def coefficient_rows(polys):
     """One row of coefficients per polynomial, over the monomials of all of
-    them in the order in which they first appear."""
+    them in the order in which they first appear: a Fraction for each term
+    of the polynomial and int 0 for each monomial it lacks."""
     monomials = {}
     for p in polys:
         for e in p.numerators:
             monomials.setdefault(e, len(monomials))
-    return [[Fraction(p.numerators.get(e, 0), p.denominator) for e in monomials]
-            for p in polys]
+    rows = []
+    for p in polys:
+        row = [0] * len(monomials)
+        for e, c in p.numerators.items():
+            row[monomials[e]] = Fraction(c, p.denominator)
+        rows.append(row)
+    return rows
 
 
 class Evaluator:

@@ -20,6 +20,23 @@ basis depends only on the parameter basis, the column order and the row
 space of the equations, because the RREF of a matrix is determined by
 its row space; so how the rows are assembled cannot change a result.
 
+All three solvers work over one integer parameter basis:
+``_parameter_basis`` gives L G^{-1} B as int matrices, with L > 0 the
+lcm of the denominators of G^{-1}, and ``_solve_in_parameter_space``
+divides the basis matrices it forms by L once (L is 1 without a metric).
+``killing2_structured`` also takes the complement and ideal vectors as
+coprime-int multiples (``linalg.integer_rows``) and G times one common
+positive scale, so ``mat_vec``, ``inner`` and the products of vector
+entries inside each bracket run on Python ints; only the structure
+constants stay Fractions.  Neither scaling can change a basis.  Every equation is linear in
+the parameter, so the common scale L multiplies the whole equation
+matrix by L.  The conditions are bilinear in the vectors and linear in
+G, so a vector scale or the common scale of G multiplies whole equation
+rows by nonzero constants.  The row space, its unique RREF and every
+returned basis stay the same.  A per-row scale of G would not: it
+weights the two terms <t_c, G w_d> and <t_d, G w_c> of one equation
+differently.
+
 ``skew_derivations`` and ``killing2_tensors`` depend only on the
 descriptor, so each is solved once per descriptor and memoized on it, as
 ``analyze()`` is; every call returns fresh nested lists, so a caller that
@@ -34,6 +51,7 @@ callback per draw, one draw budget, and one denominator rule,
 
 import functools
 import os
+from math import lcm
 
 import numpy as np
 
@@ -114,34 +132,46 @@ def denominators_clear(integrals, points, den_min):
     return True
 
 
+def _common_scale(mat):
+    """(L, L * mat as ints), with L > 0 the lcm of mat's denominators."""
+    scale = lcm(*[x.denominator for row in mat for x in row])
+    return scale, [[x.numerator * (scale // x.denominator) for x in row]
+                   for row in mat]
+
+
 def _parameter_basis(alg, sign):
-    """Basis of G^{-1} B over B with B^T = sign * B: the metric-skew
+    """(L, [L G^{-1} B]) over B = E_ij + sign E_ji, i <= j, in int matrices,
+    with L the lcm of the denominators of G^{-1}: the metric-skew
     matrices for sign -1, the metric-symmetric ones for sign +1."""
     n = alg.dim
-    ginv = alg.gram_inverse()
+    scale, ginv = _common_scale(alg.gram_inverse())
     out = []
     for i in range(n):
         for j in range(i if sign > 0 else i + 1, n):
-            b = linalg.zeros(n, n)
-            b[i][j] = Fraction(1)
-            b[j][i] = Fraction(sign)
+            b = [[0] * n for _ in range(n)]
+            b[i][j] = 1
+            b[j][i] = sign
             out.append(linalg.mat_mul(ginv, b) if alg.metric is not None else b)
-    return out
+    return scale, out
 
 
-def _solve_in_parameter_space(parameter_basis, per_param):
+def _solve_in_parameter_space(scale, basis, per_param):
     """Nullspace coordinates -> concrete matrices.
 
-    ``per_param[p]`` holds parameter p's coefficient in every equation, so
-    the equation rows are its transpose.
+    ``scale`` and ``basis`` are ``_parameter_basis``'s L and matrices P_p,
+    and ``per_param[p]`` holds P_p's coefficient in every equation, so
+    the equation rows are its transpose.  A basis matrix is
+    sum_p c_p P_p / L, with Fraction entries: the coordinates c_p are
+    Fractions, so the sums are too.
     """
-    if not parameter_basis:
+    if not basis:
         return []
-    coeffs = linalg.nullspace(linalg.transpose(per_param),
-                              ncols=len(parameter_basis))
-    n = len(parameter_basis[0])
-    # basis matrix sum_p c_p P_p: coordinate rows times the flattened P_p
-    flat = linalg.mat_mul(coeffs, [sum(m, []) for m in parameter_basis])
+    coeffs = linalg.nullspace(linalg.transpose(per_param), ncols=len(basis))
+    n = len(basis[0])
+    # sum_p c_p P_p: coordinate rows times the flattened P_p
+    flat = linalg.mat_mul(coeffs, [sum(m, []) for m in basis])
+    if scale != 1:
+        flat = linalg.mat_scale(flat, Fraction(1, scale))
     return [[v[r * n:(r + 1) * n] for r in range(n)] for v in flat]
 
 
@@ -159,10 +189,10 @@ def _once_per_algebra(solve):
 @_once_per_algebra
 def skew_derivations(alg):
     """Basis of the space of metric-skew derivations."""
-    params = _parameter_basis(alg, -1)
+    scale, params = _parameter_basis(alg, -1)
     per_param = [[c for _, defect in derivation_defects(alg, d)
                   for c in defect] for d in params]
-    return _solve_in_parameter_space(params, per_param)
+    return _solve_in_parameter_space(scale, params, per_param)
 
 
 def _cubic_columns(alg, params, vectors):
@@ -178,9 +208,9 @@ def _cubic_columns(alg, params, vectors):
 @_once_per_algebra
 def killing2_tensors(alg):
     """Basis of symmetric S with <Y, [S Y, Y]> identically zero."""
-    params = _parameter_basis(alg, 1)
+    scale, params = _parameter_basis(alg, 1)
     return _solve_in_parameter_space(
-        params, _cubic_columns(alg, params, linalg.identity(alg.dim)))
+        scale, params, _cubic_columns(alg, params, linalg.identity(alg.dim)))
 
 
 def killing2_structured(alg):
@@ -189,11 +219,16 @@ def killing2_structured(alg):
     step = analysis.step
     if step > 3:
         raise ValueError("structured conditions implemented for step <= 3")
-    params = _parameter_basis(alg, 1)
-    # for step 1 the complement vb is empty, so no condition remains
-    vb = analysis.v_complement
-    wb = analysis.center_basis if step <= 2 else analysis.commutator_chain[0]
-    gw = [linalg.mat_vec(alg.gram(), w) for w in wb]  # <t, w> = t . (G w)
+    n = alg.dim
+    scale, params = _parameter_basis(alg, 1)
+    # the conditions are bilinear in the vectors and linear in G, so
+    # coprime-int vectors and one common scale of G only rescale equation
+    # rows; for step 1 the complement vb is empty, so no condition remains
+    vb = linalg.integer_rows(analysis.v_complement, n)
+    wb = linalg.integer_rows(analysis.center_basis if step <= 2
+                             else analysis.commutator_chain[0], n)
+    gram = _common_scale(alg.gram())[1]
+    gw = [linalg.mat_vec(gram, w) for w in wb]  # <t, w> = t . (G w)
 
     per_param = []
     for s in params:
@@ -225,7 +260,7 @@ def killing2_structured(alg):
     if step == 3:
         per_param = [block + cubic for block, cubic
                      in zip(per_param, _cubic_columns(alg, params, wb))]
-    return _solve_in_parameter_space(params, per_param)
+    return _solve_in_parameter_space(scale, params, per_param)
 
 
 def killing2_same_span(alg):

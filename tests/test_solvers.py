@@ -14,6 +14,7 @@ from nilflow.integrals import (
     NotGramSkew,
     Quadratic,
     RightInvariant,
+    derivation_defects,
     parse_integral,
     validate_derivation,
 )
@@ -287,6 +288,152 @@ def test_solver_bases_match_the_recorded_digest():
     assert len(lines) == 156
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == SOLVER_DIGEST
+
+
+def _reference_parameter_basis(alg, sign):
+    """G^{-1} B over B with B^T = sign * B, in Fractions: the metric-skew
+    matrices for sign -1, the metric-symmetric ones for sign +1."""
+    n = alg.dim
+    ginv = alg.gram_inverse()
+    out = []
+    for i in range(n):
+        for j in range(i if sign > 0 else i + 1, n):
+            b = linalg.zeros(n, n)
+            b[i][j] = Fraction(1)
+            b[j][i] = Fraction(sign)
+            out.append(linalg.mat_mul(ginv, b) if alg.metric is not None else b)
+    return out
+
+
+def _reference_solve(parameter_basis, per_param):
+    """Nullspace coordinates of the equations -> sum_p c_p P_p."""
+    if not parameter_basis:
+        return []
+    coeffs = linalg.nullspace(linalg.transpose(per_param),
+                              ncols=len(parameter_basis))
+    n = len(parameter_basis[0])
+    flat = linalg.mat_mul(coeffs, [sum(m, []) for m in parameter_basis])
+    return [[v[r * n:(r + 1) * n] for r in range(n)] for v in flat]
+
+
+def _reference_skew_derivations(alg):
+    params = _reference_parameter_basis(alg, -1)
+    return _reference_solve(params, [
+        [c for _, defect in derivation_defects(alg, d) for c in defect]
+        for d in params])
+
+
+def _reference_killing2_tensors(alg):
+    params = _reference_parameter_basis(alg, 1)
+    return _reference_solve(params, solvers._cubic_columns(
+        alg, params, linalg.identity(alg.dim)))
+
+
+def _reference_killing2_structured(alg):
+    """The splitting conditions on the Fraction vectors of ``analyze`` and
+    the Fraction Gram matrix, one parameter at a time."""
+    analysis = alg.analyze()
+    step = analysis.step
+    params = _reference_parameter_basis(alg, 1)
+    vb = analysis.v_complement
+    wb = analysis.center_basis if step <= 2 else analysis.commutator_chain[0]
+    gw = [linalg.mat_vec(alg.gram(), w) for w in wb]
+    per_param = []
+    for s in params:
+        sv = [linalg.mat_vec(s, v) for v in vb]
+        sw = [linalg.mat_vec(s, w) for w in wb]
+        block = []
+        for a in range(len(vb)):
+            for b in range(a, len(vb)):
+                block.extend(linalg.vec_sub(alg.bracket(sv[a], vb[b]),
+                                            alg.bracket(vb[a], sv[b])))
+        for x, sx in zip(vb, sv):
+            t = [alg.bracket(x, swc) for swc in sw]
+            if step == 3:
+                t = [linalg.vec_sub(tc, alg.bracket(sx, wc))
+                     for tc, wc in zip(t, wb)]
+            for c in range(len(wb)):
+                for d in range(c, len(wb)):
+                    block.append(linalg.inner(t[c], gw[d])
+                                 + linalg.inner(t[d], gw[c]))
+        per_param.append(block)
+    if step == 3:
+        per_param = [block + cubic for block, cubic
+                     in zip(per_param, solvers._cubic_columns(alg, params, wb))]
+    return _reference_solve(params, per_param)
+
+
+_REFERENCES = ((skew_derivations, _reference_skew_derivations),
+               (killing2_tensors, _reference_killing2_tensors),
+               (killing2_structured, _reference_killing2_structured))
+
+
+def _typed(basis):
+    return [[[(type(x), x) for x in row] for row in m] for m in basis]
+
+
+@st.composite
+def _rational_metrics(draw, n):
+    """A symmetric, strictly diagonally dominant metric with off-diagonal
+    entries in (-1, 1) and diagonal entries n + k/d, 0 < k < d: positive
+    definite, denominators up to 12, and no diagonal entry an integer."""
+    entry = st.fractions(min_value=-1, max_value=1, max_denominator=12)
+    g = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        d = draw(st.integers(2, 12))
+        g[i][i] = n + Fraction(draw(st.integers(1, d - 1)), d)
+        for j in range(i):
+            x = draw(entry.filter(lambda x: abs(x) < 1))
+            g[i][j] = g[j][i] = x
+    return g
+
+
+_REFERENCE_STRUCTURES = (_h3(), _free_23(), catalog.get("n6_10").descriptor,
+                         catalog.get("n6_25").descriptor)
+
+
+@st.composite
+def _algebras_under_rational_metrics(draw):
+    alg = draw(st.sampled_from(_REFERENCE_STRUCTURES))
+    return LieAlgebraDescriptor(alg.dim, alg.structure,
+                                metric=draw(_rational_metrics(alg.dim)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_algebras_under_rational_metrics())
+def test_solvers_match_the_fraction_reference(alg):
+    """The int parameter basis over a common scale gives the bases of the
+    Fraction one, entry types included.  Integer metrics (the digest's)
+    cannot tell a per-row scale of G from a uniform one; these can."""
+    for solve, reference in _REFERENCES:
+        assert _typed(solve(alg)) == _typed(reference(alg))
+
+
+@pytest.mark.parametrize("name", ["h3", "n23free", "n6_10", "n6_25", "r+n2"])
+def test_solvers_match_the_reference_without_a_metric(name):
+    alg = catalog.get(name).descriptor
+    for solve, reference in _REFERENCES:
+        assert _typed(solve(alg)) == _typed(reference(alg))
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_structured_solver_on_an_abelian_algebra(n):
+    """The complement is empty, so no condition remains: the full space of
+    symmetric matrices."""
+    alg = _abelian(n)
+    out = killing2_structured(alg)
+    assert len(out) == n * (n + 1) // 2
+    assert _typed(out) == _typed(_reference_killing2_structured(alg))
+    assert out == killing2_tensors(alg)
+
+
+def test_structured_solver_rejects_step_four():
+    alg = LieAlgebraDescriptor(5, {(1, 2): {3: 1}, (1, 3): {4: 1},
+                                   (1, 4): {5: 1}})
+    assert alg.analyze().step == 4
+    with pytest.raises(ValueError) as err:
+        killing2_structured(alg)
+    assert str(err.value) == "structured conditions implemented for step <= 3"
 
 
 def test_killing_tensors_are_integrals():
