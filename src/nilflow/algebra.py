@@ -7,6 +7,7 @@ The Jacobi identity is checked at construction; nilpotency is checked by
 center, and the metric complement used by the 2- and 3-step splittings.
 """
 
+import functools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,6 +37,16 @@ class StepMismatch(ValueError):
 
 class NotCentral(ValueError):
     """A vector expected to lie in the center does not."""
+
+
+def per_descriptor(compute):
+    """Compute ``compute(alg)`` once per descriptor, in ``alg._memo``."""
+    @functools.wraps(compute)
+    def memoized(alg):
+        if compute not in alg._memo:
+            alg._memo[compute] = compute(alg)
+        return alg._memo[compute]
+    return memoized
 
 
 @dataclass
@@ -69,12 +80,7 @@ class LieAlgebraDescriptor:
                        for (i, j), targets in self.structure.items()]
         self.metric = self._validate_metric(metric)
         self._check_jacobi()
-        self._analysis = None
-        self._gram_inv = None
-        # facts computed once per descriptor, keyed by the function that
-        # computes them: solvers._once_per_algebra, integrals._psi_columns
-        # and integrals.derivation_rows
-        self._memo = {}
+        self._memo = {}  # filled by ``per_descriptor``
 
     # -- validation -----------------------------------------------------
 
@@ -188,23 +194,19 @@ class LieAlgebraDescriptor:
     def gram(self):
         return self.metric if self.metric is not None else linalg.identity(self.dim)
 
+    @per_descriptor
     def gram_inverse(self):
-        if self._gram_inv is None:
-            if self.metric is None:
-                self._gram_inv = linalg.identity(self.dim)
-            else:
-                self._gram_inv = linalg.inverse(self.metric)
-        return self._gram_inv
+        return (linalg.identity(self.dim) if self.metric is None
+                else linalg.inverse(self.metric))
 
     def inner(self, u, v):
         return linalg.inner(u, v, self.metric)
 
     # -- structural analysis -------------------------------------------
 
+    @per_descriptor
     def analyze(self):
         """Step, center, descending central series, and the splitting."""
-        if self._analysis is not None:
-            return self._analysis
         n = self.dim
         basis = linalg.identity(n)
 
@@ -246,10 +248,8 @@ class LieAlgebraDescriptor:
         else:
             comp = None
 
-        self._analysis = AlgebraAnalysis(
-            step=step, center_basis=center, commutator_chain=chain,
-            v_complement=comp)
-        return self._analysis
+        return AlgebraAnalysis(step=step, center_basis=center,
+                               commutator_chain=chain, v_complement=comp)
 
     def is_central(self, z):
         return all(linalg.is_zero_vec(self.bracket(z, col))

@@ -13,10 +13,11 @@ kept as-is so the toolkit can demonstrate the failure; the entry notes
 and ``expected`` record the computed truth.
 """
 
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import linalg
+from . import group, linalg
 from .algebra import LieAlgebraDescriptor, to_definition
 from .integrals import (Butler, DerivationIntegral, Energy, Linear, Quadratic,
                         RightInvariant, parse_integral)
@@ -539,11 +540,9 @@ def get(name, eps=None):
             raise ValueError("bad parameter %r in %r" % (arg, name)) from None
         return get(base, eps=eps)
     key = (name, None if eps is None else Fraction(eps))
-    if key in _CACHE:
-        return _CACHE[key]
-    entry = _build(name, eps)
-    _CACHE[key] = entry
-    return entry
+    if key not in _CACHE:
+        _CACHE[key] = _build(name, eps)
+    return _CACHE[key]
 
 
 def _build(name, eps):
@@ -700,9 +699,6 @@ def verify_entry(entry_or_name, nsamples=None, seed=0):
 
 def _chart_homomorphism_ok(entry, samples=20):
     """phi(u . v) == law(phi(u), phi(v)) on rational sample points."""
-    import random
-    from . import group as g
-
     alg = entry.descriptor
     cm = entry.chart_maps
     rnd = random.Random(987123)
@@ -710,12 +706,10 @@ def _chart_homomorphism_ok(entry, samples=20):
     for _ in range(samples):
         u = [Fraction(rnd.randint(-6, 6), rnd.randint(1, 3)) for _ in range(n)]
         v = [Fraction(rnd.randint(-6, 6), rnd.randint(1, 3)) for _ in range(n)]
-        lhs = tuple(cm.from_exponential(tuple(g.bch(alg, u, v))))
+        lhs = tuple(cm.from_exponential(tuple(group.bch(alg, u, v))))
         rhs = tuple(cm.coordinate_law(cm.from_exponential(tuple(u)),
                                       cm.from_exponential(tuple(v))))
-        if lhs != rhs:
-            return False
         back = tuple(cm.to_exponential(cm.from_exponential(tuple(u))))
-        if back != tuple(u):
+        if lhs != rhs or back != tuple(u):
             return False
     return True

@@ -50,6 +50,11 @@ def _matrix_json(m):
     return [[_frac_str(c) for c in row] for row in m]
 
 
+def _basis_lines(basis):
+    return ["  " + "; ".join(",".join(map(_frac_str, row)) for row in m)
+            for m in basis]
+
+
 class _Target:
     """Either a catalog entry or a bare algebra loaded from a file."""
 
@@ -140,10 +145,7 @@ def cmd_derivations(args):
     payload = {"algebra": target.label, "dimension": len(basis),
                "basis": [_matrix_json(m) for m in basis]}
     lines = ["skew-symmetric derivations: dimension %d" % len(basis)]
-    for m in basis:
-        lines.append("  " + "; ".join(
-            ",".join(_frac_str(c) for c in row) for row in m))
-    _emit(args, payload, lines)
+    _emit(args, payload, lines + _basis_lines(basis))
     return EXIT_OK
 
 
@@ -154,13 +156,12 @@ def cmd_killing2(args):
     payload = {"algebra": target.label, "dimension": len(basis),
                "structured_span_matches": span_ok,
                "basis": [_matrix_json(m) for m in basis]}
+    if span_ok is None:
+        span_ok = "not applicable at step %d" % target.alg.analyze().step
     lines = ["symmetric Killing 2-tensors: dimension %d" % len(basis),
              "structured solver spans the same space: %s" % span_ok]
-    for m in basis:
-        lines.append("  " + "; ".join(
-            ",".join(_frac_str(c) for c in row) for row in m))
-    _emit(args, payload, lines)
-    return EXIT_OK if span_ok else EXIT_CLAIM_FAILED
+    _emit(args, payload, lines + _basis_lines(basis))
+    return EXIT_CLAIM_FAILED if span_ok is False else EXIT_OK
 
 
 def cmd_bracket(args):

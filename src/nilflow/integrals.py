@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 
 from . import group, linalg
-from .algebra import StepMismatch
+from .algebra import StepMismatch, per_descriptor
 from .linalg import frac
 from .ratpoly import Evaluator, RationalPolynomial
 
@@ -67,13 +67,12 @@ def _y_vec(alg):
     return [RationalPolynomial.variable(nv, alg.dim + i) for i in range(alg.dim)]
 
 
+@per_descriptor
 def _psi_columns(alg):
     """Psi(ad w) e_i for symbolic w (column i of Psi), once per descriptor."""
-    if _psi_columns not in alg._memo:
-        w = _w_vec(alg)
-        alg._memo[_psi_columns] = [group.dexp_inverse_apply(alg, w, e)
-                                   for e in linalg.identity(alg.dim)]
-    return alg._memo[_psi_columns]
+    w = _w_vec(alg)
+    return [group.dexp_inverse_apply(alg, w, e)
+            for e in linalg.identity(alg.dim)]
 
 
 # -- the integral family ------------------------------------------------
@@ -245,6 +244,7 @@ class DerivationIntegral(FirstIntegral):
         return "der:D"
 
 
+@per_descriptor
 def derivation_rows(alg):
     """The product rule D[e_i, e_j] = [D e_i, e_j] + [e_i, D e_j] as linear
     equations in vec(D), once per descriptor: one (pair, rows) per basis
@@ -252,24 +252,22 @@ def derivation_rows(alg):
     x_p = D_{p // n, p % n}: +c_ij^l on D_kl, -c_aj^k on D_ai and -c_ia^k
     on D_aj.  Applied to vec(D), row k is component k of the defect.  Only
     structure constants enter, never the metric."""
-    if derivation_rows not in alg._memo:
-        n = alg.dim
-        into = [[] for _ in range(n)]  # into[b]: (a, k, c_ab^k), all a != b
-        for i, j, targets in alg._pairs:
-            into[j] += [(i, k, c) for k, c in targets]
-            into[i] += [(j, k, -c) for k, c in targets]
-        blocks = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                ij = alg.structure.get((i + 1, j + 1), {}).items()
-                rows = [[(k * n + l - 1, c) for l, c in ij] for k in range(n)]
-                for a, k, c in into[j]:
-                    rows[k].append((a * n + i, -c))
-                for a, k, c in into[i]:  # c_ia^k = -c_ai^k
-                    rows[k].append((a * n + j, c))
-                blocks.append(((i + 1, j + 1), rows))
-        alg._memo[derivation_rows] = blocks
-    return alg._memo[derivation_rows]
+    n = alg.dim
+    into = [[] for _ in range(n)]  # into[b]: (a, k, c_ab^k), all a != b
+    for i, j, targets in alg._pairs:
+        into[j] += [(i, k, c) for k, c in targets]
+        into[i] += [(j, k, -c) for k, c in targets]
+    blocks = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            ij = alg.structure.get((i + 1, j + 1), {}).items()
+            rows = [[(k * n + l - 1, c) for l, c in ij] for k in range(n)]
+            for a, k, c in into[j]:
+                rows[k].append((a * n + i, -c))
+            for a, k, c in into[i]:  # c_ia^k = -c_ai^k
+                rows[k].append((a * n + j, c))
+            blocks.append(((i + 1, j + 1), rows))
+    return blocks
 
 
 def derivation_defects(alg, d):

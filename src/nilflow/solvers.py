@@ -58,6 +58,7 @@ import numpy as np
 from fractions import Fraction
 
 from . import linalg
+from .algebra import per_descriptor
 from .integrals import (NonPolynomialVariant, QuotientInduced,
                         derivation_defects)
 from .ratpoly import RationalPolynomial, coefficient_rows
@@ -177,13 +178,11 @@ def _solve_in_parameter_space(scale, basis, per_param):
 
 def _once_per_algebra(solve):
     """Memoize ``solve(alg)`` on the descriptor; return a copy each call."""
+    solve_once = per_descriptor(solve)
     @functools.wraps(solve)
-    def memoized(alg):
-        basis = alg._memo.get(solve)
-        if basis is None:
-            basis = alg._memo[solve] = solve(alg)
-        return [[list(row) for row in m] for m in basis]
-    return memoized
+    def fresh(alg):
+        return [[list(row) for row in m] for m in solve_once(alg)]
+    return fresh
 
 
 @_once_per_algebra
@@ -264,6 +263,9 @@ def killing2_structured(alg):
 
 
 def killing2_same_span(alg):
+    """Whether both solvers agree, or None above step 3."""
+    if alg.analyze().step > 3:
+        return None
     direct = [sum(m, []) for m in killing2_tensors(alg)]
     struct = [sum(m, []) for m in killing2_structured(alg)]
     return linalg.span_equal(direct, struct)

@@ -39,13 +39,21 @@ def _env(env=None):
     return full_env
 
 
-def _run(*args, env=None):
+def _spawn(*args, env=None):
+    """One CLI run in a subprocess, through ``python -m nilflow.cli``."""
     return subprocess.run(CLI + list(args), capture_output=True, text=True,
                           env=_env(env))
 
 
+def _run(*args):
+    """One in-process CLI run, reported as a finished subprocess is."""
+    code, out, err = _main(list(args))
+    return subprocess.CompletedProcess(args, code, out, err)
+
+
 def test_catalog_lists_everything():
-    res = _run("catalog")
+    # the one plain run through the module entry point
+    res = _spawn("catalog")
     assert res.returncode == 0
     for name in ("h3", "n23free", "n6_22(1)", "r2+h3"):
         assert name in res.stdout
@@ -101,6 +109,24 @@ def test_custom_algebra_file(tmp_path):
     res = _run("killing2", "--file", str(path))
     assert res.returncode == 0
     assert "10" in res.stdout.split("\n")[0]  # dim n(n+1)/2
+
+
+def test_killing2_above_step_three_skips_the_structured_check(tmp_path):
+    path = tmp_path / "filiform5.json"
+    path.write_text(json.dumps({"name": "filiform5", "dim": 5, "brackets": [
+        [1, 2, 3, "1"], [1, 3, 4, "1"], [1, 4, 5, "1"]]}))
+    code, out, err = _main(["killing2", "--file", str(path)])
+    assert (code, err) == (0, "")
+    lines = out.split("\n")
+    assert lines[:2] == ["symmetric Killing 2-tensors: dimension 3",
+                         "structured solver spans the same space: "
+                         "not applicable at step 4"]
+    code, out, err = _main(["killing2", "--file", str(path),
+                            "--format", "json"])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["structured_span_matches"] is None
+    assert payload["dimension"] == len(payload["basis"]) == 3
 
 
 def test_json_output_is_canonical():
@@ -224,7 +250,7 @@ def test_bad_integral_spec_is_usage_error():
 
 
 def test_sample_env_override():
-    res = _run("independence", "h3", env={"NILFLOW_SAMPLES": "25"})
+    res = _spawn("independence", "h3", env={"NILFLOW_SAMPLES": "25"})
     assert res.returncode == 0
     assert "25" in res.stdout
 
@@ -233,7 +259,7 @@ def test_sample_env_below_one_is_usage_error():
     for args in (("independence", "h3"), ("quotient", "h3", "Gamma_2"),
                  ("check", "h3")):
         for samples in ("0", "-3"):
-            res = _run(*args, env={"NILFLOW_SAMPLES": samples})
+            res = _spawn(*args, env={"NILFLOW_SAMPLES": samples})
             assert res.returncode == 2, (args, samples)
             assert res.stderr.startswith("error:"), (args, samples)
             assert "Traceback" not in res.stderr

@@ -1,18 +1,20 @@
+import random
 from fractions import Fraction
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nilflow import catalog, linalg
 from nilflow.algebra import LieAlgebraDescriptor
 from nilflow.group import (
-    StepUnsupported,
+    _bch_words,
     adjoint_inverse,
     bch,
     dexp_apply,
     dexp_inverse_apply,
-    dexp_inverse_matrix,
-    dexp_matrix,
-    group_inverse,
+    phi_coeff,
 )
+from nilflow.integrals import _w_vec
 
 
 def _h3():
@@ -36,6 +38,51 @@ def _filiform(n):
 
 def _fr(*vals):
     return [Fraction(v) for v in vals]
+
+
+def _reference_bch(alg, u, v):
+    """The closed form at steps 2 and 3: the oracle for the Dynkin table."""
+    step = alg.analyze().step
+    assert step <= 3
+    uv = alg.bracket(u, v)
+    out = [a + b + Fraction(1, 2) * c for a, b, c in zip(u, v, uv)]
+    if step >= 3:
+        uuv = alg.bracket(u, uv)
+        vvu = alg.bracket(v, alg.bracket(v, u))
+        out = [x + Fraction(1, 12) * (a + b) for x, a, b in zip(out, uuv, vvu)]
+    return out
+
+
+def test_bch_matches_the_closed_form_on_every_catalog_entry():
+    rnd = random.Random(5)
+    for name in catalog.names():
+        alg = catalog.get(name).descriptor
+        n = alg.dim
+        for _ in range(5):
+            u = [Fraction(rnd.randint(-6, 6), rnd.randint(1, 4))
+                 for _ in range(n)]
+            v = [Fraction(rnd.randint(-6, 6), rnd.randint(1, 4))
+                 for _ in range(n)]
+            assert bch(alg, u, v) == _reference_bch(alg, u, v), name
+            fu, fv = [float(x) for x in u], [float(x) for x in v]
+            got, want = bch(alg, fu, fv), _reference_bch(alg, fu, fv)
+            assert all(abs(a - b) <= 1e-12 for a, b in zip(got, want)), name
+        # a symbolic right factor, as in the lattice shift multipliers
+        w = _w_vec(alg)
+        assert bch(alg, u, w) == _reference_bch(alg, u, w), name
+
+
+def test_bch_words_at_steps_two_and_three():
+    assert _bch_words(1) == ()
+    assert _bch_words(2) == ((Fraction(1, 2), "XY"),)
+    assert _bch_words(3) == ((Fraction(1, 2), "XY"), (Fraction(1, 12), "XXY"),
+                             (Fraction(-1, 12), "YXY"))
+    for step in range(2, 7):
+        words = [w for _, w in _bch_words(step)]
+        for k, word in enumerate(words):
+            assert word.endswith("XY") and len(word) <= step
+            if len(word) > 2:
+                assert word[1:] in words[:k], word
 
 
 def test_bch_two_step_closed_form():
@@ -69,8 +116,7 @@ def test_bch_associative_exact():
 def test_group_inverse():
     alg = _free_23()
     u = _fr(1, 2, -1, 3, 0)
-    inv = group_inverse(u)
-    assert inv == [-x for x in u]
+    inv = [-x for x in u]
     assert bch(alg, u, inv) == [Fraction(0)] * 5
     assert bch(alg, inv, u) == [Fraction(0)] * 5
 
@@ -83,12 +129,43 @@ def test_bch_with_central_element_is_addition():
     assert bch(alg, z, u) == _fr(1, 2, 8)
 
 
-def test_step_unsupported_on_four_step():
+def test_bch_on_four_step_filiform():
     # dim-5 filiform: [e1,e2]=e3, [e1,e3]=e4, [e1,e4]=e5 is 4-step
     alg = _filiform(5)
     assert alg.analyze().step == 4
-    with pytest.raises(StepUnsupported):
-        bch(alg, _fr(1, 0, 0, 0, 0), _fr(0, 1, 0, 0, 0))
+    e1, e2 = _fr(1, 0, 0, 0, 0), _fr(0, 1, 0, 0, 0)
+    # X+Y+[X,Y]/2+[X,[X,Y]]/12, as [Y,[X,Y]] and [Y,[X,[X,Y]]] vanish
+    assert bch(alg, e1, e2) == _fr(1, 1, Fraction(1, 2), Fraction(1, 12), 0)
+    # Y = e1+e2: the cubic terms cancel, the quartic -[Y,[X,[X,Y]]]/24 is
+    # -e5/24
+    assert bch(alg, e1, _fr(1, 1, 0, 0, 0)) == _fr(
+        2, 1, Fraction(1, 2), 0, Fraction(-1, 24))
+
+
+_RATIONAL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_GROUP_ALGEBRAS = (_free_23(), _filiform(5), _filiform(6))
+
+
+@st.composite
+def _points(draw, count):
+    alg = draw(st.sampled_from(_GROUP_ALGEBRAS))
+    vec = st.lists(_RATIONAL, min_size=alg.dim, max_size=alg.dim)
+    return (alg,) + tuple(draw(vec) for _ in range(count))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_points(3))
+def test_bch_is_associative(case):
+    alg, u, v, w = case
+    assert bch(alg, bch(alg, u, v), w) == bch(alg, u, bch(alg, v, w))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_points(1))
+def test_bch_with_the_negative_is_zero(case):
+    alg, u = case
+    assert not any(bch(alg, u, [-x for x in u]))
+    assert not any(bch(alg, [-x for x in u], u))
 
 
 # steps 4 and 5 reach the Psi coefficients 0 and -1/720 of ad(w)^3, ad(w)^4
@@ -98,26 +175,29 @@ _HIGH_STEP_CASES = (
 )
 
 
-def test_dexp_matrix_inverse_pair():
+def test_dexp_round_trips_on_basis_vectors():
+    # Phi(ad w) Psi(ad w) = Psi(ad w) Phi(ad w) = I, column by column
     cases = ((_free_23(), _fr(1, -1, 2, 0, 3), None),) + _HIGH_STEP_CASES
     for alg, w, _ in cases:
-        m = dexp_matrix(alg, w)
-        mi = dexp_inverse_matrix(alg, w)
-        n = alg.dim
-        prod = [[sum(m[i][k] * mi[k][j] for k in range(n)) for j in range(n)]
-                for i in range(n)]
-        ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        assert prod == ident, alg.name
+        for e in linalg.identity(alg.dim):
+            assert dexp_inverse_apply(alg, w, dexp_apply(alg, w, e)) == e
+            assert dexp_apply(alg, w, dexp_inverse_apply(alg, w, e)) == e
 
 
 def test_dexp_apply_matches_matrix():
     cases = ((_free_23(), _fr(1, 0, -2, 1, 0), _fr(0, 3, 1, 0, -1)),) \
         + _HIGH_STEP_CASES
     for alg, w, u in cases:
+        # Phi(ad w) = sum_k phi_k (ad w)^k from powers of the ad matrix
         n = alg.dim
-        m = dexp_matrix(alg, w)
-        mu = [sum(m[i][j] * u[j] for j in range(n)) for i in range(n)]
-        assert dexp_apply(alg, w, u) == mu, alg.name
+        ad = alg.ad(w)
+        m = [[Fraction(0)] * n for _ in range(n)]
+        power = linalg.identity(n)
+        for k in range(n):
+            m = [[a + phi_coeff(k) * p for a, p in zip(mr, pr)]
+                 for mr, pr in zip(m, power)]
+            power = linalg.mat_mul(ad, power)
+        assert dexp_apply(alg, w, u) == linalg.mat_vec(m, u), alg.name
         assert dexp_inverse_apply(alg, w, dexp_apply(alg, w, u)) == u, alg.name
 
 
