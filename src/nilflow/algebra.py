@@ -210,12 +210,9 @@ class LieAlgebraDescriptor:
         n = self.dim
         basis = linalg.identity(n)
 
-        # center: z with [z, e_i] = 0 for all i
-        rows = []
-        for i in range(n):
-            for k in range(n):
-                rows.append([self.bracket(basis[j], basis[i])[k] for j in range(n)])
-        center = linalg.nullspace(rows, ncols=n)
+        # center: z with [e_i, z] = 0 for all i, the common kernel of ad(e_i)
+        center = linalg.nullspace([row for b in basis for row in self.ad(b)],
+                                  ncols=n)
 
         # descending central series C^1 = g, C^{m+1} = [g, C^m]
         chain = []
@@ -295,11 +292,13 @@ def _integer(field, x):
 
 
 def _rational(field, x):
-    try:
-        return frac(x)
-    except (TypeError, ValueError, ZeroDivisionError):
-        raise ValueError("%s: expected an exact rational (an integer or a "
-                         "'p/q' string), got %r" % (field, x)) from None
+    if not isinstance(x, bool):
+        try:
+            return frac(x)
+        except (TypeError, ValueError, ZeroDivisionError):
+            pass
+    raise ValueError("%s: expected an exact rational (an integer or a "
+                     "'p/q' string), got %r" % (field, x))
 
 
 def _list(field, x):
@@ -353,7 +352,8 @@ def to_definition(alg):
 
 
 def load_algebra(path):
-    """Read a definition file; its dim must not exceed MAX_FILE_DIM."""
+    """Read a definition file; its dim must not exceed MAX_FILE_DIM and its
+    algebra must be nilpotent (``analyze`` raises NotNilpotent)."""
     with open(path) as fh:
         data = json.load(fh)
     if isinstance(data, dict) and "dim" in data:
@@ -361,7 +361,9 @@ def load_algebra(path):
         if dim > MAX_FILE_DIM:
             raise ValueError("dim: %d exceeds the limit of %d for "
                              "definition files" % (dim, MAX_FILE_DIM))
-    return from_definition(data)
+    alg = from_definition(data)
+    alg.analyze()
+    return alg
 
 
 def dump_algebra(alg, path):

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import catalog, geodesic, quotients, solvers
 from .algebra import load_algebra, to_definition
-from .integrals import QuotientInduced, parse_integral
-from .poisson import PoissonEngine, verify_iso_homomorphism
+from .integrals import QuotientInduced
+from .poisson import verify_iso_homomorphism
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILED = 1
@@ -55,38 +55,27 @@ def _basis_lines(basis):
             for m in basis]
 
 
-class _Target:
-    """Either a catalog entry or a bare algebra loaded from a file."""
-
-    def __init__(self, entry=None, alg=None, label=""):
-        self.entry = entry
-        self.alg = entry.descriptor if entry is not None else alg
-        self.label = label
-
-    def parse(self, spec):
-        if self.entry is not None:
-            return self.entry.parse(spec)
-        return parse_integral(self.alg, spec)
-
-    def members(self, specs, default=None):
-        """The integrals named by ``specs``, else the entry's complete set,
-        else those named by ``default``; with no default that is an error."""
-        if specs:
-            return [self.parse(s) for s in specs]
-        if self.entry is not None and self.entry.complete_set:
-            return list(self.entry.complete_set)
-        if default is None:
-            raise ValueError("no integrals given and no bundled set available")
-        return [self.parse(s) for s in default]
-
-
-def _resolve(args):
-    if getattr(args, "file", None):
-        return _Target(alg=load_algebra(args.file), label=args.file)
-    if not getattr(args, "name", None):
+def _algebra(args):
+    """(algebra, label) of a verb that takes ``--file``: the definition
+    file if given, else the named catalog entry."""
+    if args.file:
+        return load_algebra(args.file), args.file
+    if not args.name:
         raise ValueError("an algebra name or --file is required")
     entry = catalog.get(args.name)
-    return _Target(entry=entry, label=entry.name)
+    return entry.descriptor, entry.name
+
+
+def _members(entry, specs, default=None):
+    """The integrals named by ``specs``, else the entry's complete set,
+    else those named by ``default``; with no default that is an error."""
+    if not specs:
+        if entry.complete_set:
+            return list(entry.complete_set)
+        if default is None:
+            raise ValueError("no integrals given and no bundled set available")
+        specs = default
+    return [entry.parse(s) for s in specs]
 
 
 # -- verbs ---------------------------------------------------------------
@@ -140,9 +129,9 @@ def cmd_check(args):
 
 
 def cmd_derivations(args):
-    target = _resolve(args)
-    basis = solvers.skew_derivations(target.alg)
-    payload = {"algebra": target.label, "dimension": len(basis),
+    alg, label = _algebra(args)
+    basis = solvers.skew_derivations(alg)
+    payload = {"algebra": label, "dimension": len(basis),
                "basis": [_matrix_json(m) for m in basis]}
     lines = ["skew-symmetric derivations: dimension %d" % len(basis)]
     _emit(args, payload, lines + _basis_lines(basis))
@@ -150,14 +139,14 @@ def cmd_derivations(args):
 
 
 def cmd_killing2(args):
-    target = _resolve(args)
-    basis = solvers.killing2_tensors(target.alg)
-    span_ok = solvers.killing2_same_span(target.alg)
-    payload = {"algebra": target.label, "dimension": len(basis),
+    alg, label = _algebra(args)
+    basis = solvers.killing2_tensors(alg)
+    span_ok = solvers.killing2_same_span(alg)
+    payload = {"algebra": label, "dimension": len(basis),
                "structured_span_matches": span_ok,
                "basis": [_matrix_json(m) for m in basis]}
     if span_ok is None:
-        span_ok = "not applicable at step %d" % target.alg.analyze().step
+        span_ok = "not applicable at step %d" % alg.analyze().step
     lines = ["symmetric Killing 2-tensors: dimension %d" % len(basis),
              "structured solver spans the same space: %s" % span_ok]
     _emit(args, payload, lines + _basis_lines(basis))
@@ -165,12 +154,11 @@ def cmd_killing2(args):
 
 
 def cmd_bracket(args):
-    target = _resolve(args)
-    f = target.parse(args.f)
-    g = target.parse(args.g)
-    cands = target.entry.candidates() if target.entry else None
-    res = PoissonEngine(target.alg).bracket(f, g, candidates=cands)
-    payload = {"algebra": target.label, "f": f.spec_string(),
+    entry = catalog.get(args.name)
+    f = entry.parse(args.f)
+    g = entry.parse(args.g)
+    res = entry.engine().bracket(f, g, candidates=entry.candidates())
+    payload = {"algebra": entry.name, "f": f.spec_string(),
                "g": g.spec_string(), "bracket": str(res.poly),
                "is_zero": res.is_zero, "matches": res.matched_integral}
     lines = ["{%s, %s} = %s" % (f.spec_string(), g.spec_string(), res.poly)]
@@ -183,16 +171,16 @@ def cmd_bracket(args):
 
 
 def cmd_involution(args):
-    target = _resolve(args)
-    fs = target.members(args.integrals)
+    entry = catalog.get(args.name)
+    fs = _members(entry, args.integrals)
     pairs = []
     bad = 0
-    for i, j, res in PoissonEngine(target.alg).involution_table(fs):
+    for i, j, res in entry.engine().involution_table(fs):
         pairs.append({"f": fs[i].spec_string(), "g": fs[j].spec_string(),
                       "is_zero": res.is_zero, "bracket": str(res.poly)})
         if not res.is_zero:
             bad += 1
-    payload = {"algebra": target.label, "pairs": pairs,
+    payload = {"algebra": entry.name, "pairs": pairs,
                "involutive": bad == 0}
     lines = []
     for p in pairs:
@@ -204,14 +192,14 @@ def cmd_involution(args):
 
 
 def cmd_independence(args):
-    target = _resolve(args)
-    fs = target.members(args.integrals)
-    pred = target.entry.dense_predicate if target.entry else None
-    rep = solvers.independence_scan(target.alg, fs, predicate=pred,
+    entry = catalog.get(args.name)
+    fs = _members(entry, args.integrals)
+    pred = entry.dense_predicate
+    rep = solvers.independence_scan(entry.descriptor, fs, predicate=pred,
                                     nsamples=args.samples, seed=args.seed,
                                     exact=args.exact)
     ok = rep.accepted > 0 and rep.fraction >= catalog.INDEPENDENCE_FRACTION
-    payload = {"algebra": target.label, "target_rank": rep.target_rank,
+    payload = {"algebra": entry.name, "target_rank": rep.target_rank,
                "accepted": rep.accepted, "full_rank": rep.full_rank,
                "fraction": rep.fraction, "exact": bool(args.exact),
                "predicate": pred.description if pred else None,
@@ -240,8 +228,8 @@ def cmd_geodesic(args):
     if not (0 < args.dt <= args.t < np.inf and args.t / args.dt < np.inf):
         raise ValueError("--dt and --t must be finite with 0 < dt <= t "
                          "and a finite step count t / dt")
-    target = _resolve(args)
-    n = target.alg.dim
+    entry = catalog.get(args.name)
+    n = entry.descriptor.dim
     rng = np.random.default_rng(args.seed)
     if args.w0:
         w0 = np.array([_parse_coords(args.w0, n, "--w0")])
@@ -251,22 +239,22 @@ def cmd_geodesic(args):
         y0 = np.array([_parse_coords(args.y0, n, "--y0")])
     else:
         y0 = rng.uniform(-1.0, 1.0, (1, n))
-    fs = target.members(args.integrals, default=["E"])
+    fs = _members(entry, args.integrals, default=["E"])
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            traj = geodesic.integrate(target.alg, w0, y0, dt=args.dt,
+            traj = geodesic.integrate(entry.descriptor, w0, y0, dt=args.dt,
                                       t_end=args.t)
         if args.format == "csv":
             geodesic.write_csv(traj, sys.stdout)
             return EXIT_OK
         report = geodesic.conservation_report(fs, traj)
     except (geodesic.NonFinite, geodesic.DenominatorVanished) as exc:
-        payload = {"algebra": target.label, "dt": args.dt, "t": args.t,
+        payload = {"algebra": entry.name, "dt": args.dt, "t": args.t,
                    "ok": False, "reason": str(exc)}
         _emit(args, payload, ["flow failed: %s" % exc])
         return EXIT_CLAIM_FAILED
     worst = max(d for _, d in report) if report else 0.0
-    payload = {"algebra": target.label, "dt": args.dt, "t": args.t,
+    payload = {"algebra": entry.name, "dt": args.dt, "t": args.t,
                "drift": {label: drift for label, drift in report},
                "max_drift": worst, "tolerance": args.tol,
                "ok": worst < args.tol}

@@ -106,12 +106,12 @@ def conservation_report(integrals, traj):
     return report
 
 
-def write_csv(traj, stream, batch_index=0):
-    """One batch member as CSV with header t, w1..wn, y1..yn."""
+def write_csv(traj, stream):
+    """The first batch member as CSV with header t, w1..wn, y1..yn."""
     n = traj.states.shape[2] // 2
     header = ["t"] + ["w%d" % (i + 1) for i in range(n)] \
         + ["y%d" % (i + 1) for i in range(n)]
     stream.write(",".join(header) + "\n")
-    for t, row in zip(traj.times, traj.states[:, batch_index, :]):
+    for t, row in zip(traj.times, traj.states[:, 0, :]):
         stream.write(",".join([repr(float(t))] + [repr(float(x)) for x in row]))
         stream.write("\n")

@@ -163,6 +163,15 @@ class Coordinate(FirstIntegral):
         return RationalPolynomial.variable(2 * self.alg.dim, self.index)
 
 
+def _direction(alg, x):
+    """x as a list of Fractions, of the algebra's dimension."""
+    x = [frac(c) for c in x]
+    if len(x) != alg.dim:
+        raise ValueError("direction has length %d, algebra has dimension %d"
+                         % (len(x), alg.dim))
+    return x
+
+
 class Linear(FirstIntegral):
     """f_X = <Y, X> for a fixed direction X (an integral when X is central)."""
 
@@ -170,10 +179,7 @@ class Linear(FirstIntegral):
 
     def __init__(self, alg, x, label=None):
         super().__init__(alg, label)
-        self.x = [frac(c) for c in x]
-        if len(self.x) != alg.dim:
-            raise ValueError("direction has length %d, algebra has dimension %d"
-                             % (len(self.x), alg.dim))
+        self.x = _direction(alg, x)
 
     def _expand(self):
         return self.alg.inner(_y_vec(self.alg), self.x)
@@ -209,10 +215,7 @@ class RightInvariant(FirstIntegral):
 
     def __init__(self, alg, x, label=None):
         super().__init__(alg, label)
-        self.x = [frac(c) for c in x]
-        if len(self.x) != alg.dim:
-            raise ValueError("direction has length %d, algebra has dimension %d"
-                             % (len(self.x), alg.dim))
+        self.x = _direction(alg, x)
 
     def _expand(self):
         a = group.ad_series(self.alg, _w_vec(self.alg), group.exp_neg_coeff,
@@ -387,9 +390,7 @@ def basis_vector(alg, ref, names=None):
             idx = None
     if idx is None or not (1 <= idx <= alg.dim):
         raise ValueError("unknown basis reference %r" % ref)
-    out = [Fraction(0)] * alg.dim
-    out[idx - 1] = Fraction(1)
-    return out
+    return linalg.identity(alg.dim)[idx - 1]
 
 
 def parse_integral(alg, text, names=None, quad_refs=None, der_refs=None):

@@ -178,8 +178,7 @@ def rank(mat):
 def nullspace(mat, ncols=None):
     """Basis of the right nullspace, one vector per free column."""
     if not mat:
-        n = ncols or 0
-        return [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
+        return identity(ncols or 0)
     n = len(mat[0])
     red, pivots = rref(mat)
     free = [c for c in range(n) if c not in pivots]

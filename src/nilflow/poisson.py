@@ -18,6 +18,7 @@ from . import linalg
 from .integrals import (DerivationIntegral, Energy, QuotientInduced,
                         RightInvariant, _y_vec, is_metric_skew)
 from .ratpoly import Evaluator, RationalPolynomial, coefficient_rows
+from .solvers import skew_derivations
 
 
 @dataclass
@@ -32,7 +33,6 @@ class IntegralCheck:
     ok: bool
     bracket: RationalPolynomial
     witness: tuple = None
-    detail: str = ""
 
 
 @dataclass
@@ -70,10 +70,7 @@ class PoissonEngine:
 
     def _match(self, poly, candidates):
         for cand in candidates:
-            try:
-                cp = cand.as_polynomial()
-            except Exception:
-                continue
+            cp = cand.as_polynomial()
             if poly == cp:
                 return cand.spec_string()
             if poly == -cp:
@@ -89,18 +86,14 @@ class PoissonEngine:
             return IntegralCheck(
                 ok=num.ok and den.ok,
                 bracket=bad.bracket if bad else num.bracket,
-                witness=bad.witness if bad else None,
-                detail="checked through numerator and denominator")
+                witness=bad.witness if bad else None)
         res = self.bracket(f, Energy(self.alg))
         witness = None if res.is_zero else _nonzero_point(res.poly)
         return IntegralCheck(ok=res.is_zero, bracket=res.poly, witness=witness)
 
-    def involution_table(self, fs, candidates=None):
-        out = []
-        for i in range(len(fs)):
-            for j in range(i + 1, len(fs)):
-                out.append((i, j, self.bracket(fs[i], fs[j], candidates=candidates)))
-        return out
+    def involution_table(self, fs):
+        return [(i, j, self.bracket(fs[i], fs[j]))
+                for i in range(len(fs)) for j in range(i + 1, len(fs))]
 
 
 def _nonzero_point(poly):
@@ -127,7 +120,7 @@ class IsoReport:
     injectivity_expected: int
 
 
-def verify_iso_homomorphism(alg, deriv_basis=None, engine=None):
+def verify_iso_homomorphism(alg, engine=None):
     """Check the bracket identities and injectivity of D, X -> functions.
 
     Identities, over a basis of the metric-skew derivation space and the
@@ -138,9 +131,7 @@ def verify_iso_homomorphism(alg, deriv_basis=None, engine=None):
     Injectivity is a rank computation on the linear map sending (D, X) to
     the coefficient vector of the value polynomial of f_{D*} + f_{X*}.
     """
-    if deriv_basis is None:
-        from .solvers import skew_derivations
-        deriv_basis = skew_derivations(alg)
+    deriv_basis = skew_derivations(alg)
     if engine is None:
         engine = PoissonEngine(alg)
     n = alg.dim

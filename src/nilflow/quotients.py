@@ -37,17 +37,17 @@ def left_translate(alg, g_coords, point):
     return group.bch(alg, list(g_coords), list(w)), y
 
 
-def invariance_check(alg, lattice, f, nsamples=None, seed=0, den_min=0.1):
+def invariance_check(alg, lattice, f, nsamples=None, seed=0):
     """Max |f(g x) - f(x)| over the points ``sample_points`` accepts and
     the generators g, with the number of accepted points.
 
-    A draw is rejected when a quotient denominator is below ``den_min``
-    at the point or at any of its translates.
+    A draw is rejected when a quotient denominator is below
+    ``solvers.DEN_MIN`` at the point or at any of its translates.
     """
     def deviation(w, y):
         translated = [left_translate(alg, g, (w, y))
                       for g in lattice.generators]
-        if not denominators_clear([f], [(w, y)] + translated, den_min):
+        if not denominators_clear([f], [(w, y)] + translated):
             return None
         base = float(f.value((w, y)))
         return max((abs(float(f.value(tp)) - base) for tp in translated),

@@ -130,11 +130,6 @@ class RationalPolynomial:
     def __bool__(self):
         return bool(self.numerators)
 
-    def total_degree(self):
-        if not self.numerators:
-            return 0
-        return max(sum(e) for e in self.numerators)
-
     def degree_in(self, indices):
         """Highest combined exponent over the given variable indices."""
         idx = list(indices)
@@ -258,10 +253,9 @@ class RationalPolynomial:
 
     # -- rendering ------------------------------------------------------
 
-    def render(self, names=None):
+    def render(self):
         """Canonical string like ``(1/2) y1^2 + (-1) w1 y2``."""
-        if names is None:
-            names = phase_names(self.nvars)
+        names = phase_names(self.nvars)
         if not self.numerators:
             return "(0)"
         parts = []
@@ -276,11 +270,9 @@ class RationalPolynomial:
         return " + ".join(parts)
 
     @classmethod
-    def parse(cls, text, nvars, names=None):
+    def parse(cls, text, nvars):
         """Inverse of render (accepts exactly the rendered grammar)."""
-        if names is None:
-            names = phase_names(nvars)
-        index = {name: i for i, name in enumerate(names)}
+        index = {name: i for i, name in enumerate(phase_names(nvars))}
         text = text.strip()
         poly = cls(nvars)
         if text == "(0)":

@@ -67,6 +67,7 @@ from .ratpoly import RationalPolynomial, coefficient_rows
 DEFAULT_SAMPLES = 200
 DRAWS_PER_SAMPLE = 1000
 SINGULAR_THRESHOLD = 1e-10
+DEN_MIN = 0.1
 
 
 def sample_count(nsamples):
@@ -119,16 +120,16 @@ def sample_points(alg, nsamples, seed, accept, exact=False):
                                    % draws)
 
 
-def denominators_clear(integrals, points, den_min):
+def denominators_clear(integrals, points):
     """True unless the denominator of a quotient-induced integral, or of
-    one nested in it, is below ``den_min`` in absolute value at one of the
+    one nested in it, is below DEN_MIN in absolute value at one of the
     points.  The nested ones are tested first, so no denominator is
     evaluated where a division inside it is by zero."""
     for f in integrals:
         if isinstance(f, QuotientInduced):
-            if not denominators_clear([f.num, f.den], points, den_min):
+            if not denominators_clear([f.num, f.den], points):
                 return False
-            if any(abs(float(f.den.value(p))) < den_min for p in points):
+            if any(abs(float(f.den.value(p))) < DEN_MIN for p in points):
                 return False
     return True
 
@@ -290,15 +291,16 @@ class ScanReport:
 
 
 def independence_scan(alg, integrals, predicate=None, nsamples=None, seed=0,
-                      exact=False, threshold=SINGULAR_THRESHOLD, den_min=0.1):
+                      exact=False):
     """Rank of the stacked gradients at the points ``sample_points`` accepts.
 
     A draw is accepted when ``predicate`` holds there and every quotient
-    denominator clears ``den_min``.  Float path: numpy singular values
-    with a relative cutoff.  Exact path: rational sample points and exact
-    row reduction, so the rank statement carries no floating error; it
-    takes polynomial integrals only, and a quotient-induced one raises
-    NonPolynomialVariant before any sample is drawn.
+    denominator clears DEN_MIN.  Float path: numpy singular values with
+    the relative cutoff SINGULAR_THRESHOLD.  Exact path: rational sample
+    points and exact row reduction, so the rank statement carries no
+    floating error; it takes polynomial integrals only, and a
+    quotient-induced one raises NonPolynomialVariant before any sample is
+    drawn.
     """
     if exact:
         for f in integrals:
@@ -310,14 +312,14 @@ def independence_scan(alg, integrals, predicate=None, nsamples=None, seed=0,
     def rank_at(w, y):
         if predicate is not None and not predicate(w, y):
             return None
-        if not denominators_clear(integrals, [(w, y)], den_min):
+        if not denominators_clear(integrals, [(w, y)]):
             return None
         rows = [u + v for u, v in (f.gradient((w, y)) for f in integrals)]
         if exact:
             return linalg.rank(rows)
         mat = np.array([[float(x) for x in row] for row in rows])
         sv = np.linalg.svd(mat, compute_uv=False)
-        return int(np.sum(sv > threshold * sv[0])) if sv[0] > 0 else 0
+        return int(np.sum(sv > SINGULAR_THRESHOLD * sv[0])) if sv[0] > 0 else 0
 
     target = len(integrals)
     ranks = list(sample_points(alg, nsamples, seed, rank_at, exact))

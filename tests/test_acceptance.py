@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from conftest import acceptance_lines
-from nilflow import catalog
+from nilflow import catalog, solvers
 from nilflow.geodesic import conservation_report, integrate
 from nilflow.integrals import Butler, Energy, Linear, Quadratic
 from nilflow.poisson import (
@@ -30,6 +30,7 @@ from nilflow.solvers import independence_scan, killing2_tensors, skew_derivation
 MEMBER_DRIFT_TOL = 1e-8
 ENERGY_DRIFT_TOL = 1e-10
 SIGMA_THRESHOLD = 1e-10
+DEN_MIN = 0.1
 MIN_FULL_RANK_FRACTION = 0.99
 INVARIANCE_TOL = 1e-10
 HALVING_MIN_RATIO = 8.0
@@ -146,13 +147,14 @@ def test_criterion_3_complete_sets_commute_and_conserve():
 
 
 def test_criterion_4_independence_on_dense_predicates():
+    # the float scan's singular-value cutoff is the criterion's bound
+    assert solvers.SINGULAR_THRESHOLD == SIGMA_THRESHOLD
     problems = []
     for name in PREDICATE_NAMES:
         entry = catalog.get(name)
         alg = entry.descriptor
         rep = independence_scan(alg, entry.complete_set, entry.dense_predicate,
-                                nsamples=SCAN_SAMPLES, seed=11,
-                                threshold=SIGMA_THRESHOLD)
+                                nsamples=SCAN_SAMPLES, seed=11)
         if rep.fraction < MIN_FULL_RANK_FRACTION:
             problems.append("%s float fraction %.3f" % (name, rep.fraction))
         exact = independence_scan(alg, entry.complete_set, entry.dense_predicate,
@@ -307,6 +309,8 @@ def test_criterion_7_conservation_along_the_flow():
 
 
 def test_criterion_8_functions_descend_to_the_quotients():
+    # draws where a denominator is below the criterion's cutoff are rejected
+    assert solvers.DEN_MIN == DEN_MIN
     problems = []
     cases = [("h3", "Gamma_2"), ("n3", "Lambda_2")]
     for name, lat in cases:
@@ -314,8 +318,7 @@ def test_criterion_8_functions_descend_to_the_quotients():
         lattice = entry.lattices[lat]
         for q in entry.quotient_functions[lat]:
             worst, accepted = invariance_check(entry.descriptor, lattice, q,
-                                               nsamples=SCAN_SAMPLES, seed=21,
-                                               den_min=0.1)
+                                               nsamples=SCAN_SAMPLES, seed=21)
             if accepted < SCAN_SAMPLES or worst >= INVARIANCE_TOL:
                 problems.append("%s %s deviates %.2g" % (name, q.spec_string(),
                                                          worst))

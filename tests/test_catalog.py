@@ -95,7 +95,7 @@ def test_candidates_prefer_right_invariants():
 def test_definition_round_trip():
     for name in ("h3", "n3", "n6_22(1)"):
         entry = catalog.get(name)
-        alg = from_definition(entry.definition())
+        alg = from_definition(to_definition(entry.descriptor))
         assert alg.dim == entry.descriptor.dim
         assert alg.structure == entry.descriptor.structure
 
@@ -129,11 +129,6 @@ def test_definition_round_trip_keeps_metric_and_params(name, data):
         assert copy.metric == metric
         assert copy.params == params
         assert copy.name == alg.name
-
-
-def test_engine_is_cached():
-    entry = catalog.get("n3")
-    assert entry.engine() is entry.engine()
 
 
 def test_chart_round_trip_h3():

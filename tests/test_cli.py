@@ -207,14 +207,30 @@ _H3 = {"name": "h3", "dim": 3, "brackets": [[1, 2, 3, "1"]]}
     ("metric", {"metric": [[1.5, 0, 0], [0, 1, 0], [0, 0, 1]]}),
     ("metric", {"metric": 5}),
     ("params", {"params": [1]}),
+    # a JSON boolean is a Python int, but not a rational: true is not 1
+    ("brackets", {"brackets": [[1, 2, 3, True]]}),
+    ("metric", {"metric": [[True, 0, 0], [0, 1, 0], [0, 0, 1]]}),
+    ("params", {"params": {"a": False}}),
 ])
 def test_malformed_definition_is_usage_error(tmp_path, field, bad):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**_H3, **bad}))
     res = _run("derivations", "--file", str(path))
-    assert res.returncode == 2
+    assert (res.returncode, res.stdout) == (2, "")
     assert res.stderr.startswith("error: %s" % field)
+    assert res.stderr.count("\n") == 1
     assert "Traceback" not in res.stderr
+
+
+def test_non_nilpotent_definition_is_usage_error(tmp_path):
+    # [e1, e2] = e1 spans a descending central series that never ends
+    path = tmp_path / "affine.json"
+    path.write_text(json.dumps({"dim": 2, "brackets": [[1, 2, 1, 1]]}))
+    for verb in ("derivations", "killing2"):
+        code, out, err = _main([verb, "--file", str(path)])
+        assert (code, out) == (2, ""), verb
+        assert err == ("error: descending central series stabilizes at "
+                       "dimension 1\n"), verb
 
 
 def test_definition_file_above_the_dim_limit_is_usage_error(tmp_path):
