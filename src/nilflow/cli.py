@@ -57,7 +57,9 @@ def _basis_lines(basis):
 
 def _algebra(args):
     """(algebra, label) of a verb that takes ``--file``: the definition
-    file if given, else the named catalog entry."""
+    file if given, else the named catalog entry, but never both."""
+    if args.file and args.name:
+        raise ValueError("give an algebra name or --file, not both")
     if args.file:
         return load_algebra(args.file), args.file
     if not args.name:

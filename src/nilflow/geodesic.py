@@ -7,7 +7,14 @@ field is dx_i/dt = {x_i, E} for each phase-space coordinate x_i, that is
     dY/dt = G^{-1} ad^T(Y) G Y,        dw/dt = Psi(ad w) Y.
 
 ``GeodesicField`` compiles these 2n exact polynomials once per flow, so
-the flow runs on any nilpotent step.  Batches integrate together.
+the flow runs on any nilpotent step.  Batches integrate together: each
+RK4 stage is one field call on the whole (batch, 2n) state, and each step
+is written straight into the stored trajectory.  ``Evaluator.rows``
+evaluates the field variable-major: one gather of the transposed state
+into a (monomial factors, batch) array, one product per degree and one
+``p.T.dot(coeffs)``, which rounds as the row-major product does even at
+batch 1.  The state is checked for finiteness every 500 steps and at the
+end; a failed check names the time of the first non-finite stored state.
 """
 
 import numpy as np
@@ -26,6 +33,7 @@ class DenominatorVanished(RuntimeError):
 
 
 DEN_CUTOFF = 1e-6
+CHECK_EVERY = 500  # RK4 steps between finiteness checks
 
 
 class GeodesicField:
@@ -69,13 +77,24 @@ def integrate(alg, w0, y0, dt=1e-3, t_end=10.0):
         k2 = field(state + half * k1)
         k3 = field(state + half * k2)
         k4 = field(state + dt * k3)
-        state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[step] = state
-        if step % 500 == 0 and not np.all(np.isfinite(state)):
-            raise NonFinite("state is no longer finite at t=%g" % (step * dt))
-    if not np.all(np.isfinite(state)):
-        raise NonFinite("state is no longer finite at t=%g" % t_end)
+        state = np.add(state, (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
+                       out=out[step])
+        if step % CHECK_EVERY == 0:
+            _check_finite(out, step, dt)
+    _check_finite(out, nsteps, dt)
     return Trajectory(np.linspace(0.0, nsteps * dt, nsteps + 1), out)
+
+
+def _check_finite(states, step, dt):
+    """Raise NonFinite if states[step] is not finite, at the time of the
+    first state with a non-finite entry since the last check."""
+    if np.all(np.isfinite(states[step])):
+        return
+    start = max(step - 1, 0) // CHECK_EVERY * CHECK_EVERY
+    span = states[start:step + 1]
+    finite = np.isfinite(span).reshape(len(span), -1).all(axis=1)
+    first = start + int(np.argmin(finite))
+    raise NonFinite("state is no longer finite at t=%g" % (first * dt))
 
 
 def evaluate_along(f, traj):

@@ -28,8 +28,10 @@ def _bch_words(step):
     word's coefficient in log(e^X e^Y) (Dynkin).  Brackets ending in XX or
     YY vanish and YX folds onto XY with its sign, so the words are the
     2^(step-1) - 1 ending in XY (1 at step 2, 3 at step 3), listed by
-    length, each after its suffix.  The build time about doubles per step:
-    0.008 s at step 6, 0.5 s at step 11 (Python 3.11, one core).
+    length, each after its suffix.  A word of coefficient 0 that no longer
+    word has as its suffix is dropped (5 words at step 4, 13 at step 5).
+    The build time about doubles per step: 0.008 s at step 6, 0.5 s at
+    step 11 (Python 3.11, one core).
     """
     @functools.cache
     def power(word, n):
@@ -49,8 +51,14 @@ def _bch_words(step):
 
     heads = ("".join(h) for m in range(step - 1)
              for h in itertools.product("XY", repeat=m))
-    return tuple(((log(h + "XY") - log(h + "YX")) / (len(h) + 2), h + "XY")
-                 for h in heads)
+    words = [((log(h + "XY") - log(h + "YX")) / (len(h) + 2), h + "XY")
+             for h in heads]
+    kept, suffixes = [], set()
+    for coeff, word in reversed(words):
+        if coeff or word in suffixes:
+            kept.append((coeff, word))
+            suffixes.add(word[1:])
+    return tuple(reversed(kept))
 
 
 def bch(alg, u, v):

@@ -351,7 +351,19 @@ class Evaluator:
     Any other point is evaluated in floats with the coefficients converted
     once: scalars as Python floats, numpy arrays (one per variable)
     elementwise.  An output with no terms is 0.
-    ``rows`` evaluates every row of a (batch, nvars) float array at once.
+
+    ``rows`` evaluates every row of a (batch, nvars) float array at once,
+    variable-major: one ``take`` of the transposed array gathers every
+    factor of every monomial into one C-contiguous (slots, batch) array;
+    its leading block (the first factors) is multiplied in place by one
+    contiguous block per further factor, in the order of the factors, and
+    one ``p.T.dot(coeffs)`` sums the monomials.  So a call makes a take,
+    degree - 1 products and a dot (four at the degree 3 of a step-3
+    geodesic field), plus one add if there is a constant term, whatever
+    the batch.  ``p.T.dot(coeffs)`` rounds as the row-major product
+    (batch, slots) @ (slots, count) does at every batch size, so a flow
+    keeps its bits; a (count, slots) coefficient matrix times ``p`` goes
+    through a matrix-vector BLAS call at batch 1 and rounds differently.
     """
 
     def __init__(self, polys):
@@ -391,26 +403,33 @@ class Evaluator:
             raise ValueError("expected %d columns" % self.nvars)
         if self._arrays is None:
             self._arrays = self._row_arrays()
-        gather, coeffs, constant = self._arrays
-        m = x[:, gather[0]]
-        for slots in gather[1:]:
-            m[:, :len(slots)] *= x[:, slots]
-        out = m @ coeffs
+        flat, width, blocks, coeffs, constant = self._arrays
+        m = x.T.take(flat, axis=0)
+        p = m[:width]
+        for head, block in blocks:
+            p[head] *= m[block]
+        out = p.T.dot(coeffs)
         if constant is not None:
             out += constant
         return out
 
     def _row_arrays(self):
-        """The gather indices and coefficients of ``rows``, built on its
-        first call: the monomials by falling degree, so that factor d of
-        the first len(gather[d]) of them is x[:, gather[d]], with each
-        variable repeated by its exponent; the constant term is apart."""
+        """The gather index and coefficients of ``rows``, built on its first
+        call.  The monomials are sorted by falling degree and factor d of
+        each (a variable repeated by its exponent) is gathered into block d
+        of one flat index; block d covers the monomials of degree above d,
+        so it multiplies a leading slice of block 0.  The constant term is
+        apart."""
         slots = sorted((([v for v, k in factors for _ in range(k)], pairs)
                         for factors, pairs in self._float if factors),
                        key=lambda s: -len(s[0]))
         degree = len(slots[0][0]) if slots else 1
-        gather = [np.array([s[d] for s, _ in slots if len(s) > d],
-                           dtype=np.intp) for d in range(degree)]
+        gather = [[s[d] for s, _ in slots if len(s) > d] for d in range(degree)]
+        blocks, start = [], len(gather[0])
+        for g in gather[1:]:
+            blocks.append((slice(len(g)), slice(start, start + len(g))))
+            start += len(g)
+        flat = np.array([v for g in gather for v in g], dtype=np.intp)
         coeffs = np.zeros((len(slots), self.count))
         for m, (_, pairs) in enumerate(slots):
             for out, c in pairs:
@@ -421,4 +440,4 @@ class Evaluator:
                 constant = np.zeros(self.count)
                 for out, c in pairs:
                     constant[out] = c
-        return gather, coeffs, constant
+        return flat, len(gather[0]), blocks, coeffs, constant

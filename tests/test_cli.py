@@ -111,6 +111,17 @@ def test_custom_algebra_file(tmp_path):
     assert "10" in res.stdout.split("\n")[0]  # dim n(n+1)/2
 
 
+def test_name_with_file_is_usage_error(tmp_path):
+    path = tmp_path / "h3.json"
+    path.write_text(json.dumps({"name": "h3", "dim": 3,
+                                "brackets": [[1, 2, 3, "1"]]}))
+    for verb in ("derivations", "killing2"):
+        assert _run(verb, "--file", str(path)).returncode == 0
+        code, out, err = _main([verb, "n3", "--file", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_killing2_above_step_three_skips_the_structured_check(tmp_path):
     path = tmp_path / "filiform5.json"
     path.write_text(json.dumps({"name": "filiform5", "dim": 5, "brackets": [
@@ -313,12 +324,15 @@ def test_flow_blow_up_is_a_result():
                "--y0", "1e200,1,1", "--t", "0.01")
     res = _run(*blow_up)
     assert res.returncode == 1
-    assert "no longer finite" in res.stdout
+    # the first RK4 step overflows, so the report names t = dt, not the
+    # time of the check at t = 0.01
+    assert res.stdout == "flow failed: state is no longer finite at t=0.001\n"
     assert "Traceback" not in res.stderr
     res = _run(*blow_up, "--format", "json")
     assert res.returncode == 1
     payload = json.loads(res.stdout)
-    assert payload["ok"] is False and "no longer finite" in payload["reason"]
+    assert payload["ok"] is False
+    assert payload["reason"] == "state is no longer finite at t=0.001"
 
 
 def test_quotient_specs_where_a_polynomial_is_needed_are_usage_errors():

@@ -9,6 +9,8 @@ from nilflow import catalog
 from nilflow.algebra import LieAlgebraDescriptor
 from nilflow.geodesic import (
     DenominatorVanished,
+    GeodesicField,
+    NonFinite,
     conservation_report,
     evaluate_along,
     integrate,
@@ -221,3 +223,70 @@ def test_write_csv_round_trip():
     row3 = [float(v) for v in lines[3].split(",")]
     assert row3[0] == pytest.approx(float(traj.times[2]))
     assert row3[1:] == pytest.approx(list(traj.states[2, 0, :]))
+
+
+def _reference_rk4(alg, w0, y0, dt, t_end):
+    """The RK4 loop before steps were written into the trajectory in place:
+    each new state is allocated, then copied into the stored array."""
+    field = GeodesicField(alg)
+    state = np.concatenate([np.atleast_2d(w0), np.atleast_2d(y0)], axis=1)
+    nsteps = int(round(t_end / dt))
+    out = np.empty((nsteps + 1,) + state.shape)
+    out[0] = state
+    half = 0.5 * dt
+    for step in range(1, nsteps + 1):
+        k1 = field(state)
+        k2 = field(state + half * k1)
+        k3 = field(state + half * k2)
+        k4 = field(state + dt * k3)
+        state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[step] = state
+    return out
+
+
+@pytest.mark.parametrize("alg", [_h3(), catalog.get("n6_25").descriptor],
+                         ids=["h3", "n6_25"])
+def test_trajectory_matches_the_reference_loop(alg):
+    w0, y0 = np.random.default_rng(alg.dim).uniform(-1.5, 1.5, (2, 3, alg.dim))
+    for w, y in ((w0[:1], y0[:1]), (w0, y0)):
+        traj = integrate(alg, w, y, dt=1e-3, t_end=0.2)
+        assert traj.states.shape == (201, len(w), 2 * alg.dim)
+        assert np.array_equal(traj.states,
+                              _reference_rk4(alg, w, y, dt=1e-3, t_end=0.2))
+
+
+def test_integrate_calls_the_field_four_times_a_step(monkeypatch):
+    # the benchmark tracer counts field rows through GeodesicField.__call__
+    # and expects 4 calls per RK4 step, each on the whole (batch, 2n) state
+    shapes = []
+    call = GeodesicField.__call__
+
+    def counting(self, state):
+        shapes.append(state.shape)
+        return call(self, state)
+
+    monkeypatch.setattr(GeodesicField, "__call__", counting)
+    alg = _free_23()
+    traj = integrate(alg, np.zeros((3, 5)), np.ones((3, 5)), dt=0.01,
+                     t_end=0.37)
+    assert len(traj.times) - 1 == 37
+    assert shapes == [(3, 10)] * (4 * 37)
+
+
+def test_non_finite_reports_the_first_bad_state(monkeypatch):
+    # the field turns infinite on the first stage of step 701, between the
+    # finiteness checks at steps 500 and 1000
+    calls = []
+    call = GeodesicField.__call__
+
+    def overflowing(self, state):
+        calls.append(None)
+        out = call(self, state)
+        return out if len(calls) <= 4 * 700 else np.full(out.shape, np.inf)
+
+    monkeypatch.setattr(GeodesicField, "__call__", overflowing)
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(NonFinite, match=r"no longer finite at t=0\.701$"):
+        integrate(_h3(), [0.4, -0.2, 0.9], [1.1, 0.3, -0.7], dt=1e-3,
+                  t_end=2.0)
+    assert len(calls) == 4 * 1000

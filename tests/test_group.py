@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -83,6 +85,52 @@ def test_bch_words_at_steps_two_and_three():
             assert word.endswith("XY") and len(word) <= step
             if len(word) > 2:
                 assert word[1:] in words[:k], word
+
+
+def _unpruned_bch_words(step):
+    """Every word h + "XY" with its Dynkin coefficient, zeros included:
+    the table before words of coefficient 0 that no longer word needs
+    were dropped."""
+    def power(word, n):
+        if n == 0:
+            return int(not word)
+        return sum(Fraction(power(word[:a], n - 1),
+                            math.factorial(word.count("X", a))
+                            * math.factorial(word.count("Y", a)))
+                   for a in range(len(word)) if "YX" not in word[a:])
+
+    def log(word):
+        return sum(Fraction((-1) ** (n - 1), n) * power(word, n)
+                   for n in range(1, len(word) + 1))
+
+    heads = ("".join(h) for m in range(step - 1)
+             for h in itertools.product("XY", repeat=m))
+    return [((log(h + "XY") - log(h + "YX")) / (len(h) + 2), h + "XY")
+            for h in heads]
+
+
+def test_bch_words_drop_unneeded_zero_coefficients():
+    assert [len(_bch_words(step)) for step in range(2, 7)] == [1, 3, 5, 13, 29]
+    assert [w for c, w in _unpruned_bch_words(4) if not c] == ["XXXY", "YYXY"]
+    for step in (4, 5):
+        kept = set(_bch_words(step))
+        dropped = [w for c, w in _unpruned_bch_words(step)
+                   if (c, w) not in kept]
+        assert dropped == {4: ["XXXY", "YYXY"],
+                           5: ["XXYXY", "YYXXY"]}[step]
+    rnd = random.Random(11)
+    for alg in (_filiform(5), _filiform(6)):
+        step = alg.analyze().step
+        for _ in range(5):
+            u, v = ([Fraction(rnd.randint(-6, 6), rnd.randint(1, 4))
+                     for _ in range(alg.dim)] for _ in range(2))
+            value = {"X": u, "Y": v}
+            want = [a + b for a, b in zip(u, v)]
+            for coeff, word in _unpruned_bch_words(step):
+                term = value[word] = alg.bracket(value[word[0]],
+                                                 value[word[1:]])
+                want = [x + coeff * t for x, t in zip(want, term)]
+            assert bch(alg, u, v) == want, step
 
 
 def test_bch_two_step_closed_form():

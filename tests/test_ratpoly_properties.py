@@ -81,6 +81,53 @@ def test_row_evaluation_matches_the_exact_value(polys, points, c):
             assert _close_to_exact(p, x, e, f)
 
 
+def _per_degree_rows(polys, x):
+    """The row kernel before the variable-major layout: the monomials in
+    the order the polynomials first meet them, sorted by falling degree;
+    one gather x[:, gather[d]] and one in-place product per degree, then
+    ``m @ coeffs`` and the constant term."""
+    uses = {}
+    for out, p in enumerate(polys):
+        for e, c in p.numerators.items():
+            uses.setdefault(e, []).append((out, float(Fraction(c, p.denominator))))
+    slots = sorted((([v for v, k in enumerate(e) for _ in range(k)], pairs)
+                    for e, pairs in uses.items() if any(e)),
+                   key=lambda s: -len(s[0]))
+    degree = len(slots[0][0]) if slots else 1
+    gather = [np.array([s[d] for s, _ in slots if len(s) > d], dtype=np.intp)
+              for d in range(degree)]
+    coeffs = np.zeros((len(slots), len(polys)))
+    for m, (_, pairs) in enumerate(slots):
+        for out, c in pairs:
+            coeffs[m, out] = c
+    m = x[:, gather[0]]
+    for g in gather[1:]:
+        m[:, :len(g)] *= x[:, g]
+    out = m @ coeffs
+    for e, pairs in uses.items():
+        if not any(e):
+            constant = np.zeros(len(polys))
+            for i, c in pairs:
+                constant[i] = c
+            out += constant
+    return out
+
+
+@_SETTINGS
+@given(st.lists(_polys, min_size=1, max_size=3), _coeffs, st.booleans(),
+       st.sampled_from((1, 5)) | st.integers(64, 200),
+       st.integers(0, 2 ** 32 - 1))
+def test_row_kernel_matches_the_per_degree_kernel(polys, c, constants_only,
+                                                  batch, seed):
+    if constants_only:  # no monomial but the constant one, or none at all
+        polys = [RationalPolynomial.constant(NVARS, c * k)
+                 for k in range(len(polys))]
+    else:
+        polys = polys + [polys[0] + c]
+    x = np.random.default_rng(seed).uniform(-2.0, 2.0, (batch, NVARS))
+    assert np.array_equal(Evaluator(polys).rows(x), _per_degree_rows(polys, x))
+
+
 @_SETTINGS
 @given(st.lists(_polys, min_size=1, max_size=3),
        st.lists(_points, min_size=1, max_size=5))
