@@ -243,9 +243,8 @@ def cmd_geodesic(args):
         y0 = rng.uniform(-1.0, 1.0, (1, n))
     fs = _members(entry, args.integrals, default=["E"])
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            traj = geodesic.integrate(entry.descriptor, w0, y0, dt=args.dt,
-                                      t_end=args.t)
+        traj = geodesic.integrate(entry.descriptor, w0, y0, dt=args.dt,
+                                  t_end=args.t)
         if args.format == "csv":
             geodesic.write_csv(traj, sys.stdout)
             return EXIT_OK

@@ -11,10 +11,17 @@ the flow runs on any nilpotent step.  Batches integrate together: each
 RK4 stage is one field call on the whole (batch, 2n) state, and each step
 is written straight into the stored trajectory.  ``Evaluator.rows``
 evaluates the field variable-major: one gather of the transposed state
-into a (monomial factors, batch) array, one product per degree and one
-``p.T.dot(coeffs)``, which rounds as the row-major product does even at
-batch 1.  The state is checked for finiteness every 500 steps and at the
-end; a failed check names the time of the first non-finite stored state.
+into a (monomial factors, batch) array it keeps for the batch size, one
+in-place product per degree and one ``p.T.dot(coeffs)``, which rounds as
+the row-major product does even at batch 1.  The stage states and the
+step increment go through two (batch, 2n) buffers, so a step allocates
+only the four field values.  The state is checked for finiteness every
+500 steps and at the end; a failed check names the time of the first
+non-finite stored state.
+
+``conservation_report`` reads the trajectory in contiguous chunks of
+about ``CHUNK_ROWS`` states (time x batch), so its temporaries stay a
+small fixed size whatever the length of the flow.
 """
 
 import numpy as np
@@ -34,6 +41,7 @@ class DenominatorVanished(RuntimeError):
 
 DEN_CUTOFF = 1e-6
 CHECK_EVERY = 500  # RK4 steps between finiteness checks
+CHUNK_ROWS = 4096  # states (time x batch) per conservation_report chunk
 
 
 class GeodesicField:
@@ -71,16 +79,23 @@ def integrate(alg, w0, y0, dt=1e-3, t_end=10.0):
     nsteps = int(round(t_end / dt))
     out = np.empty((nsteps + 1,) + state.shape)
     out[0] = state
-    half = 0.5 * dt
-    for step in range(1, nsteps + 1):
-        k1 = field(state)
-        k2 = field(state + half * k1)
-        k3 = field(state + half * k2)
-        k4 = field(state + dt * k3)
-        state = np.add(state, (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
-                       out=out[step])
-        if step % CHECK_EVERY == 0:
-            _check_finite(out, step, dt)
+    half, sixth = 0.5 * dt, dt / 6.0
+    x, incr = np.empty_like(state), np.empty_like(state)
+    add, mul = np.add, np.multiply
+    # a blow-up is reported as NonFinite, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, nsteps + 1):
+            k1 = field(state)
+            k2 = field(add(state, mul(k1, half, out=x), out=x))
+            k3 = field(add(state, mul(k2, half, out=x), out=x))
+            k4 = field(add(state, mul(k3, dt, out=x), out=x))
+            # ((k1 + 2 k2) + 2 k3) + k4, the order of the unbuffered sum
+            add(k1, mul(k2, 2.0, out=incr), out=incr)
+            add(incr, mul(k3, 2.0, out=x), out=incr)
+            add(incr, k4, out=incr)
+            state = add(state, mul(incr, sixth, out=incr), out=out[step])
+            if step % CHECK_EVERY == 0:
+                _check_finite(out, step, dt)
     _check_finite(out, nsteps, dt)
     return Trajectory(np.linspace(0.0, nsteps * dt, nsteps + 1), out)
 
@@ -99,14 +114,17 @@ def _check_finite(states, step, dt):
 
 def evaluate_along(f, traj):
     """Values of one integral along a trajectory: (T, batch) array."""
+    return _values(f, np.moveaxis(traj.states, 2, 0))
+
+
+def _values(f, coords):
+    """Values of one integral at (2n, ...) coordinates: coords.shape[1:]."""
     if isinstance(f, QuotientInduced):
-        num = evaluate_along(f.num, traj)
-        den = evaluate_along(f.den, traj)
+        num, den = _values(f.num, coords), _values(f.den, coords)
         if np.any(np.abs(den) < DEN_CUTOFF):
             raise DenominatorVanished(
                 "|denominator| fell below %g along the flow" % DEN_CUTOFF)
         return np.exp(-1.0 / den ** 2) * np.sin(2.0 * np.pi * num / den)
-    coords = np.moveaxis(traj.states, 2, 0)  # (2n, T, batch) views
     n = len(coords) // 2
     values = f.value((coords[:n], coords[n:]))
     if np.isscalar(values):  # a polynomial with no terms gives the scalar 0
@@ -115,14 +133,26 @@ def evaluate_along(f, traj):
 
 
 def conservation_report(integrals, traj):
-    """Relative drift of each integral: max |f(t) - f(0)| / max(|f(0)|, 1)."""
-    report = []
-    for f in integrals:
-        values = evaluate_along(f, traj)
-        ref = np.maximum(np.abs(values[0]), 1.0)
-        drift = np.max(np.abs(values - values[0]) / ref)
-        report.append((f.spec_string(), float(drift)))
-    return report
+    """Relative drift of each integral: max |f(t) - f(0)| / max(|f(0)|, 1).
+
+    The trajectory is read in contiguous chunks of whole time steps, about
+    ``CHUNK_ROWS`` states each; f(0) comes from the first chunk.  A drift
+    is the ``np.max`` of the chunk maxima, so a NaN value gives a NaN
+    drift."""
+    states = traj.states
+    span = max(1, CHUNK_ROWS // max(1, traj.batch))
+    starts, refs = [None] * len(integrals), [None] * len(integrals)
+    maxima = [[] for _ in integrals]
+    for t0 in range(0, len(states), span):
+        coords = np.ascontiguousarray(np.moveaxis(states[t0:t0 + span], 2, 0))
+        for i, f in enumerate(integrals):
+            values = _values(f, coords)
+            if t0 == 0:
+                starts[i] = values[0]
+                refs[i] = np.maximum(np.abs(values[0]), 1.0)
+            maxima[i].append(np.max(np.abs(values - starts[i]) / refs[i]))
+    return [(f.spec_string(), float(np.max(m)))
+            for f, m in zip(integrals, maxima)]
 
 
 def write_csv(traj, stream):

@@ -364,6 +364,14 @@ class Evaluator:
     (batch, slots) @ (slots, count) does at every batch size, so a flow
     keeps its bits; a (count, slots) coefficient matrix times ``p`` goes
     through a matrix-vector BLAS call at batch 1 and rounds differently.
+
+    The gather array and its block views are a workspace kept for the
+    last batch size and rebuilt only when the batch size changes, so the
+    take and the products allocate nothing.  Only the dot allocates, and
+    its result is the output: an output never aliases the workspace and
+    stays valid across later calls.  The shared workspace makes ``rows``
+    not reentrant: one evaluator must not run ``rows`` in two threads at
+    once.
     """
 
     def __init__(self, polys):
@@ -378,6 +386,7 @@ class Evaluator:
         self._float = [(factors, [(out, float(c)) for out, c in pairs])
                        for factors, pairs in self._exact]
         self._arrays = None
+        self._work = None
 
     def __call__(self, values):
         if len(values) != self.nvars:
@@ -404,11 +413,16 @@ class Evaluator:
         if self._arrays is None:
             self._arrays = self._row_arrays()
         flat, width, blocks, coeffs, constant = self._arrays
-        m = x.T.take(flat, axis=0)
-        p = m[:width]
-        for head, block in blocks:
-            p[head] *= m[block]
-        out = p.T.dot(coeffs)
+        if self._work is None or self._work[0].shape[1] != x.shape[0]:
+            m = np.empty((len(flat), x.shape[0]))
+            self._work = (m, m[:width].T,
+                          [(m[head], m[block]) for head, block in blocks])
+        m, pt, products = self._work
+        # flat is in range by construction; "raise" would buffer the out=
+        x.T.take(flat, axis=0, out=m, mode="clip")
+        for head, block in products:
+            np.multiply(head, block, out=head)
+        out = pt.dot(coeffs)
         if constant is not None:
             out += constant
         return out

@@ -1,4 +1,6 @@
 import io
+import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,9 +10,12 @@ from scipy.linalg import expm
 from nilflow import catalog
 from nilflow.algebra import LieAlgebraDescriptor
 from nilflow.geodesic import (
+    CHUNK_ROWS,
+    DEN_CUTOFF,
     DenominatorVanished,
     GeodesicField,
     NonFinite,
+    Trajectory,
     conservation_report,
     evaluate_along,
     integrate,
@@ -290,3 +295,93 @@ def test_non_finite_reports_the_first_bad_state(monkeypatch):
         integrate(_h3(), [0.4, -0.2, 0.9], [1.1, 0.3, -0.7], dt=1e-3,
                   t_end=2.0)
     assert len(calls) == 4 * 1000
+
+
+def test_blow_up_raises_non_finite_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match=r"no longer finite at t=0\.001$"):
+            integrate(_h3(), [1e200] * 3, [1e200, 1, 1], t_end=0.01)
+
+
+def _whole_trajectory_report(integrals, traj):
+    """conservation_report before it read the trajectory in chunks: each
+    integral evaluated at once on strided (T, batch) views of the whole
+    trajectory."""
+    def along(f):
+        if isinstance(f, QuotientInduced):
+            num, den = along(f.num), along(f.den)
+            if np.any(np.abs(den) < DEN_CUTOFF):
+                raise DenominatorVanished(
+                    "|denominator| fell below %g along the flow" % DEN_CUTOFF)
+            return np.exp(-1.0 / den ** 2) * np.sin(2.0 * np.pi * num / den)
+        coords = np.moveaxis(traj.states, 2, 0)
+        n = len(coords) // 2
+        values = f.value((coords[:n], coords[n:]))
+        if np.isscalar(values):
+            return np.full(coords.shape[1:], float(values))
+        return values
+
+    report = []
+    for f in integrals:
+        values = along(f)
+        ref = np.maximum(np.abs(values[0]), 1.0)
+        report.append((f.spec_string(),
+                       float(np.max(np.abs(values - values[0]) / ref))))
+    return report
+
+
+def test_chunked_report_matches_the_whole_trajectory_report():
+    alg = _h3()
+    vec = [[Fraction(c) for c in v] for v in ([1, 0, 0], [0, 0, 1], [1, -1, 0])]
+    quotient = QuotientInduced(RightInvariant(alg, vec[0]), Linear(alg, vec[1]))
+    fs = [Energy(alg), RightInvariant(alg, vec[0]), Linear(alg, vec[2]),
+          Linear(alg, [Fraction(0)] * 3), quotient]
+    batch = 3
+    traj = integrate(alg, [[0.4, -0.2, 0.9], [0.1, 0.5, -0.3], [0, 0, 1]],
+                     [[1.1, 0.3, -0.7], [0.2, -0.6, 1.4], [1, 1, 1]],
+                     dt=1e-3, t_end=4.5)
+    assert len(traj.times) > 3 * (CHUNK_ROWS // batch)
+    report = conservation_report(fs, traj)
+    assert report == _whole_trajectory_report(fs, traj)
+    assert all(0 < drift < 1e-9 for _, drift in report[:2] + report[4:])
+    assert report[2][1] > 1e-3 and report[3][1] == 0.0
+
+    # values overflow to inf in the second chunk and are NaN in the third
+    states = traj.states.copy()
+    states[2000, 1, 3:] = [1e200, 1e200, 1.0]
+    states[3000, 2, 3:] = [np.inf, np.inf, 1.0]
+    bad = Trajectory(traj.times, states)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = conservation_report(fs[:3], bad)
+        old = _whole_trajectory_report(fs[:3], bad)
+    assert repr(report) == repr(old)
+    assert [d for _, d in report][:2] == [np.inf, np.inf]
+    assert np.isnan(report[2][1])
+
+    # a vanishing denominator only in the last chunk: the same error
+    states = traj.states.copy()
+    states[-1, 0, 5] = 0.0
+    vanished = Trajectory(traj.times, states)
+    messages = []
+    for run in (conservation_report, _whole_trajectory_report):
+        with pytest.raises(DenominatorVanished) as err:
+            run(fs, vanished)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+def test_report_memory_stays_bounded():
+    # temporaries are a few chunks, not a few (T, batch) arrays
+    entry = catalog.get("n6_25")
+    fs = list(entry.complete_set) + [Energy(entry.descriptor)]
+    states = np.random.default_rng(0).uniform(-1.5, 1.5, (1001, 256, 12))
+    traj = Trajectory(np.linspace(0.0, 1.0, 1001), states)
+    conservation_report(fs, Trajectory(traj.times[:2], states[:2]))  # compile
+    tracemalloc.start()
+    try:
+        conservation_report(fs, traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < states.nbytes / 8, (peak, states.nbytes)

@@ -129,6 +129,25 @@ def test_row_kernel_matches_the_per_degree_kernel(polys, c, constants_only,
 
 
 @_SETTINGS
+@given(st.lists(_polys, min_size=1, max_size=3), _coeffs,
+       st.integers(0, 2 ** 32 - 1))
+def test_row_workspace_follows_the_batch_size(polys, c, seed):
+    # rows keeps one workspace per batch size; no output may alias it, so
+    # a later call, at the same batch size or another, leaves it unchanged
+    polys = polys + [polys[0] + c]
+    ev = Evaluator(polys)
+    rng = np.random.default_rng(seed)
+    results = []
+    for batch in (5, 256, 256, 1, 5, 5):
+        x = rng.uniform(-2.0, 2.0, (batch, NVARS))
+        got = ev.rows(x)
+        assert np.array_equal(got, _per_degree_rows(polys, x))
+        results.append((got, got.copy()))
+    for got, kept in results:
+        assert np.array_equal(got, kept)
+
+
+@_SETTINGS
 @given(st.lists(_polys, min_size=1, max_size=3),
        st.lists(_points, min_size=1, max_size=5))
 def test_array_evaluation_is_pointwise(polys, points):
