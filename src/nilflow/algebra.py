@@ -255,7 +255,8 @@ class LieAlgebraDescriptor:
     def j_map(self, z):
         """Matrix of j(z) on the complement basis of a 2-step algebra.
 
-        j(z) is defined by <j(z) v, w> = <z, [v, w]>; returns (J, v_basis).
+        j(z) is defined by <j(z) v, w> = <z, [v, w]>, on the basis
+        ``analyze().v_complement``.
         """
         analysis = self.analyze()
         if analysis.step != 2:
@@ -268,7 +269,7 @@ class LieAlgebraDescriptor:
         gv = [[self.inner(a, b) for b in vb] for a in vb]
         kmat = [[self.inner(z, self.bracket(vb[b], vb[a])) for b in range(m)]
                 for a in range(m)]
-        return linalg.mat_mul(linalg.inverse(gv), kmat), vb
+        return linalg.mat_mul(linalg.inverse(gv), kmat)
 
     def __repr__(self):
         tag = self.name or "algebra"

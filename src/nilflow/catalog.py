@@ -272,7 +272,7 @@ def _entry_n1():
     alg = _alg("n1", 5, {(1, 2): {3: 1}, (1, 3): {5: 1}, (2, 4): {5: 1}})
     e = CatalogEntry(
         name="n1", descriptor=alg,
-        der_refs={"D": (_rotation(5, 1, 2), False)},
+        der_refs={"D": _rotation(5, 1, 2)},
         dense_predicate=DensePredicate(
             "y5 != 0 and (w1 != 0 or w2 != 0)",
             lambda w, y: y[4] != 0 and (w[0] != 0 or w[1] != 0)),
@@ -305,7 +305,7 @@ def _entry_n6_10():
     alg = _alg("n6_10", 6, {(1, 2): {3: 1}, (1, 3): {6: 1}, (4, 5): {6: 1}})
     e = CatalogEntry(
         name="n6_10", descriptor=alg,
-        der_refs={"D": (_rotation(6, 1, 4), False)},
+        der_refs={"D": _rotation(6, 1, 4)},
         expected={"step": 3, "center_dim": 1, "skew_derivation_dim": 1,
                   "killing2_dim": 4},
         notes="The stored rotation of the (e1, e4) plane is not a "
@@ -318,12 +318,9 @@ def _entry_n6_10():
 
 def _entry_n6_19(eps):
     eps = Fraction(eps)
-    alg = _alg("n6_19", 6,
+    alg = _alg("n6_19(%s)" % eps, 6,
                {(1, 2): {4: 1}, (1, 3): {5: 1}, (2, 4): {6: 1},
-                (3, 5): {6: eps}} if eps != 0 else
-               {(1, 2): {4: 1}, (1, 3): {5: 1}, (2, 4): {6: 1}},
-               params={"eps": eps})
-    alg.name = "n6_19(%s)" % eps
+                (3, 5): {6: eps}}, params={"eps": eps})
     dims = {Fraction(-1): (0, 3), Fraction(0): (0, 4),
             Fraction(1): (1, 4), Fraction(2): (0, 3)}
     e = CatalogEntry(
@@ -334,7 +331,7 @@ def _entry_n6_19(eps):
         e.expected["skew_derivation_dim"] = dims[eps][0]
         e.expected["killing2_dim"] = dims[eps][1]
     if eps == 0:
-        e.der_refs = {"D": (_rotation(6, 1, 2), False)}
+        e.der_refs = {"D": _rotation(6, 1, 2)}
         e.notes = ("The stored rotation D fails the product rule on "
                    "(e2, e3); der:D is not conserved.")
         return _specs(e, ["E", "right:e3", "right:e4", "right:e5",
@@ -352,7 +349,7 @@ def _entry_n6_20():
                             (2, 4): {6: 1}})
     e = CatalogEntry(
         name="n6_20", descriptor=alg,
-        der_refs={"D": (_rotation(6, 1, 2), False)},
+        der_refs={"D": _rotation(6, 1, 2)},
         expected={"step": 3, "center_dim": 1, "skew_derivation_dim": 0,
                   "killing2_dim": 3},
         notes="The stored rotation D is not a derivation (fails on "
@@ -376,11 +373,9 @@ def _reference_g1(eps):
 
 def _entry_n6_22(eps):
     eps = Fraction(eps)
-    brackets = {(1, 2): {5: 1}, (1, 3): {6: 1}, (3, 4): {5: 1}}
-    if eps != 0:
-        brackets[(2, 4)] = {6: eps}
-    alg = _alg("n6_22", 6, brackets, params={"eps": eps})
-    alg.name = "n6_22(%s)" % eps
+    alg = _alg("n6_22(%s)" % eps, 6,
+               {(1, 2): {5: 1}, (1, 3): {6: 1}, (3, 4): {5: 1},
+                (2, 4): {6: eps}}, params={"eps": eps})
     dims = {Fraction(-1): (4, 4), Fraction(0): (1, 4),
             Fraction(1): (2, 5), Fraction(2): (1, 4)}
     e = CatalogEntry(
@@ -411,12 +406,9 @@ def _entry_n6_23():
 
 def _entry_n6_24(eps):
     eps = Fraction(eps)
-    brackets = {(1, 2): {3: 1}, (1, 3): {5: 1}, (2, 3): {6: 1},
-                (2, 4): {5: 1}}
-    if eps != 0:
-        brackets[(1, 4)] = {6: eps}
-    alg = _alg("n6_24", 6, brackets, params={"eps": eps})
-    alg.name = "n6_24(%s)" % eps
+    alg = _alg("n6_24(%s)" % eps, 6,
+               {(1, 2): {3: 1}, (1, 3): {5: 1}, (2, 3): {6: 1},
+                (2, 4): {5: 1}, (1, 4): {6: eps}}, params={"eps": eps})
     deriv = {Fraction(-1): 1, Fraction(0): 0, Fraction(1): 0, Fraction(2): 0}
     e = CatalogEntry(
         name=alg.name, descriptor=alg,
@@ -587,15 +579,13 @@ class EntryReport:
         return out
 
 
-def verify_entry(entry_or_name, nsamples=None, seed=0):
+def verify_entry(entry, nsamples=None, seed=0):
     """Recompute every claim the entry bundles and report pass/fail.
 
     Recorded dimensions are regression facts (they should always match);
     the set/family/reference checks test the bundled claims themselves,
     so entries shipping a defective fixture fail here by design.
     """
-    entry = entry_or_name if isinstance(entry_or_name, CatalogEntry) \
-        else get(entry_or_name)
     alg = entry.descriptor
     exp = entry.expected
     checks = []

@@ -28,7 +28,7 @@ import numpy as np
 
 from .integrals import Coordinate, Energy, QuotientInduced
 from .poisson import PoissonEngine
-from .ratpoly import Evaluator
+from .ratpoly import Evaluator, phase_names
 
 
 class NonFinite(RuntimeError):
@@ -112,11 +112,6 @@ def _check_finite(states, step, dt):
     raise NonFinite("state is no longer finite at t=%g" % (first * dt))
 
 
-def evaluate_along(f, traj):
-    """Values of one integral along a trajectory: (T, batch) array."""
-    return _values(f, np.moveaxis(traj.states, 2, 0))
-
-
 def _values(f, coords):
     """Values of one integral at (2n, ...) coordinates: coords.shape[1:]."""
     if isinstance(f, QuotientInduced):
@@ -157,9 +152,7 @@ def conservation_report(integrals, traj):
 
 def write_csv(traj, stream):
     """The first batch member as CSV with header t, w1..wn, y1..yn."""
-    n = traj.states.shape[2] // 2
-    header = ["t"] + ["w%d" % (i + 1) for i in range(n)] \
-        + ["y%d" % (i + 1) for i in range(n)]
+    header = ["t"] + phase_names(traj.states.shape[2])
     stream.write(",".join(header) + "\n")
     for t, row in zip(traj.times, traj.states[:, 0, :]):
         stream.write(",".join([repr(float(t))] + [repr(float(x)) for x in row]))

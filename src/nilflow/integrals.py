@@ -277,7 +277,7 @@ def derivation_defects(alg, d):
     """Yield (pair, D[e_i, e_j] - [D e_i, e_j] - [e_i, D e_j]) in pair
     order, the blocks of ``derivation_rows`` applied to vec(D)."""
     x = [c for row in d for c in row]
-    zero = Fraction(0)
+    zero = 0 * x[0]  # the zero of D's entries: int 0 for an int matrix
     for pair, block in derivation_rows(alg):
         yield pair, [sum([c * x[p] for p, c in row if x[p]], zero)
                      for row in block]
@@ -320,7 +320,7 @@ class Butler(FirstIntegral):
         bmat = [[cols[j][i] for j in range(alg.dim)] for i in range(alg.dim)]
         self._coords = linalg.inverse(bmat)
         self.gv = [[alg.inner(a, b) for b in self.v_basis] for a in self.v_basis]
-        self._j_parts = [alg.j_map(z)[0] for z in self.z_basis]
+        self._j_parts = [alg.j_map(z) for z in self.z_basis]
 
     def _expand(self):
         coords = linalg.mat_vec(self._coords, _y_vec(self.alg))
@@ -398,7 +398,9 @@ def parse_integral(alg, text, names=None, quad_refs=None, der_refs=None):
 
     Grammar: ``E``, ``lin:e4``, ``right:e2``, ``quad:NAME``, ``der:NAME``,
     ``butler:1``, ``quot(SPEC / SPEC)``.  NAME references are resolved
-    through the optional quad_refs / der_refs dictionaries.
+    through the optional quad_refs / der_refs dictionaries of matrices.
+    A ``der:`` matrix is not validated, so a stored matrix that is not a
+    derivation still parses and its bracket checks show the defect.
     """
     text = text.strip()
     if text == "E":
@@ -431,8 +433,7 @@ def parse_integral(alg, text, names=None, quad_refs=None, der_refs=None):
     if head == "der":
         if not der_refs or ref not in der_refs:
             raise ValueError("unknown derivation reference %r" % ref)
-        matrix, check = der_refs[ref]
-        return DerivationIntegral(alg, matrix, check=check, label=text)
+        return DerivationIntegral(alg, der_refs[ref], check=False, label=text)
     if head == "butler":
         return Butler(alg, int(ref), label=text)
     raise ValueError("unknown integral kind %r" % head)

@@ -113,10 +113,6 @@ class RationalPolynomial:
         exps[index] = 1
         return _canonical(nvars, {tuple(exps): 1}, 1)
 
-    @classmethod
-    def monomial(cls, nvars, exps, coeff):
-        return cls(nvars, {tuple(exps): frac(coeff)})
-
     # -- queries --------------------------------------------------------
 
     @property
@@ -247,10 +243,6 @@ class RationalPolynomial:
             out[tuple(ne)] = c * k
         return _canonical(self.nvars, out, self.denominator)
 
-    def evaluate(self, values):
-        """Evaluate at a point (Fractions stay exact, floats go float)."""
-        return Evaluator([self])(values)[0]
-
     # -- rendering ------------------------------------------------------
 
     def render(self):
@@ -273,16 +265,12 @@ class RationalPolynomial:
     def parse(cls, text, nvars):
         """Inverse of render (accepts exactly the rendered grammar)."""
         index = {name: i for i, name in enumerate(phase_names(nvars))}
-        text = text.strip()
-        poly = cls(nvars)
-        if text == "(0)":
-            return poly
-        for part in text.split(" + "):
+        terms = {}  # "(0)" is one term with coefficient 0
+        for part in text.strip().split(" + "):
             tokens = part.split()
-            head = tokens[0]
+            head = tokens[0] if tokens else ""
             if not (head.startswith("(") and head.endswith(")")):
                 raise ValueError("malformed term %r" % part)
-            coeff = Fraction(head[1:-1])
             exps = [0] * nvars
             for tok in tokens[1:]:
                 if "^" in tok:
@@ -293,8 +281,9 @@ class RationalPolynomial:
                 if name not in index:
                     raise ValueError("unknown variable %r" % name)
                 exps[index[name]] += k
-            poly = poly + cls.monomial(nvars, exps, coeff)
-        return poly
+            exps = tuple(exps)
+            terms[exps] = terms.get(exps, 0) + Fraction(head[1:-1])
+        return cls(nvars, terms)
 
     def __str__(self):
         return self.render()

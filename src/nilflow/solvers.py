@@ -50,7 +50,6 @@ callback per draw, one draw budget, and one denominator rule,
 """
 
 import functools
-import os
 from math import lcm
 
 import numpy as np
@@ -70,22 +69,6 @@ SINGULAR_THRESHOLD = 1e-10
 DEN_MIN = 0.1
 
 
-def sample_count(nsamples):
-    """How many accepted samples a scan draws: ``nsamples`` if given, else
-    the NILFLOW_SAMPLES environment variable, else DEFAULT_SAMPLES.
-
-    A count below 1 raises ValueError: a scan over no samples would
-    report a vacuous pass.
-    """
-    if nsamples is None:
-        env = os.environ.get("NILFLOW_SAMPLES")
-        nsamples = env if env else DEFAULT_SAMPLES
-    count = int(nsamples)
-    if count < 1:
-        raise ValueError("sample count must be at least 1, got %d" % count)
-    return count
-
-
 class NoSampleAccepted(ValueError):
     """A scan rejected all of its first DRAWS_PER_SAMPLE draws, so it
     would test nothing."""
@@ -96,13 +79,16 @@ def sample_points(alg, nsamples, seed, accept, exact=False):
 
     Points are uniform in [-2, 2]^{2n}, drawn from one ``default_rng(seed)``
     stream; the exact path rounds them to multiples of 1/32.  ``accept``
-    is called once per draw.  The generator stops after
-    ``sample_count(nsamples)`` accepted draws or DRAWS_PER_SAMPLE draws
+    is called once per draw.  The generator stops after ``nsamples``
+    accepted draws (DEFAULT_SAMPLES when None) or DRAWS_PER_SAMPLE draws
     per sample, and raises NoSampleAccepted when the first
-    DRAWS_PER_SAMPLE draws are all rejected.
+    DRAWS_PER_SAMPLE draws are all rejected.  A count below 1 raises
+    ValueError: a scan over no samples would report a vacuous pass.
     """
     n = alg.dim
-    count = sample_count(nsamples)
+    count = DEFAULT_SAMPLES if nsamples is None else int(nsamples)
+    if count < 1:
+        raise ValueError("sample count must be at least 1, got %d" % count)
     rng = np.random.default_rng(seed)
     accepted = 0
     for draws in range(1, DRAWS_PER_SAMPLE * count + 1):

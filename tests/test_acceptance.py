@@ -332,7 +332,7 @@ def test_criterion_8_functions_descend_to_the_quotients():
 def test_criterion_9_entries_without_sets_report_the_solver_truth():
     problems = []
     for name in ("n6_23", "n6_24(0)", "n6_24(2)"):
-        rep = catalog.verify_entry(name, nsamples=50)
+        rep = catalog.verify_entry(catalog.get(name), nsamples=50)
         if rep.claims_set:
             problems.append("%s unexpectedly claims a set" % name)
         if not any("no complete set claimed" in detail
@@ -341,7 +341,7 @@ def test_criterion_9_entries_without_sets_report_the_solver_truth():
     if len(skew_derivations(catalog.get("n6_23").descriptor)) != 0:
         problems.append("n6_23 skew-derivation dim not 0")
     for name in ("n6_24(-1)", "n6_24(0)"):
-        rep = catalog.verify_entry(name, nsamples=50)
+        rep = catalog.verify_entry(catalog.get(name), nsamples=50)
         span = {c: (okc, det) for c, okc, det in rep.checks}
         check = span.get("derivation-family-span")
         if check is None:

@@ -195,7 +195,7 @@ def test_metric_check_names_the_first_nonpositive_leading_minor(g):
 def test_j_map_identity():
     alg = _h3()
     z = [Fraction(0), Fraction(0), Fraction(1)]
-    jz, vbasis = alg.j_map(z)
+    jz, vbasis = alg.j_map(z), alg.analyze().v_complement
     nv = len(vbasis)
     # columns: j(z) v_b = sum_a J[a][b] v_a, and <j(z) v, w> = <z, [v, w]>
     for b in range(nv):

@@ -153,6 +153,22 @@ def test_dense_predicate_callable():
     assert not entry.dense_predicate(w, [0.0, 1.0, 1.0, 1.0])
 
 
+@pytest.mark.parametrize("name", ["h7", "r3+h3", "r+n3"])
+def test_unlisted_heisenberg_and_extension_entries_verify(name):
+    report = catalog.verify_entry(catalog.get(name), nsamples=20)
+    assert report.ok
+    if name == "h7":
+        checks = {label: detail for label, _, detail in report.checks}
+        assert checks["skew-derivation-dim"] == "computed 9, recorded 9"
+        assert checks["killing2-dim"] == "computed 10, recorded 10"
+
+
+def test_extension_of_a_quadratic_member_is_rejected():
+    with pytest.raises(ValueError,
+                       match=r"^cannot lift <Quadratic quad:S1> "):
+        catalog.get("r+h5")
+
+
 def test_extension_entries_shift_structure():
     base = catalog.get("h3").descriptor
     ext = catalog.get("r+h3").descriptor
@@ -162,7 +178,7 @@ def test_extension_entries_shift_structure():
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_FAILING_CHECKS))
 def test_entry_self_check(name):
-    report = catalog.verify_entry(name, nsamples=50)
+    report = catalog.verify_entry(catalog.get(name), nsamples=50)
     failing = {check for check, ok, _ in report.checks if not ok}
     assert failing == EXPECTED_FAILING_CHECKS[name]
     if not EXPECTED_FAILING_CHECKS[name]:
@@ -170,7 +186,7 @@ def test_entry_self_check(name):
 
 
 def test_entries_without_sets_say_so():
-    report = catalog.verify_entry("n6_23", nsamples=20)
+    report = catalog.verify_entry(catalog.get("n6_23"), nsamples=20)
     assert not report.claims_set
     assert report.ok
     checks = {name for name, _, _ in report.checks}

@@ -276,20 +276,18 @@ def test_bad_integral_spec_is_usage_error():
     assert res.returncode == 2
 
 
-def test_sample_env_override():
-    res = _spawn("independence", "h3", env={"NILFLOW_SAMPLES": "25"})
+def test_samples_flag_sets_the_scan_size():
+    res = _run("independence", "h3", "--samples", "25")
     assert res.returncode == 0
-    assert "25" in res.stdout
+    assert res.stdout.startswith("rank 3 on 25 of 25 accepted samples")
 
 
-def test_sample_env_below_one_is_usage_error():
-    for args in (("independence", "h3"), ("quotient", "h3", "Gamma_2"),
-                 ("check", "h3")):
-        for samples in ("0", "-3"):
-            res = _spawn(*args, env={"NILFLOW_SAMPLES": samples})
-            assert res.returncode == 2, (args, samples)
-            assert res.stderr.startswith("error:"), (args, samples)
-            assert "Traceback" not in res.stderr
+def test_unliftable_extension_is_usage_error():
+    # quad:S1 of h5 has no lift to a trivial extension
+    res = _run("check", "r+h5")
+    assert res.returncode == 2
+    assert res.stderr == ("error: cannot lift <Quadratic quad:S1> to a "
+                          "trivial extension\n")
 
 
 def test_bad_step_sizes_are_usage_errors():

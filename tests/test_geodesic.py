@@ -17,9 +17,9 @@ from nilflow.geodesic import (
     NonFinite,
     Trajectory,
     conservation_report,
-    evaluate_along,
     integrate,
     write_csv,
+    _values,
 )
 from nilflow.integrals import Energy, Linear, QuotientInduced, RightInvariant
 
@@ -103,7 +103,7 @@ def _momentum_oracle(alg):
     w0, y0 = np.random.default_rng(n).uniform(-1.0, 1.0, (2, n))
     coords = np.linalg.solve(basis, y0)
     v0, z0 = coords[:dv], coords[dv:]
-    j = sum(c * np.array(alg.j_map(z)[0], dtype=float)
+    j = sum(c * np.array(alg.j_map(z), dtype=float)
             for c, z in zip(z0, split.center_basis))
 
     def errors(t, y):
@@ -191,14 +191,15 @@ def test_evaluate_along_matches_value():
     f = RightInvariant(alg, [Fraction(1), Fraction(0), Fraction(0)])
     traj = integrate(alg, [0.4, -0.2, 0.9], [1.1, 0.3, -0.7],
                      dt=0.01, t_end=0.5)
-    vals = evaluate_along(f, traj)
+    vals = _values(f, np.moveaxis(traj.states, 2, 0))
     assert vals.shape == (len(traj.times), 1)
     w = list(traj.states[7, 0, :3])
     y = list(traj.states[7, 0, 3:])
     assert abs(vals[7, 0] - float(f.value((w, y)))) < 1e-12
     # an integral with no terms still gives one value per time and start
     zero = Linear(alg, [Fraction(0)] * 3)
-    assert np.array_equal(evaluate_along(zero, traj), np.zeros(vals.shape))
+    assert np.array_equal(_values(zero, np.moveaxis(traj.states, 2, 0)),
+                          np.zeros(vals.shape))
 
 
 def test_quotient_denominator_cutoff():
@@ -209,7 +210,7 @@ def test_quotient_denominator_cutoff():
     # y3 = 0 along the whole flow started with zero center momentum
     traj = integrate(alg, [0.1, 0.2, 0.3], [1.0, 0.5, 0.0], dt=0.01, t_end=0.5)
     with pytest.raises(DenominatorVanished):
-        evaluate_along(q, traj)
+        conservation_report([q], traj)
     # well away from the cutoff the values are finite and drift-free
     traj = integrate(alg, [0.1, 0.2, 0.3], [1.0, 0.5, 0.8], dt=1e-3, t_end=2.0)
     (_, drift), = conservation_report([q], traj)

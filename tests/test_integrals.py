@@ -227,7 +227,7 @@ def test_parse_round_trip():
     s[0][4] = s[4][0] = Fraction(1)
     s[2][2] = Fraction(1)
     quad_refs = {"S": s}
-    der_refs = {"D": (d, True)}
+    der_refs = {"D": d}
     texts = ["E", "lin:e5", "right:e1", "quad:S", "der:D"]
     for text in texts:
         f = parse_integral(alg, text, quad_refs=quad_refs, der_refs=der_refs)

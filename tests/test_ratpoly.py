@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from nilflow import linalg
-from nilflow.ratpoly import RationalPolynomial, phase_names
+from nilflow.ratpoly import Evaluator, RationalPolynomial, phase_names
 
 
 def _p(nvars, text):
     return RationalPolynomial.parse(text, nvars)
+
+
+def _at(p, x):
+    return Evaluator([p])(x)[0]
 
 
 def test_zero_and_constant():
@@ -16,7 +20,7 @@ def test_zero_and_constant():
     assert z.is_zero
     assert not z
     c = RationalPolynomial.constant(4, Fraction(3, 2))
-    assert c.evaluate([0, 0, 0, 0]) == Fraction(3, 2)
+    assert _at(c, [0, 0, 0, 0]) == Fraction(3, 2)
     assert (c - c).is_zero
 
 
@@ -28,7 +32,7 @@ def test_arithmetic_exact():
     assert p == q
     assert (p - q).is_zero
     r = p * Fraction(1, 3) + 2
-    assert r.evaluate([Fraction(1), 0, Fraction(2), 0]) == Fraction(-1) + 2
+    assert _at(r, [Fraction(1), 0, Fraction(2), 0]) == Fraction(-1) + 2
 
 
 def test_arithmetic_with_a_float_is_a_type_error():
@@ -74,12 +78,12 @@ def test_substitute_is_composition():
     x = RationalPolynomial.variable(2, 0)
     y = RationalPolynomial.variable(2, 1)
     p = x * x + y
-    sub = p.evaluate([y + 1, y])
+    sub = _at(p, [y + 1, y])
     assert sub == (y + 1) * (y + 1) + y
-    assert sub.evaluate([Fraction(5), Fraction(2)]) == 9 + 2
+    assert _at(sub, [Fraction(5), Fraction(2)]) == 9 + 2
     # unmoved variables and a mixed point of polynomials and Fractions
-    assert p.evaluate([x, y]) == p
-    assert p.evaluate([x + y, Fraction(3)]) == (x + y) * (x + y) + 3
+    assert _at(p, [x, y]) == p
+    assert _at(p, [x + y, Fraction(3)]) == (x + y) * (x + y) + 3
 
 
 def test_total_degree_and_degree_in():
@@ -97,6 +101,12 @@ def test_render_parse_round_trip():
         p = _p(nvars, text)
         assert p.render() == text or _p(nvars, p.render()) == p
         assert _p(nvars, p.render()) == p
+
+
+def test_parse_rejects_malformed_text():
+    for text in ["", "(1) w1 +  + (2) y1", "1 w1", "(1) z9", "(x) w1"]:
+        with pytest.raises(ValueError):
+            _p(4, text)
 
 
 def test_render_order_is_graded():
@@ -120,12 +130,12 @@ def test_poly_vector_dot_with_gram():
     plain = linalg.inner(a, b)
     weighted = linalg.inner(a, b, g)
     x = [Fraction(2), Fraction(5)]
-    assert plain.evaluate(x) == 2 + 5
+    assert _at(plain, x) == 2 + 5
     # a = (w, 1), b = (1, y) at w=2, y=5: a^T G b = (2*1 + 1*5)*... computed directly
     av = [Fraction(2), Fraction(1)]
     bv = [Fraction(1), Fraction(5)]
     expect = sum(av[i] * g[i][j] * bv[j] for i in range(2) for j in range(2))
-    assert weighted.evaluate(x) == expect
+    assert _at(weighted, x) == expect
 
 
 def test_hash_consistency():

@@ -49,7 +49,7 @@ def test_exact_evaluation_is_a_ring_homomorphism(p, q, c, x):
     assert vsum == vp + vq
     assert vprod == vp * vq
     assert vc == c
-    assert (vp, vq) == (p.evaluate(x), q.evaluate(x))
+    assert (vp, vq) == (Evaluator([p])(x)[0], Evaluator([q])(x)[0])
 
 
 def _close_to_exact(p, x, exact, got):
