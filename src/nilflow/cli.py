@@ -160,15 +160,16 @@ def cmd_bracket(args):
     entry = catalog.get(args.name)
     f = entry.parse(args.f)
     g = entry.parse(args.g)
-    res = entry.engine().bracket(f, g, candidates=entry.candidates())
+    res = entry.engine().bracket(f, g)
+    matched = None if res.is_zero else entry.match(res.poly)
     payload = {"algebra": entry.name, "f": f.spec_string(),
                "g": g.spec_string(), "bracket": str(res.poly),
-               "is_zero": res.is_zero, "matches": res.matched_integral}
+               "is_zero": res.is_zero, "matches": matched}
     lines = ["{%s, %s} = %s" % (f.spec_string(), g.spec_string(), res.poly)]
     if res.is_zero:
         lines.append("= 0")
-    elif res.matched_integral:
-        lines.append("= %s" % res.matched_integral)
+    elif matched:
+        lines.append("= %s" % matched)
     _emit(args, payload, lines)
     return EXIT_OK
 

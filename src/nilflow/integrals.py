@@ -234,7 +234,6 @@ class DerivationIntegral(FirstIntegral):
     def __init__(self, alg, d, check=True, label=None):
         super().__init__(alg, label)
         self.d = [[frac(c) for c in row] for row in d]
-        self.checked = bool(check)
         if check:
             validate_derivation(alg, self.d)
 

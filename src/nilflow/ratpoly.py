@@ -261,30 +261,6 @@ class RationalPolynomial:
             parts.append(" ".join(factors))
         return " + ".join(parts)
 
-    @classmethod
-    def parse(cls, text, nvars):
-        """Inverse of render (accepts exactly the rendered grammar)."""
-        index = {name: i for i, name in enumerate(phase_names(nvars))}
-        terms = {}  # "(0)" is one term with coefficient 0
-        for part in text.strip().split(" + "):
-            tokens = part.split()
-            head = tokens[0] if tokens else ""
-            if not (head.startswith("(") and head.endswith(")")):
-                raise ValueError("malformed term %r" % part)
-            exps = [0] * nvars
-            for tok in tokens[1:]:
-                if "^" in tok:
-                    name, power = tok.split("^")
-                    k = int(power)
-                else:
-                    name, k = tok, 1
-                if name not in index:
-                    raise ValueError("unknown variable %r" % name)
-                exps[index[name]] += k
-            exps = tuple(exps)
-            terms[exps] = terms.get(exps, 0) + Fraction(head[1:-1])
-        return cls(nvars, terms)
-
     def __str__(self):
         return self.render()
 

@@ -87,9 +87,15 @@ def test_aliases_resolve():
 def test_candidates_prefer_right_invariants():
     entry = catalog.get("h3")
     eng = entry.engine()
-    res = eng.bracket(entry.parse("right:X1"), entry.parse("right:Y1"),
-                      candidates=entry.candidates())
-    assert res.matched_integral == "right:Z"
+    res = eng.bracket(entry.parse("right:X1"), entry.parse("right:Y1"))
+    # lin:Z has the same polynomial as right:Z
+    assert entry.parse("lin:Z").as_polynomial() == res.poly
+    assert entry.match(res.poly) == "right:Z"
+    assert entry.match(-res.poly) == "-right:Z"
+    # then the linear integrals, then the set members
+    assert entry.match(entry.parse("lin:X1").as_polynomial()) == "lin:X1"
+    assert entry.match(-entry.parse("E").as_polynomial()) == "-E"
+    assert entry.match(entry.parse("butler:1").as_polynomial()) is None
 
 
 def test_definition_round_trip():
@@ -186,8 +192,9 @@ def test_entry_self_check(name):
 
 
 def test_entries_without_sets_say_so():
-    report = catalog.verify_entry(catalog.get("n6_23"), nsamples=20)
-    assert not report.claims_set
+    entry = catalog.get("n6_23")
+    report = catalog.verify_entry(entry, nsamples=20)
+    assert not entry.complete_set
     assert report.ok
     checks = {name for name, _, _ in report.checks}
     assert "set-involutive" not in checks

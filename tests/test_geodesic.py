@@ -87,13 +87,19 @@ def test_step_five_flow_conserves_its_integrals():
     assert drift > 1e-3
 
 
-def _momentum_oracle(alg):
-    """A start (w0, y0) and the error of a momentum y at time t against
-    the closed form, as (center part, complement part).
+def _closed_form(alg):
+    """A start (w0, y0), the error of a momentum y at time t against the
+    closed form, as (center part, complement part), and the closed-form
+    base point w(t).
 
     On a 2-step algebra, Y = V + Z with Z the metric-orthogonal projection
     onto the center has Z(t) = Z0 and V(t) = e^{t j(Z0)} V0 (Eberlein,
-    Ann. Sci. ENS 27, 1994): an oracle sharing no flow code.
+    Ann. Sci. ENS 27, 1994).  The base point solves w' = Y + [w, Y] / 2,
+    whose bracket is central, so w(t) = w0 + int Y + int [w_lin, Y] / 2
+    with w_lin(s) = w0 + int_0^s Y.  The integrals of e^{s j} V0 are read
+    off the exponential of [[j, V0], [0, 0]], the outer one is 60-node
+    Gauss-Legendre, and the bracket comes from the structure constants:
+    an oracle sharing no flow code.
     """
     n = alg.dim
     split = alg.analyze()
@@ -112,7 +118,29 @@ def _momentum_oracle(alg):
         return (np.max(np.abs(zb @ (z - z0))),
                 np.max(np.abs(vb @ (v - expm(t * j) @ v0))))
 
-    return w0, y0, errors
+    consts = np.zeros((n, n, n))  # [e_i, e_j] = consts[i, j] . e
+    for (i, k), targets in alg.structure.items():
+        for m, c in targets.items():
+            consts[i - 1, k - 1, m - 1] = float(c)
+            consts[k - 1, i - 1, m - 1] = -float(c)
+    aug = np.zeros((dv + 1, dv + 1))
+    aug[:dv, :dv], aug[:dv, dv] = j, v0
+    z = zb @ z0
+
+    def momentum_and_integral(s):
+        e = expm(s * aug)
+        return vb @ (e[:dv, :dv] @ v0) + z, vb @ e[:dv, dv] + s * z
+
+    def base_point(t):
+        nodes, weights = np.polynomial.legendre.leggauss(60)
+        central = np.zeros(n)
+        for x, wt in zip(nodes, weights):
+            y, integral = momentum_and_integral(0.5 * t * (x + 1.0))
+            central += 0.5 * t * wt * np.einsum("i,j,ijk->k", w0 + integral,
+                                                y, consts)
+        return w0 + momentum_and_integral(t)[1] + 0.5 * central
+
+    return w0, y0, errors, base_point
 
 
 def test_two_step_flow_matches_closed_form():
@@ -120,12 +148,14 @@ def test_two_step_flow_matches_closed_form():
     cases = [h3, LieAlgebraDescriptor(3, h3.structure, metric=_tridiagonal(3)),
              h5, LieAlgebraDescriptor(5, h5.structure, metric=_tridiagonal(5))]
     for alg in cases:
-        w0, y0, errors = _momentum_oracle(alg)
+        w0, y0, errors, base_point = _closed_form(alg)
         traj = integrate(alg, w0, y0, dt=1e-3, t_end=2.0)
         assert traj.times[-1] == 2.0
         center, complement = errors(2.0, traj.states[-1, 0, alg.dim:])
         assert center < 1e-9
         assert complement < 1e-9
+        w = traj.states[-1, 0, :alg.dim]
+        assert np.max(np.abs(w - base_point(2.0))) < 1e-12
 
 
 @pytest.mark.parametrize("metric", [None, _tridiagonal(5)])
@@ -134,7 +164,7 @@ def test_rk4_global_error_scales_as_dt4(metric):
     # the finest error (about 6e-9) well above roundoff
     alg = LieAlgebraDescriptor(5, catalog.get("h5").descriptor.structure,
                                metric=metric)
-    w0, y0, errors = _momentum_oracle(alg)
+    w0, y0, errors, _ = _closed_form(alg)
     errs = []
     for dt in (0.1, 0.05, 0.025):
         traj = integrate(alg, w0, y0, dt=dt, t_end=2.0)

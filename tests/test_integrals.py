@@ -16,7 +16,9 @@ from nilflow.integrals import (
     QuotientInduced,
     RightInvariant,
     parse_integral,
+    validate_derivation,
 )
+from polytext import parse
 
 FD_STEP = 1e-6
 FD_TOL = 1e-7
@@ -161,7 +163,8 @@ def test_derivation_integral_gradient():
     # n1 ships an unchecked matrix that is not a derivation; its gradient
     # must still be the gradient of its own value
     unchecked = catalog.get("n1").parse("der:D")
-    assert not unchecked.checked
+    with pytest.raises(NotADerivation):
+        validate_derivation(unchecked.alg, unchecked.d)
     _assert_gradient_matches(unchecked, W5, Y5)
 
 
@@ -176,7 +179,7 @@ def test_non_derivation_rejected():
     assert err.value.pair == (1, 2)
     # check=False skips validation on purpose (defective published candidates)
     unchecked = DerivationIntegral(alg, d, check=False)
-    assert not unchecked.checked
+    assert unchecked.d == d
 
 
 def test_butler_family_h3():
@@ -184,8 +187,7 @@ def test_butler_family_h3():
     g0 = Butler(alg, 0).as_polynomial()
     g1 = Butler(alg, 1).as_polynomial()
     # g0 = y1^2 + y2^2, and each step multiplies by -y3^2
-    from nilflow.ratpoly import RationalPolynomial
-    minus_z2 = RationalPolynomial.parse("(-1) y3^2", 6)
+    minus_z2 = parse("(-1) y3^2", 6)
     assert g1 == g0 * minus_z2
     assert Butler(alg, 2).as_polynomial() == g1 * minus_z2
 

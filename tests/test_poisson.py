@@ -3,16 +3,21 @@ import random
 import weakref
 from fractions import Fraction
 
+import pytest
+
+from nilflow import catalog
 from nilflow.algebra import LieAlgebraDescriptor
 from nilflow.integrals import (
     DerivationIntegral,
     Energy,
     FirstIntegral,
     Linear,
+    NonPolynomialVariant,
     Quadratic,
     RightInvariant,
 )
 from nilflow.poisson import (
+    BracketResult,
     PoissonEngine,
     criterion_derivation_linear,
     criterion_derivation_quadratic,
@@ -21,6 +26,8 @@ from nilflow.poisson import (
     verify_iso_homomorphism,
 )
 from nilflow.ratpoly import Evaluator, RationalPolynomial
+from nilflow.solvers import skew_derivations
+from polytext import parse
 
 
 def _h3(metric=None):
@@ -60,11 +67,10 @@ def test_central_pair_gives_center_momentum():
     eng = PoissonEngine(alg)
     r1 = RightInvariant(alg, _e(3, 1))
     r2 = RightInvariant(alg, _e(3, 2))
-    cand = [RightInvariant(alg, _e(3, 3), label="right:Z")]
-    res = eng.bracket(r1, r2, candidates=cand)
-    assert res.poly == RationalPolynomial.parse("(1) y3", 6)
+    res = eng.bracket(r1, r2)
+    assert res.poly == parse("(1) y3", 6)
     assert not res.is_zero
-    assert res.matched_integral == "right:Z"
+    assert catalog.get("h3").match(res.poly) == "right:Z"
 
 
 def test_central_linear_commutes_with_everything():
@@ -91,7 +97,7 @@ def test_derivation_linear_bracket_value():
     fu = Linear(alg, u)
     # {f_D, f_U} = <Y, D U> = <Y, 2 e1>
     res = eng.bracket(fd, fu)
-    assert res.poly == RationalPolynomial.parse("(2) y1", 6)
+    assert res.poly == parse("(2) y1", 6)
 
 
 def test_antisymmetry():
@@ -110,9 +116,9 @@ def test_jacobi_identity_spot_check():
     alg = _free_23()
     eng = PoissonEngine(alg)
     nv = 10
-    a = _Poly(alg, RationalPolynomial.parse("(1) w1 y3 + (2) y5", nv))
-    b = _Poly(alg, RationalPolynomial.parse("(1) y1 y2 + (-1) w3", nv))
-    c = _Poly(alg, RationalPolynomial.parse("(1) w2^2 y5 + (1) y4", nv))
+    a = _Poly(alg, parse("(1) w1 y3 + (2) y5", nv))
+    b = _Poly(alg, parse("(1) y1 y2 + (-1) w3", nv))
+    c = _Poly(alg, parse("(1) w2^2 y5 + (1) y4", nv))
     total = RationalPolynomial.zero(nv)
     for f, g, h in ((a, b, c), (b, c, a), (c, a, b)):
         inner = _Poly(alg, eng.bracket(g, h).poly)
@@ -259,4 +265,41 @@ def test_metric_changes_bracket_values():
     eng = PoissonEngine(alg)
     res = eng.bracket(RightInvariant(alg, _e(3, 1)), RightInvariant(alg, _e(3, 2)))
     # {X1*, X2*} = f_{[X1,X2]} = <e3, Y>_G = y2 + 3 y3
-    assert res.poly == RationalPolynomial.parse("(1) y2 + (3) y3", 6)
+    assert res.poly == parse("(1) y2 + (3) y3", 6)
+
+
+def test_quotient_induced_integral_is_not_polynomial():
+    entry = catalog.get("h3")
+    f = entry.parse("quot(right:X1 / lin:Z)")
+    with pytest.raises(NonPolynomialVariant):
+        entry.engine().is_first_integral(f)
+
+
+class _NegatingEngine(PoissonEngine):
+    def bracket(self, f, g):
+        res = super().bracket(f, g)
+        return BracketResult(poly=-res.poly, is_zero=res.is_zero)
+
+
+def test_iso_homomorphism_names_the_failing_pairs():
+    # a negated bracket breaks exactly the identities with a nonzero side
+    for alg in (_h3(), _free_23()):
+        rep = verify_iso_homomorphism(alg, engine=_NegatingEngine(alg))
+        good = verify_iso_homomorphism(alg)
+        assert good.ok and not rep.ok
+        assert rep.injectivity_ok
+        assert rep.checked_pairs == good.checked_pairs
+        eng = PoissonEngine(alg)
+        gens = ([DerivationIntegral(alg, d) for d in skew_derivations(alg)]
+                + [RightInvariant(alg, _e(alg.dim, k + 1))
+                   for k in range(alg.dim)])
+        names = (["D%d" % (a + 1) for a in range(len(gens) - alg.dim)]
+                 + ["e%d*" % (k + 1) for k in range(alg.dim)])
+        nonzero = ["{%s, %s}" % (names[i], names[j])
+                   for i in range(len(gens)) for j in range(i + 1, len(gens))
+                   if not eng.bracket(gens[i], gens[j]).is_zero]
+        assert rep.checked_pairs == len(gens) * (len(gens) - 1) // 2
+        assert rep.identity_failures == nonzero
+    alg = _h3()
+    rep = verify_iso_homomorphism(alg, engine=_NegatingEngine(alg))
+    assert rep.identity_failures == ["{D1, e1*}", "{D1, e2*}", "{e1*, e2*}"]

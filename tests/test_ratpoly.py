@@ -5,10 +5,11 @@ import pytest
 
 from nilflow import linalg
 from nilflow.ratpoly import Evaluator, RationalPolynomial, phase_names
+from polytext import parse
 
 
 def _p(nvars, text):
-    return RationalPolynomial.parse(text, nvars)
+    return parse(text, nvars)
 
 
 def _at(p, x):
@@ -52,8 +53,8 @@ def test_arithmetic_across_variable_counts_is_a_value_error():
         with pytest.raises(ValueError, match="2 and 4|4 and 2"):
             op()
     # scalars still combine with a polynomial of any size
-    assert (big + 1) * Fraction(1, 2) - 1 == RationalPolynomial.parse(
-        "(1/2) y2 + (-1/2)", 4)
+    assert (big + 1) * Fraction(1, 2) - 1 == _p(
+        4, "(1/2) y2 + (-1/2)")
 
 
 def test_pow_matches_repeated_mul():
