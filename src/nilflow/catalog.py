@@ -466,7 +466,7 @@ def _entry_extension(k, base_name):
     structure = {}
     for (i, j), targets in balg.structure.items():
         structure[(i + k, j + k)] = {t + k: c for t, c in targets.items()}
-    name = "r%s+%s" % (k if k > 1 else "", base_name)
+    name = "r%s+%s" % (k if k > 1 else "", base.name)
     alg = LieAlgebraDescriptor(dim=n, structure=structure, name=name)
     members = [Linear(alg, x, label="lin:e%d" % (i + 1))
                for i, x in enumerate(linalg.identity(n)[:k])]
@@ -511,19 +511,23 @@ def names():
     return out
 
 
-def get(name, eps=None):
-    """Entry by name; 'n6_19(1)' and get('n6_19', eps=1) both work."""
-    name = name.strip()
-    if "(" in name and name.endswith(")"):
-        base, arg = name[:-1].split("(", 1)
+def get(name):
+    """Entry by the name it builds, e.g. 'h3' or 'n6_19(1)', not 'h03' or
+    'r1+h3'; a parameter is a rational, so 'n6_19(1.0)' is 'n6_19(1)'."""
+    base, eps = name.strip(), None
+    if "(" in base and base.endswith(")"):
+        base, arg = base[:-1].split("(", 1)
         try:
             eps = Fraction(arg)
         except (ValueError, ZeroDivisionError):
-            raise ValueError("bad parameter %r in %r" % (arg, name)) from None
-        return get(base, eps=eps)
-    key = (name, None if eps is None else Fraction(eps))
+            raise ValueError("bad parameter %r in %r"
+                             % (arg, name.strip())) from None
+    key = base if eps is None else "%s(%s)" % (base, eps)
     if key not in _CACHE:
-        _CACHE[key] = _build(name, eps)
+        entry = _build(base, eps)
+        if entry.name != key:
+            raise ValueError("unknown catalog name %r" % key)
+        _CACHE[key] = entry
     return _CACHE[key]
 
 

@@ -326,8 +326,7 @@ def cmd_verify(args):
                   for lbl, ok, det in report.checks]
         iso_ok = None
         if not args.skip_iso:
-            iso = verify_iso_homomorphism(entry.descriptor,
-                                          engine=entry.engine())
+            iso = verify_iso_homomorphism(entry.descriptor)
             iso_ok = iso.ok
             checks.append({"label": "iso-homomorphism", "ok": iso_ok,
                            "detail": "%d pairs checked" % iso.checked_pairs})

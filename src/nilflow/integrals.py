@@ -11,18 +11,22 @@ are not polynomial, keep their own chain rule.
 Constructors validate what can be validated: a quadratic form must be
 symmetric for the metric, a derivation must actually satisfy the product
 rule, written as linear equations by ``derivation_rows``, and be skew for
-the metric.  The ``check=False`` escape hatch on DerivationIntegral
-stores a matrix without validation so that defective reference data can
-still be evaluated and reported against.
+the metric.  ``check=False`` on DerivationIntegral skips that check, for
+defective reference data that is still to be evaluated and reported
+against, and for solved derivations, which are derivations already.
 """
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 from . import group, linalg
 from .algebra import StepMismatch, per_descriptor
 from .linalg import frac
 from .ratpoly import Evaluator, RationalPolynomial
+
+# the deepest nesting a spec may have; far deeper ones exhaust the recursion
+MAX_SPEC_DEPTH = 100
 
 
 class NonPolynomialVariant(ValueError):
@@ -78,9 +82,7 @@ def _psi_columns(alg):
 # -- the integral family ------------------------------------------------
 
 class FirstIntegral:
-    """Base class; concrete kinds set ``kind`` and ``_expand``."""
-
-    kind = None
+    """Base class; subclasses define ``_expand`` and ``_default_label``."""
 
     def __init__(self, alg, label=None):
         self.alg = alg
@@ -130,17 +132,12 @@ class FirstIntegral:
     def spec_string(self):
         return self.label if self.label is not None else self._default_label()
 
-    def _default_label(self):
-        return self.kind
-
     def __repr__(self):
         return "<%s %s>" % (type(self).__name__, self.spec_string())
 
 
 class Energy(FirstIntegral):
     """E = (1/2) <Y, Y>, the Hamiltonian itself."""
-
-    kind = "energy"
 
     def _expand(self):
         y = _y_vec(self.alg)
@@ -152,8 +149,6 @@ class Energy(FirstIntegral):
 
 class Coordinate(FirstIntegral):
     """The phase-space coordinate x_i of (w1..wn, y1..yn), 0-based i."""
-
-    kind = "coordinate"
 
     def __init__(self, alg, index):
         super().__init__(alg, label="x%d" % index)
@@ -175,8 +170,6 @@ def _direction(alg, x):
 class Linear(FirstIntegral):
     """f_X = <Y, X> for a fixed direction X (an integral when X is central)."""
 
-    kind = "linear"
-
     def __init__(self, alg, x, label=None):
         super().__init__(alg, label)
         self.x = _direction(alg, x)
@@ -190,8 +183,6 @@ class Linear(FirstIntegral):
 
 class Quadratic(FirstIntegral):
     """g_S = (1/2) <Y, S Y> for a metric-symmetric operator S."""
-
-    kind = "quadratic"
 
     def __init__(self, alg, s, label=None):
         super().__init__(alg, label)
@@ -211,8 +202,6 @@ class Quadratic(FirstIntegral):
 class RightInvariant(FirstIntegral):
     """f_{X*} = <Ad(p^{-1}) X, Y>, the momentum of right translation."""
 
-    kind = "right-invariant"
-
     def __init__(self, alg, x, label=None):
         super().__init__(alg, label)
         self.x = _direction(alg, x)
@@ -228,8 +217,6 @@ class RightInvariant(FirstIntegral):
 
 class DerivationIntegral(FirstIntegral):
     """f_{D*} = <dexp_w(D w), Y> for a metric-skew derivation D."""
-
-    kind = "derivation"
 
     def __init__(self, alg, d, check=True, label=None):
         super().__init__(alg, label)
@@ -300,8 +287,6 @@ def validate_derivation(alg, d):
 class Butler(FirstIntegral):
     """g_i = <V, j(Z)^{2i} V> on a 2-step algebra, Y = V + Z split."""
 
-    kind = "butler"
-
     def __init__(self, alg, index, label=None):
         super().__init__(alg, label)
         self.index = int(index)
@@ -338,8 +323,6 @@ class Butler(FirstIntegral):
 
 class QuotientInduced(FirstIntegral):
     """exp(-1/den^2) * sin(2 pi num / den), descending to lattice quotients."""
-
-    kind = "quotient-induced"
 
     def __init__(self, num, den, label=None):
         if num.alg is not den.alg:
@@ -402,6 +385,10 @@ def parse_integral(alg, text, names=None, quad_refs=None, der_refs=None):
     derivation still parses and its bracket checks show the defect.
     """
     text = text.strip()
+    if max(accumulate((c == "(") - (c == ")") for c in text),
+           default=0) > MAX_SPEC_DEPTH:
+        raise ValueError("integral spec nests deeper than %d levels"
+                         % MAX_SPEC_DEPTH)
     if text == "E":
         return Energy(alg, label="E")
     if text.startswith("quot(") and text.endswith(")"):

@@ -56,9 +56,18 @@ def test_names_cover_expectations():
 
 def test_get_parses_parameter_suffix():
     a = catalog.get("n6_19(1)")
-    b = catalog.get("n6_19", eps=1)
+    b = catalog.get(" n6_19(1.0) ")
     assert a is b
     assert a.name == "n6_19(1)"
+
+
+def test_get_finds_an_entry_only_under_the_name_it_builds():
+    for name in catalog.names() + ["h7", "r3+h3", "r+n3"]:
+        assert catalog.get(name).name == name
+    # each spelling builds a valid entry under another name
+    for name in ("h03", "r0+h3", "r1+h3", "r+ h3"):
+        with pytest.raises(ValueError, match="unknown catalog name"):
+            catalog.get(name)
 
 
 def test_get_unknown_raises():

@@ -263,6 +263,25 @@ def test_unknown_entry_is_usage_error():
     assert res.stderr.strip()
 
 
+def test_other_spellings_of_an_entry_name_are_usage_errors():
+    # each used to build a valid entry under another name: h03 the plain
+    # Heisenberg h3, r0+h3 and r1+h3 the extension r+h3
+    for args in (("catalog", "h03"), ("check", "r0+h3"),
+                 ("catalog", "r1+h3")):
+        res = _run(*args)
+        assert (res.returncode, res.stdout) == (2, ""), args
+        assert res.stderr == "error: unknown catalog name %r\n" % args[1]
+
+
+def test_deeply_nested_spec_is_usage_error():
+    spec = "E"
+    for _ in range(1200):
+        spec = "quot(E / %s)" % spec
+    res = _run("bracket", "h3", spec, "E")
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == "error: integral spec nests deeper than 100 levels\n"
+
+
 def test_zero_denominator_parameter_is_usage_error():
     for verb in ("derivations", "killing2"):
         res = _run(verb, "n6_19(1/0)")

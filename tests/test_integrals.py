@@ -6,6 +6,7 @@ import pytest
 from nilflow import catalog
 from nilflow.algebra import LieAlgebraDescriptor
 from nilflow.integrals import (
+    MAX_SPEC_DEPTH,
     Butler,
     DerivationIntegral,
     Energy,
@@ -235,8 +236,20 @@ def test_parse_round_trip():
         f = parse_integral(alg, text, quad_refs=quad_refs, der_refs=der_refs)
         again = parse_integral(alg, f.spec_string(), quad_refs=quad_refs,
                                der_refs=der_refs)
-        assert f.kind == again.kind
+        assert type(f) is type(again)
         assert f.as_polynomial() == again.as_polynomial()
+
+
+def test_parse_bounds_the_spec_nesting():
+    alg = _h3()
+    spec = "E"
+    for _ in range(MAX_SPEC_DEPTH):
+        spec = "quot(E / %s)" % spec
+    f = parse_integral(alg, spec)
+    assert f.spec_string() == spec
+    with pytest.raises(ValueError, match="nests deeper than %d levels"
+                       % MAX_SPEC_DEPTH):
+        parse_integral(alg, "quot(E / %s)" % spec)
 
 
 def test_parse_rejects_unknown():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from nilflow import catalog
+from nilflow import catalog, integrals
 from nilflow.algebra import LieAlgebraDescriptor
 from nilflow.integrals import (
     DerivationIntegral,
@@ -25,7 +25,7 @@ from nilflow.poisson import (
     criterion_linear_quadratic,
     verify_iso_homomorphism,
 )
-from nilflow.ratpoly import Evaluator, RationalPolynomial
+from nilflow.ratpoly import RationalPolynomial
 from nilflow.solvers import skew_derivations
 from polytext import parse
 
@@ -51,8 +51,6 @@ def _e(n, i):
 
 class _Poly(FirstIntegral):
     """Wrap a raw phase-space polynomial so the engine can bracket it."""
-
-    kind = "poly"
 
     def __init__(self, alg, poly):
         super().__init__(alg, label=poly.render())
@@ -134,11 +132,8 @@ def test_is_first_integral():
     assert eng.is_first_integral(Linear(alg, _e(3, 3))).ok
     bad = eng.is_first_integral(Linear(alg, _e(3, 1)))
     assert not bad.ok
-    assert bad.witness is not None
-    # the witness is a concrete phase point where {E, f} is nonzero
-    w = list(bad.witness[:3])
-    y = list(bad.witness[3:])
-    assert Evaluator([bad.bracket])(w + y)[0] != 0
+    # the nonzero bracket {f, E} is the exact certificate
+    assert bad.bracket == parse("(-1) y2 y3", 6)
 
 
 def test_involution_table():
@@ -228,6 +223,18 @@ def test_iso_homomorphism_report():
     assert rep.injectivity_ok
     assert rep.checked_pairs > 0
     assert not rep.identity_failures
+
+
+def test_iso_check_does_not_revalidate_solved_derivations(monkeypatch):
+    # the solved basis and its commutators are derivations by construction
+    calls = []
+    monkeypatch.setattr(integrals, "validate_derivation",
+                        lambda *args: calls.append(args))
+    for name in ("h5", "n6_26"):
+        rep = verify_iso_homomorphism(catalog.get(name).descriptor)
+        assert (rep.ok, rep.checked_pairs, rep.identity_failures) == \
+            (True, 36, [])
+    assert calls == []
 
 
 def test_fresh_objects_get_fresh_gradients():
