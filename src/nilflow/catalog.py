@@ -514,14 +514,14 @@ def names():
 def get(name):
     """Entry by the name it builds, e.g. 'h3' or 'n6_19(1)', not 'h03' or
     'r1+h3'; a parameter is a rational, so 'n6_19(1.0)' is 'n6_19(1)'."""
-    base, eps = name.strip(), None
-    if "(" in base and base.endswith(")"):
-        base, arg = base[:-1].split("(", 1)
+    name = name.strip()
+    base, eps = name, None
+    if "(" in name and name.endswith(")"):
+        base, arg = name[:-1].split("(", 1)
         try:
             eps = Fraction(arg)
         except (ValueError, ZeroDivisionError):
-            raise ValueError("bad parameter %r in %r"
-                             % (arg, name.strip())) from None
+            raise ValueError("bad parameter %r in %r" % (arg, name)) from None
     key = base if eps is None else "%s(%s)" % (base, eps)
     if key not in _CACHE:
         entry = _build(base, eps)

@@ -1,5 +1,5 @@
 """A recorded CLI corpus: one sha256 of (exit code, stdout, stderr) for
-each of about 170 in-process commands, stored in ``cli_corpus.json``.
+each of 184 in-process commands, stored in ``cli_corpus.json``.
 
 The CLI's text, its canonical JSON and its exit codes are the program's
 regression gates, so a changed digest is an output change.  Each change
@@ -72,7 +72,8 @@ def commands():
             ["catalog", "r+n3"],
             ["bracket", "h3", "nope:e1", "E"],
             ["geodesic"],
-            # spellings that name no entry: each builds under another name
+            # spellings that name no entry; each once built one under
+            # another name, and they are usage errors now
             ["catalog", "h03"],
             ["check", "r0+h3"],
             ["catalog", "r1+h3"]]
@@ -99,10 +100,11 @@ def _recorded():
 
 def test_cli_output_matches_the_recorded_corpus():
     recorded = _recorded()
-    keys = [shlex.join(argv) for argv in commands()]
+    argvs = commands()
+    keys = [shlex.join(argv) for argv in argvs]
     assert len(set(keys)) == len(keys)
     assert sorted(recorded) == sorted(keys), "corpus and command list differ"
-    changed = [key for key, argv in zip(keys, commands())
+    changed = [key for key, argv in zip(keys, argvs)
                if digest(argv) != recorded[key]]
     assert not changed, "output changed: %s" % "; ".join(changed)
 
