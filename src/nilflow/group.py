@@ -9,6 +9,9 @@ differential of exp, Ad(exp(-w)) and the inverse of the differential are
 finite power series in the nilpotent operator ad w, all evaluated by
 ``ad_series``: Phi(ad w) = sum_k (-ad w)^k / (k+1)!, exp(-ad w) and
 Psi(ad w) = Phi(ad w)^{-1}, whose coefficients invert Phi's as scalars.
+Callers pass the series by its coefficients, ``phi_coeff``,
+``exp_neg_coeff`` or ``psi_coeff``; ``adjoint_inverse`` is the one
+matrix built from a series.
 """
 
 import functools
@@ -117,11 +120,3 @@ def adjoint_inverse(alg, w):
     """Matrix of Ad(exp(-w)) = exp(-ad w), a finite sum by nilpotency."""
     return linalg.transpose([ad_series(alg, w, exp_neg_coeff, e)
                              for e in linalg.identity(alg.dim)])
-
-
-def dexp_apply(alg, w, u):
-    return ad_series(alg, w, phi_coeff, u)
-
-
-def dexp_inverse_apply(alg, w, u):
-    return ad_series(alg, w, psi_coeff, u)

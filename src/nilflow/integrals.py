@@ -75,7 +75,7 @@ def _y_vec(alg):
 def _psi_columns(alg):
     """Psi(ad w) e_i for symbolic w (column i of Psi), once per descriptor."""
     w = _w_vec(alg)
-    return [group.dexp_inverse_apply(alg, w, e)
+    return [group.ad_series(alg, w, group.psi_coeff, e)
             for e in linalg.identity(alg.dim)]
 
 
@@ -226,7 +226,8 @@ class DerivationIntegral(FirstIntegral):
 
     def _expand(self):
         w = _w_vec(self.alg)
-        b = group.dexp_apply(self.alg, w, linalg.mat_vec(self.d, w))
+        b = group.ad_series(self.alg, w, group.phi_coeff,
+                            linalg.mat_vec(self.d, w))
         return self.alg.inner(b, _y_vec(self.alg))
 
     def _default_label(self):

@@ -98,10 +98,6 @@ class RationalPolynomial:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars):
-        return _canonical(nvars, {}, 1)
-
-    @classmethod
     def constant(cls, nvars, c):
         c = frac(c)
         return _canonical(nvars, {(0,) * nvars: c.numerator} if c else {},

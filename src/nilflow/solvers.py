@@ -42,11 +42,12 @@ descriptor, so each is solved once per descriptor and memoized on it, as
 ``analyze()`` is; every call returns fresh nested lists, so a caller that
 mutates a basis cannot change what the next caller gets.
 
-The float checks that sample, the independence scan here and the lattice
+The checks that sample, the independence scan here and the lattice
 invariance check in ``quotients``, draw their points through the one
-generator ``sample_points``: one random stream per seed, one acceptance
+generator ``sample_points``: one float stream per seed, one acceptance
 callback per draw, one draw budget, and one denominator rule,
-``denominators_clear``, for quotient-induced integrals.
+``denominators_clear``, for quotient-induced integrals.  The exact scan
+rounds each draw to a multiple of 1/32 in its own callback.
 """
 
 import functools
@@ -74,15 +75,14 @@ class NoSampleAccepted(ValueError):
     would test nothing."""
 
 
-def sample_points(alg, nsamples, seed, accept, exact=False):
+def sample_points(alg, nsamples, seed, accept):
     """Yield ``accept(w, y)`` at random phase-space points, skipping None.
 
     Points are uniform in [-2, 2]^{2n}, drawn from one ``default_rng(seed)``
-    stream; the exact path rounds them to multiples of 1/32.  ``accept``
-    is called once per draw.  The generator stops after ``nsamples``
-    accepted draws (DEFAULT_SAMPLES when None) or DRAWS_PER_SAMPLE draws
-    per sample, and raises NoSampleAccepted when the first
-    DRAWS_PER_SAMPLE draws are all rejected.  A count below 1 raises
+    stream.  ``accept`` is called once per draw.  The generator stops
+    after ``nsamples`` accepted draws (DEFAULT_SAMPLES when None) or
+    DRAWS_PER_SAMPLE draws per sample, and raises NoSampleAccepted when
+    the first DRAWS_PER_SAMPLE draws are all rejected.  A count below 1 raises
     ValueError: a scan over no samples would report a vacuous pass.
     """
     n = alg.dim
@@ -93,8 +93,6 @@ def sample_points(alg, nsamples, seed, accept, exact=False):
     accepted = 0
     for draws in range(1, DRAWS_PER_SAMPLE * count + 1):
         pt = rng.uniform(-2.0, 2.0, 2 * n)
-        if exact:
-            pt = [Fraction(int(round(x * 32)), 32) for x in pt]
         out = accept(list(pt[:n]), list(pt[n:]))
         if out is not None:
             yield out
@@ -261,11 +259,10 @@ def killing2_same_span(alg):
 # -- independence scans -------------------------------------------------
 
 class ScanReport:
-    def __init__(self, accepted, full_rank, target_rank, ranks):
+    def __init__(self, accepted, full_rank, target_rank):
         self.accepted = accepted
         self.full_rank = full_rank
         self.target_rank = target_rank
-        self.ranks = ranks
 
     @property
     def fraction(self):
@@ -282,11 +279,11 @@ def independence_scan(alg, integrals, predicate=None, nsamples=None, seed=0,
 
     A draw is accepted when ``predicate`` holds there and every quotient
     denominator clears DEN_MIN.  Float path: numpy singular values with
-    the relative cutoff SINGULAR_THRESHOLD.  Exact path: rational sample
-    points and exact row reduction, so the rank statement carries no
-    floating error; it takes polynomial integrals only, and a
-    quotient-induced one raises NonPolynomialVariant before any sample is
-    drawn.
+    the relative cutoff SINGULAR_THRESHOLD.  Exact path: each draw rounded
+    to a multiple of 1/32 before ``predicate`` sees it, and exact row
+    reduction, so the rank statement carries no floating error; it takes
+    polynomial integrals only, and a quotient-induced one raises
+    NonPolynomialVariant before any sample is drawn.
     """
     if exact:
         for f in integrals:
@@ -296,6 +293,9 @@ def independence_scan(alg, integrals, predicate=None, nsamples=None, seed=0,
                     "quotient-induced" % f.spec_string())
 
     def rank_at(w, y):
+        if exact:  # the float draw rounded to a multiple of 1/32
+            w, y = ([Fraction(int(round(x * 32)), 32) for x in v]
+                    for v in (w, y))
         if predicate is not None and not predicate(w, y):
             return None
         if not denominators_clear(integrals, [(w, y)]):
@@ -308,5 +308,5 @@ def independence_scan(alg, integrals, predicate=None, nsamples=None, seed=0,
         return int(np.sum(sv > SINGULAR_THRESHOLD * sv[0])) if sv[0] > 0 else 0
 
     target = len(integrals)
-    ranks = list(sample_points(alg, nsamples, seed, rank_at, exact))
-    return ScanReport(len(ranks), ranks.count(target), target, ranks)
+    ranks = list(sample_points(alg, nsamples, seed, rank_at))
+    return ScanReport(len(ranks), ranks.count(target), target)

@@ -309,6 +309,15 @@ def test_unliftable_extension_is_usage_error():
                           "trivial extension\n")
 
 
+def test_extension_of_an_entry_without_a_set_is_usage_error():
+    # n6_23 claims no set, so there is nothing to lift
+    for name in ("r+n6_23", "r2+n6_23"):
+        code, out, err = _main(["check", name])
+        assert (code, out) == (2, "")
+        assert err == ("error: n6_23 claims no complete set to lift to %s\n"
+                       % name)
+
+
 def test_bad_step_sizes_are_usage_errors():
     for flags in (("--dt", "0"), ("--dt", "nan"), ("--t", "-1"),
                   ("--t", "0.0001")):

@@ -1,5 +1,5 @@
 """A recorded CLI corpus: one sha256 of (exit code, stdout, stderr) for
-each of 184 in-process commands, stored in ``cli_corpus.json``.
+each of 208 in-process commands, stored in ``cli_corpus.json``.
 
 The CLI's text, its canonical JSON and its exit codes are the program's
 regression gates, so a changed digest is an output change.  Each change
@@ -26,8 +26,8 @@ import sys
 
 from nilflow import catalog, cli
 
-CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                      "cli_corpus.json")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CORPUS = os.path.join(ROOT, "tests", "cli_corpus.json")
 
 QUOT = "quot(right:X1 / lin:Z)"
 
@@ -76,7 +76,34 @@ def commands():
             # another name, and they are usage errors now
             ["catalog", "h03"],
             ["check", "r0+h3"],
-            ["catalog", "r1+h3"]]
+            ["catalog", "r1+h3"],
+            # the float chain rule of a quotient-induced gradient
+            ["independence", "h3", QUOT, "--samples", "5"],
+            ["geodesic", "h3", "--t", "0.05", "--dt", "0.005", "--integrals",
+             "E", QUOT],
+            ["geodesic", "h3", "--t", "0.01", "--dt", "0.005", "--format",
+             "csv"],
+            ["geodesic", "h3", "--t", "0.05", "--dt", "0.005", "--w0",
+             "1,0,1/2", "--y0", "0,1,-1"],
+            ["geodesic", "h3", "--t", "1", "--dt", "0.5", "--y0",
+             "1e200,1e200,1e200"],
+            ["geodesic", "h3", "--dt", "0"],
+            ["quotient", "h3", "Nope"],
+            ["quotient", "n2", "Gamma_2"],
+            ["check", "h3", "--samples", "0"],
+            ["check", "n6_24(3)", "--samples", "5"],
+            # an extension of an entry that claims no set
+            ["check", "r+n6_23"],
+            ["check", "r2+n6_23"]]
+    # checked-in definition files, named relative to the repository root
+    for path in ("tests/data/h3_metric.json", "tests/data/filiform5.json"):
+        for verb in ("derivations", "killing2"):
+            out += [[verb, "--file", path],
+                    [verb, "--file", path, "--format", "json"]]
+    out += [["derivations", "h3", "--file", "tests/data/h3_metric.json"],
+            ["killing2"],
+            ["killing2", "--file", "tests/data/affine2.json"],
+            ["derivations", "--file", "tests/data/abelian25.json"]]
     return out
 
 
@@ -84,7 +111,8 @@ def digest(argv):
     """sha256 of the exit code, stdout and stderr of one in-process run;
     an argparse rejection counts with its exit code."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.chdir(ROOT), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
         try:
             code = cli.main(list(argv))
         except SystemExit as exc:
@@ -103,7 +131,11 @@ def test_cli_output_matches_the_recorded_corpus():
     argvs = commands()
     keys = [shlex.join(argv) for argv in argvs]
     assert len(set(keys)) == len(keys)
-    assert sorted(recorded) == sorted(keys), "corpus and command list differ"
+    unrecorded = [key for key in keys if key not in recorded]
+    stale = sorted(set(recorded) - set(keys))
+    assert not unrecorded and not stale, (
+        "commands without a digest: %s; digests without a command: %s"
+        % ("; ".join(unrecorded) or "none", "; ".join(stale) or "none"))
     changed = [key for key, argv in zip(keys, argvs)
                if digest(argv) != recorded[key]]
     assert not changed, "output changed: %s" % "; ".join(changed)

@@ -251,4 +251,4 @@ def test_inner_matches_dense_formula(case):
     assert type(got) is type(_dense_inner(zeros, v, gram))
     assert not got
     if isinstance(u[0], RationalPolynomial):
-        assert got == RationalPolynomial.zero(_NVARS)
+        assert got == RationalPolynomial.constant(_NVARS, 0)

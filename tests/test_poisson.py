@@ -117,7 +117,7 @@ def test_jacobi_identity_spot_check():
     a = _Poly(alg, parse("(1) w1 y3 + (2) y5", nv))
     b = _Poly(alg, parse("(1) y1 y2 + (-1) w3", nv))
     c = _Poly(alg, parse("(1) w2^2 y5 + (1) y4", nv))
-    total = RationalPolynomial.zero(nv)
+    total = RationalPolynomial.constant(nv, 0)
     for f, g, h in ((a, b, c), (b, c, a), (c, a, b)):
         inner = _Poly(alg, eng.bracket(g, h).poly)
         total = total + eng.bracket(f, inner).poly

@@ -17,7 +17,7 @@ def _at(p, x):
 
 
 def test_zero_and_constant():
-    z = RationalPolynomial.zero(4)
+    z = RationalPolynomial.constant(4, 0)
     assert z.is_zero
     assert not z
     c = RationalPolynomial.constant(4, Fraction(3, 2))

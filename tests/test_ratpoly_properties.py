@@ -25,7 +25,7 @@ _points = st.lists(st.integers(-64, 64).map(lambda k: Fraction(k, 16)),
 @_SETTINGS
 @given(_polys, _polys, _polys)
 def test_ring_laws(p, q, r):
-    zero = RationalPolynomial.zero(NVARS)
+    zero = RationalPolynomial.constant(NVARS, 0)
     one = RationalPolynomial.constant(NVARS, 1)
     assert p + q == q + p
     assert p * q == q * p

@@ -1,6 +1,7 @@
 import hashlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -562,11 +563,22 @@ def test_sample_points_stops_at_the_draw_budget():
     assert all(len(w) == len(y) == 3 for w, y in draws)
 
 
-def test_sample_points_exact_draws_are_rational():
-    points = list(solvers.sample_points(_h3(), 4, 7, lambda w, y: (w, y),
-                                        exact=True))
-    assert len(points) == 4
-    for w, y in points:
-        for x in w + y:
+def test_exact_scan_sees_the_float_draws_rounded_to_32nds():
+    alg = _h3()
+    seen = []
+
+    def record(w, y):
+        seen.append(w + y)
+        return True
+
+    rep = independence_scan(alg, [Energy(alg)], predicate=record, nsamples=4,
+                            seed=7, exact=True)
+    assert (rep.accepted, rep.full_rank, len(seen)) == (4, 4, 4)
+    rng = np.random.default_rng(7)
+    for point in seen:
+        draw = rng.uniform(-2.0, 2.0, 6)
+        assert len(point) == 6
+        for x, f in zip(point, draw):
             assert isinstance(x, Fraction) and 32 % x.denominator == 0
-            assert -2 <= x <= 2
+            assert -2 <= x <= 2 and abs(x - Fraction(f)) <= Fraction(1, 64)
+            assert x == Fraction(round(f * 32), 32)
