@@ -1,13 +1,16 @@
 """Bundled reference algebras with their integral sets and fixtures.
 
-Each entry carries: the descriptor, the claimed complete set of first
-integrals (when one is claimed), a dense predicate for independence
-scans, lattices, chart maps to the coordinates the group law is usually
-displayed in, and an ``expected`` dict of independently computed values
-that ``verify_entry`` re-derives and compares.  The builders record the
-step, the center and the per-entry fixtures; the dimensions of the
-metric-skew derivations and Killing 2-tensors of every entry sit in the
-one table ``_RECORDED_DIMS``, which ``get`` applies before caching.
+Each entry carries: the descriptor, which names it, the claimed complete
+set of first integrals (when one is claimed), a dense predicate for
+independence scans, lattices, chart maps to the coordinates the group
+law is usually displayed in, and an ``expected`` dict of independently
+computed values that ``verify_entry`` re-derives and compares.  The
+builders record the step, the center and the per-entry fixtures; the
+dimensions of the metric-skew derivations and Killing 2-tensors of every
+entry sit in the one table ``_RECORDED_DIMS``.  ``get`` is the one reader
+of a name, ``[rK+]FAMILY[(q)]``; it builds a family from the one registry
+``_FAMILIES`` and an extension from its cached base, and applies the
+recorded dimensions before caching.
 
 Some bundled constructions are known to be defective (a stored rotation
 that is not actually a derivation, a set that is not involutive, a
@@ -17,20 +20,19 @@ and ``expected`` record the computed truth.
 """
 
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import group, linalg
 from .algebra import LieAlgebraDescriptor
-from .integrals import (Butler, DerivationIntegral, Energy, Linear, Quadratic,
-                        RightInvariant, parse_integral)
+from .integrals import Butler, parse_integral
 from .poisson import PoissonEngine
 from .quotients import Lattice, invariance_check
 from .ratpoly import RationalPolynomial
 from .solvers import (independence_scan, killing2_same_span, killing2_tensors,
                       skew_derivations)
 
-INDEPENDENCE_FRACTION = 0.99
 INVARIANCE_TOL = 1e-10
 
 
@@ -54,7 +56,6 @@ class ChartMaps:
 
 @dataclass
 class CatalogEntry:
-    name: str
     descriptor: LieAlgebraDescriptor
     complete_set: list = None
     dense_predicate: DensePredicate = None
@@ -66,6 +67,11 @@ class CatalogEntry:
     quad_refs: dict = field(default_factory=dict)
     der_refs: dict = field(default_factory=dict)
     quotient_functions: dict = field(default_factory=dict)
+
+    @property
+    def name(self):
+        """An entry is named by its algebra."""
+        return self.descriptor.name
 
     def parse(self, spec):
         return parse_integral(self.descriptor, spec, names=self.basis_aliases,
@@ -192,7 +198,7 @@ def _n23free_law(u, v):
 def _entry_h3():
     alg = _alg("h3", 3, {(1, 2): {3: 1}})
     e = CatalogEntry(
-        name="h3", descriptor=alg,
+        descriptor=alg,
         basis_aliases={"X1": 1, "Y1": 2, "Z": 3},
         dense_predicate=DensePredicate(
             "y3 != 0 and (y1 != 0 or y2 != 0)",
@@ -208,10 +214,9 @@ def _entry_h3():
 
 
 def _entry_heisenberg(npairs):
-    name = "h%d" % (2 * npairs + 1)
     dim = 2 * npairs + 1
     brackets = {(i, npairs + i): {dim: 1} for i in range(1, npairs + 1)}
-    alg = _alg(name, dim, brackets)
+    alg = _alg("h%d" % dim, dim, brackets)
     aliases = {}
     for i in range(1, npairs + 1):
         aliases["X%d" % i] = i
@@ -221,11 +226,11 @@ def _entry_heisenberg(npairs):
     for i in range(1, npairs + 1):
         quad_refs["S%d" % i] = _sym(dim, {(i, i): 1, (npairs + i, npairs + i): 1})
     e = CatalogEntry(
-        name=name, descriptor=alg, basis_aliases=aliases, quad_refs=quad_refs,
+        descriptor=alg, basis_aliases=aliases, quad_refs=quad_refs,
         chart_maps=_heisenberg_chart(npairs),
         expected={"step": 2, "center_dim": 1},
         notes="S_i is the identity on the i-th (X_i, Y_i) plane.")
-    if name == "h5":
+    if npairs == 2:
         e.lattices = {"Gamma_1_1": Lattice(
             "Gamma_1_1", [tuple(x) for x in linalg.identity(5)])}
     specs = ["lin:Z"] + ["right:X%d" % i for i in range(1, npairs + 1)] \
@@ -236,7 +241,7 @@ def _entry_heisenberg(npairs):
 def _entry_n2():
     alg = _alg("n2", 4, {(1, 2): {3: 1}, (1, 3): {4: 1}})
     e = CatalogEntry(
-        name="n2", descriptor=alg,
+        descriptor=alg,
         dense_predicate=DensePredicate("y1 != 0", lambda w, y: y[0] != 0),
         chart_maps=_identity_chart(_n2_law),
         expected={"step": 3, "center_dim": 1},
@@ -249,7 +254,7 @@ def _entry_n2():
 def _entry_n3():
     alg = _alg("n3", 5, {(1, 2): {4: 1}, (1, 3): {5: 1}})
     e = CatalogEntry(
-        name="n3", descriptor=alg,
+        descriptor=alg,
         dense_predicate=DensePredicate("y1 != 0", lambda w, y: y[0] != 0),
         lattices={"Lambda_2": Lattice(
             "Lambda_2",
@@ -268,7 +273,7 @@ def _entry_n3():
 def _entry_n1():
     alg = _alg("n1", 5, {(1, 2): {3: 1}, (1, 3): {5: 1}, (2, 4): {5: 1}})
     e = CatalogEntry(
-        name="n1", descriptor=alg,
+        descriptor=alg,
         der_refs={"D": _rotation(5, 1, 2)},
         dense_predicate=DensePredicate(
             "y5 != 0 and (w1 != 0 or w2 != 0)",
@@ -285,7 +290,7 @@ def _entry_n23free():
     alg = _alg("n23free", 5, {(1, 2): {3: 1}, (1, 3): {4: 1}, (2, 3): {5: 1}})
     s = _sym(5, {(1, 5): 1, (2, 4): -1, (3, 3): 1})
     e = CatalogEntry(
-        name="n23free", descriptor=alg, quad_refs={"S": s},
+        descriptor=alg, quad_refs={"S": s},
         dense_predicate=DensePredicate(
             "y4 != 0 and y2*y5 + y1*y4 != 0",
             lambda w, y: y[3] != 0 and y[1] * y[4] + y[0] * y[3] != 0),
@@ -299,7 +304,7 @@ def _entry_n23free():
 def _entry_n6_10():
     alg = _alg("n6_10", 6, {(1, 2): {3: 1}, (1, 3): {6: 1}, (4, 5): {6: 1}})
     e = CatalogEntry(
-        name="n6_10", descriptor=alg,
+        descriptor=alg,
         der_refs={"D": _rotation(6, 1, 4)},
         expected={"step": 3, "center_dim": 1},
         notes="The stored rotation of the (e1, e4) plane is not a "
@@ -316,7 +321,7 @@ def _entry_n6_19(eps):
                {(1, 2): {4: 1}, (1, 3): {5: 1}, (2, 4): {6: 1},
                 (3, 5): {6: eps}}, params={"eps": eps})
     e = CatalogEntry(
-        name=alg.name, descriptor=alg,
+        descriptor=alg,
         expected={"step": 3, "center_dim": 2 if eps == 0 else 1},
         notes="")
     if eps == 0:
@@ -337,7 +342,7 @@ def _entry_n6_20():
     alg = _alg("n6_20", 6, {(1, 2): {4: 1}, (1, 3): {5: 1}, (1, 5): {6: 1},
                             (2, 4): {6: 1}})
     e = CatalogEntry(
-        name="n6_20", descriptor=alg,
+        descriptor=alg,
         der_refs={"D": _rotation(6, 1, 2)},
         expected={"step": 3, "center_dim": 1},
         notes="The stored rotation D is not a derivation (fails on "
@@ -365,7 +370,7 @@ def _entry_n6_22(eps):
                {(1, 2): {5: 1}, (1, 3): {6: 1}, (3, 4): {5: 1},
                 (2, 4): {6: eps}}, params={"eps": eps})
     e = CatalogEntry(
-        name=alg.name, descriptor=alg,
+        descriptor=alg,
         expected={"step": 2, "center_dim": 2},
         notes="The stored quartic reference expansion disagrees with the "
               "computed butler:1 (coefficient of y2^2: computed "
@@ -380,7 +385,7 @@ def _entry_n6_23():
     alg = _alg("n6_23", 6, {(1, 2): {3: 1}, (1, 3): {5: 1}, (1, 4): {6: 1},
                             (2, 4): {5: 1}})
     return CatalogEntry(
-        name="n6_23", descriptor=alg,
+        descriptor=alg,
         expected={"step": 3, "center_dim": 2},
         notes="No complete set claimed; the skew-derivation space is "
               "trivial.")
@@ -392,7 +397,7 @@ def _entry_n6_24(eps):
                {(1, 2): {3: 1}, (1, 3): {5: 1}, (2, 3): {6: 1},
                 (2, 4): {5: 1}, (1, 4): {6: eps}}, params={"eps": eps})
     e = CatalogEntry(
-        name=alg.name, descriptor=alg,
+        descriptor=alg,
         expected={"step": 3, "center_dim": 2, "killing2_dim": 4},
         notes="No complete set claimed.")
     if eps == -1:
@@ -412,7 +417,7 @@ def _entry_n6_24(eps):
 def _entry_n6_25():
     alg = _alg("n6_25", 6, {(1, 2): {3: 1}, (1, 3): {5: 1}, (1, 4): {6: 1}})
     e = CatalogEntry(
-        name="n6_25", descriptor=alg,
+        descriptor=alg,
         expected={"step": 3, "center_dim": 2},
         notes="The span of e2..e6 is abelian, so the five right-invariant "
               "momenta commute.")
@@ -424,49 +429,59 @@ def _entry_n6_26():
     alg = _alg("n6_26", 6, {(1, 2): {4: 1}, (1, 3): {5: 1}, (2, 3): {6: 1}})
     s = _sym(6, {(1, 6): 2, (2, 5): -2, (3, 4): 2})
     e = CatalogEntry(
-        name="n6_26", descriptor=alg, quad_refs={"S": s},
+        descriptor=alg, quad_refs={"S": s},
         expected={"step": 2, "center_dim": 3},
         notes="The antidiagonal quadratic absorbs an overall factor 2.")
     return _specs(e, ["E", "right:e2", "lin:e4", "lin:e5", "lin:e6",
                       "quad:S"])
 
 
-def _entry_extension(k, base_name):
-    base = get(base_name)
-    balg = base.descriptor
-    n = balg.dim + k
-    structure = {}
-    for (i, j), targets in balg.structure.items():
-        structure[(i + k, j + k)] = {t + k: c for t, c in targets.items()}
+def _entry_extension(k, base):
+    """r^k + base: the product of a family entry with a flat abelian factor
+    on e1..ek, its complete set lifted to the shifted basis."""
+    structure = {(i + k, j + k): {t + k: c for t, c in targets.items()}
+                 for (i, j), targets in base.descriptor.structure.items()}
     name = "r%s+%s" % (k if k > 1 else "", base.name)
-    alg = LieAlgebraDescriptor(dim=n, structure=structure, name=name)
+    alg = LieAlgebraDescriptor(dim=base.descriptor.dim + k,
+                               structure=structure, name=name)
     if base.complete_set is None:
         raise ValueError("%s claims no complete set to lift to %s"
                          % (base.name, name))
-    members = [Linear(alg, x, label="lin:e%d" % (i + 1))
-               for i, x in enumerate(linalg.identity(n)[:k])]
+    specs = ["lin:e%d" % (i + 1) for i in range(k)]
     for f in base.complete_set:
-        if isinstance(f, Energy):
-            members.append(Energy(alg, label="E"))
-        elif isinstance(f, (Linear, RightInvariant)):
-            label = "%s:e%d" % (f.spec_string().split(":")[0],
-                                f.x.index(1) + 1 + k)
-            members.append(type(f)(alg, [Fraction(0)] * k + f.x, label=label))
-        else:
+        kind = f.spec_string().split(":")[0]
+        if kind not in ("E", "lin", "right"):
             raise ValueError("cannot lift %r to a trivial extension" % f)
-    e = CatalogEntry(
-        name=name, descriptor=alg, complete_set=members,
+        specs.append(kind if kind == "E"
+                     else "%s:e%d" % (kind, f.x.index(1) + 1 + k))
+    return _specs(CatalogEntry(
+        descriptor=alg,
         expected={"step": base.expected["step"],
                   "center_dim": base.expected["center_dim"] + k},
         notes="Product with a flat abelian factor (coordinates e1..e%d); "
               "the lifted members keep their base labels shifted by %d."
-              % (k, k))
-    return e
+              % (k, k)), specs)
 
 
 # -- registry ------------------------------------------------------------
 
 _CACHE = {}
+
+_EPS = (Fraction(-1), Fraction(0), Fraction(1), Fraction(2))
+
+# family -> (builder, the parameters and the k of the extensions rk+family
+# that names() lists); a family listed with parameters needs one, which
+# its builder takes, and any other family takes none
+_FAMILIES = {
+    "h3": (_entry_h3, (), (1, 2)),
+    "h5": (lambda: _entry_heisenberg(2), (), ()),
+    "n1": (_entry_n1, (), ()), "n2": (_entry_n2, (), (1,)),
+    "n3": (_entry_n3, (), ()), "n23free": (_entry_n23free, (), ()),
+    "n6_10": (_entry_n6_10, (), ()), "n6_19": (_entry_n6_19, _EPS, ()),
+    "n6_20": (_entry_n6_20, (), ()), "n6_22": (_entry_n6_22, _EPS, ()),
+    "n6_23": (_entry_n6_23, (), ()), "n6_24": (_entry_n6_24, _EPS, ()),
+    "n6_25": (_entry_n6_25, (), ()), "n6_26": (_entry_n6_26, (), ()),
+}
 
 # the recorded (skew_derivation_dim, killing2_dim) of each entry, which
 # verify_entry re-derives; the n6_24 rows hold only the first, because
@@ -482,71 +497,59 @@ _RECORDED_DIMS = {
     "r+h3": (1, 4), "r2+h3": (2, 7), "r+n2": (0, 5),
 }
 
-_EPS_DEFAULTS = [Fraction(-1), Fraction(0), Fraction(1), Fraction(2)]
+# [rK+]FAMILY[(q)]: the prefix, the family and the parameter
+_NAME = re.compile(r"(?:(r\d*)\+)?([^+(]*)(?:\((.*)\))?", re.S)
 
 
 def names():
-    """Concrete instances enumerated by tests and the CLI listing."""
-    out = ["h3", "h5", "n1", "n2", "n3", "n23free", "n6_10"]
-    out += ["n6_19(%s)" % e for e in _EPS_DEFAULTS]
-    out.append("n6_20")
-    out += ["n6_22(%s)" % e for e in _EPS_DEFAULTS]
-    out.append("n6_23")
-    out += ["n6_24(%s)" % e for e in _EPS_DEFAULTS]
-    out += ["n6_25", "n6_26", "r+h3", "r2+h3", "r+n2"]
-    return out
+    """The listed entries: each family at its parameters, then extensions."""
+    out = [family if eps is None else "%s(%s)" % (family, eps)
+           for family, (_, params, _) in _FAMILIES.items()
+           for eps in params or [None]]
+    return out + ["r%s+%s" % (k if k > 1 else "", family)
+                  for family, (_, _, ks) in _FAMILIES.items() for k in ks]
 
 
 def get(name):
-    """Entry by the name it builds, e.g. 'h3' or 'n6_19(1)', not 'h03' or
-    'r1+h3'; a parameter is a rational, so 'n6_19(1.0)' is 'n6_19(1)'."""
+    """Entry by the name it builds: 'h3', 'n6_19(1)' or 'r2+h3', not 'h03',
+    'r1+h3' or 'r+r+h3' (the base of an extension is a family); a
+    parameter is a rational, so 'n6_19(1.0)' is 'n6_19(1)'."""
     name = name.strip()
-    base, eps = name, None
-    if "(" in name and name.endswith(")"):
-        base, arg = name[:-1].split("(", 1)
+    match = _NAME.fullmatch(name)
+    # a name outside the grammar is read as a family, which none is
+    prefix, family, arg = match.groups() if match else (None, name, None)
+    eps = None
+    if arg is not None:
         try:
             eps = Fraction(arg)
         except (ValueError, ZeroDivisionError):
             raise ValueError("bad parameter %r in %r" % (arg, name)) from None
-    key = base if eps is None else "%s(%s)" % (base, eps)
+    base = family if eps is None else "%s(%s)" % (family, eps)
+    key = base if prefix is None else "%s+%s" % (prefix, base)
     if key not in _CACHE:
-        entry = _build(base, eps)
+        builder, params, _ = _FAMILIES.get(family, (None, (), ()))
+        if prefix is not None:
+            entry = _entry_extension(int(prefix[1:] or 1), get(base))
+        elif params and eps is None:
+            raise ValueError("%s needs a parameter, e.g. %s(1)"
+                             % (family, family))
+        elif eps is not None and not params:
+            raise ValueError("%s takes no parameter" % family)
+        elif builder is not None:
+            entry = builder(eps) if params else builder()
+        elif family[:1] == "h" and family[1:].isdigit():
+            dim = int(family[1:])
+            if dim < 3 or dim % 2 == 0:
+                raise ValueError("Heisenberg names are h3, h5, h7, ...")
+            entry = _entry_heisenberg(dim // 2)
+        else:
+            raise ValueError("unknown catalog name %r" % family)
         if entry.name != key:
             raise ValueError("unknown catalog name %r" % key)
         entry.expected.update(zip(("skew_derivation_dim", "killing2_dim"),
                                   _RECORDED_DIMS.get(key, ())))
         _CACHE[key] = entry
     return _CACHE[key]
-
-
-def _build(name, eps):
-    eps_families = {"n6_19": _entry_n6_19, "n6_22": _entry_n6_22,
-                    "n6_24": _entry_n6_24}
-    if name in eps_families:
-        if eps is None:
-            raise ValueError("%s needs a parameter, e.g. %s(1)" % (name, name))
-        return eps_families[name](eps)
-    if eps is not None:
-        raise ValueError("%s takes no parameter" % name)
-    plain = {"h3": _entry_h3, "n1": _entry_n1, "n2": _entry_n2,
-             "n3": _entry_n3, "n23free": _entry_n23free,
-             "n6_10": _entry_n6_10, "n6_20": _entry_n6_20,
-             "n6_23": _entry_n6_23, "n6_25": _entry_n6_25,
-             "n6_26": _entry_n6_26}
-    if name in plain:
-        return plain[name]()
-    if name.startswith("h") and name[1:].isdigit():
-        dim = int(name[1:])
-        if dim >= 3 and dim % 2 == 1:
-            return _entry_heisenberg(dim // 2)
-        raise ValueError("Heisenberg names are h3, h5, h7, ...")
-    if "+" in name:
-        head, base = name.split("+", 1)
-        if head == "r":
-            return _entry_extension(1, base)
-        if head.startswith("r") and head[1:].isdigit():
-            return _entry_extension(int(head[1:]), base)
-    raise ValueError("unknown catalog name %r" % name)
 
 
 # -- verification --------------------------------------------------------
@@ -561,13 +564,9 @@ class EntryReport:
         return all(ok for _, ok, _ in self.checks)
 
     def lines(self):
-        out = []
-        for label, ok, detail in self.checks:
-            line = "%-28s %s" % (label, "ok" if ok else "MISMATCH")
-            if detail:
-                line += "  (%s)" % detail
-            out.append(line)
-        return out
+        return ["%-28s %s" % (label, "ok" if ok else "MISMATCH")
+                + ("  (%s)" % detail if detail else "")
+                for label, ok, detail in self.checks]
 
 
 def verify_entry(entry, nsamples=None, seed=0):
@@ -612,20 +611,15 @@ def verify_entry(entry, nsamples=None, seed=0):
 
     if entry.complete_set:
         engine = entry.engine()
-        bad_members = []
-        for f in entry.complete_set:
-            res = engine.is_first_integral(f)
-            if not res.ok:
-                bad_members.append(f.spec_string())
+        specs = [f.spec_string() for f in entry.complete_set]
+        bad_members = [spec for spec, f in zip(specs, entry.complete_set)
+                       if not engine.is_first_integral(f).ok]
         checks.append(("set-members-integral", not bad_members,
                        "non-conserved: %s" % ", ".join(bad_members)
                        if bad_members else "all conserved"))
-        bad_pairs = []
-        for i, j, res in engine.involution_table(entry.complete_set):
-            if not res.is_zero:
-                bad_pairs.append("{%s, %s}" % (
-                    entry.complete_set[i].spec_string(),
-                    entry.complete_set[j].spec_string()))
+        bad_pairs = ["{%s, %s}" % (specs[i], specs[j]) for i, j, res
+                     in engine.involution_table(entry.complete_set)
+                     if not res.is_zero]
         checks.append(("set-involutive", not bad_pairs,
                        "nonzero: %s" % ", ".join(bad_pairs)
                        if bad_pairs else "all brackets vanish"))
@@ -633,23 +627,17 @@ def verify_entry(entry, nsamples=None, seed=0):
             rep = independence_scan(alg, entry.complete_set,
                                     predicate=entry.dense_predicate,
                                     nsamples=nsamples, seed=seed)
-            ok = (rep.accepted > 0
-                  and rep.fraction >= INDEPENDENCE_FRACTION)
-            checks.append(("independence", ok,
+            checks.append(("independence", rep.ok,
                            "full rank %d on %d/%d accepted samples"
                            % (rep.target_rank, rep.full_rank, rep.accepted)))
     else:
         checks.append(("complete-set", True, "no complete set claimed"))
 
     for lname, fns in entry.quotient_functions.items():
-        lat = entry.lattices[lname]
-        worst = 0.0
-        total = 0
-        for f in fns:
-            dev, acc = invariance_check(alg, lat, f, nsamples=nsamples,
-                                        seed=seed)
-            worst = max(worst, dev)
-            total += acc
+        runs = [invariance_check(alg, entry.lattices[lname], f,
+                                 nsamples=nsamples, seed=seed) for f in fns]
+        worst = max([0.0] + [dev for dev, _ in runs])
+        total = sum(acc for _, acc in runs)
         checks.append(("invariance[%s]" % lname, worst < INVARIANCE_TOL,
                        "max deviation %.3g on %d samples" % (worst, total)))
 

@@ -97,22 +97,17 @@ def cmd_catalog(args):
         }
         lines = ["%s  (dim %d, step %d)" % (entry.name, entry.descriptor.dim,
                                             payload["step"])]
-        if payload["complete_set"]:
-            lines.append("complete set: " + ", ".join(payload["complete_set"]))
-        else:
-            lines.append("no complete set claimed")
-        for k in entry.lattices:
-            lines.append("lattice: %s" % k)
+        lines.append("complete set: " + ", ".join(payload["complete_set"])
+                     if payload["complete_set"] else "no complete set claimed")
+        lines += ["lattice: %s" % k for k in entry.lattices]
         if entry.notes:
             lines.append(entry.notes)
         _emit(args, payload, lines)
         return EXIT_OK
-    rows = []
-    for name in catalog.names():
-        entry = catalog.get(name)
-        rows.append({"name": name, "dim": entry.descriptor.dim,
-                     "step": entry.descriptor.analyze().step,
-                     "members": len(entry.complete_set or [])})
+    rows = [{"name": e.name, "dim": e.descriptor.dim,
+             "step": e.descriptor.analyze().step,
+             "members": len(e.complete_set or [])}
+            for e in map(catalog.get, catalog.names())]
     lines = ["%-12s dim %d  step %d  set %d"
              % (r["name"], r["dim"], r["step"], r["members"]) for r in rows]
     _emit(args, {"entries": rows}, lines)
@@ -177,22 +172,18 @@ def cmd_bracket(args):
 def cmd_involution(args):
     entry = catalog.get(args.name)
     fs = _members(entry, args.integrals)
-    pairs = []
-    bad = 0
-    for i, j, res in entry.engine().involution_table(fs):
-        pairs.append({"f": fs[i].spec_string(), "g": fs[j].spec_string(),
-                      "is_zero": res.is_zero, "bracket": str(res.poly)})
-        if not res.is_zero:
-            bad += 1
+    pairs = [{"f": fs[i].spec_string(), "g": fs[j].spec_string(),
+              "is_zero": res.is_zero, "bracket": str(res.poly)}
+             for i, j, res in entry.engine().involution_table(fs)]
+    involutive = all(p["is_zero"] for p in pairs)
     payload = {"algebra": entry.name, "pairs": pairs,
-               "involutive": bad == 0}
-    lines = []
-    for p in pairs:
-        lines.append("{%s, %s} = %s"
-                     % (p["f"], p["g"], "0" if p["is_zero"] else p["bracket"]))
-    lines.append("involutive: %s" % (bad == 0))
+               "involutive": involutive}
+    lines = ["{%s, %s} = %s" % (p["f"], p["g"],
+                                "0" if p["is_zero"] else p["bracket"])
+             for p in pairs]
+    lines.append("involutive: %s" % involutive)
     _emit(args, payload, lines)
-    return EXIT_OK if bad == 0 else EXIT_CLAIM_FAILED
+    return EXIT_OK if involutive else EXIT_CLAIM_FAILED
 
 
 def cmd_independence(args):
@@ -202,19 +193,18 @@ def cmd_independence(args):
     rep = solvers.independence_scan(entry.descriptor, fs, predicate=pred,
                                     nsamples=args.samples, seed=args.seed,
                                     exact=args.exact)
-    ok = rep.accepted > 0 and rep.fraction >= catalog.INDEPENDENCE_FRACTION
     payload = {"algebra": entry.name, "target_rank": rep.target_rank,
                "accepted": rep.accepted, "full_rank": rep.full_rank,
                "fraction": rep.fraction, "exact": bool(args.exact),
                "predicate": pred.description if pred else None,
-               "ok": ok}
+               "ok": rep.ok}
     lines = ["rank %d on %d of %d accepted samples (%.1f%%)"
              % (rep.target_rank, rep.full_rank, rep.accepted,
                 100.0 * rep.fraction)]
     if pred:
         lines.append("dense predicate: %s" % pred.description)
     _emit(args, payload, lines)
-    return EXIT_OK if ok else EXIT_CLAIM_FAILED
+    return EXIT_OK if rep.ok else EXIT_CLAIM_FAILED
 
 
 def _parse_coords(text, n, what):
@@ -274,10 +264,8 @@ def cmd_quotient(args):
                          % (entry.name, args.lattice,
                             ", ".join(sorted(entry.lattices)) or "none"))
     lat = entry.lattices[args.lattice]
-    if args.integrals:
-        fs = [entry.parse(s) for s in args.integrals]
-    else:
-        fs = list(entry.quotient_functions.get(args.lattice, []))
+    fs = ([entry.parse(s) for s in args.integrals]
+          or list(entry.quotient_functions.get(args.lattice, [])))
     if not fs:
         raise ValueError("no quotient functions stored for %s; pass specs"
                          % args.lattice)
@@ -324,13 +312,12 @@ def cmd_verify(args):
         report = catalog.verify_entry(entry, nsamples=args.samples)
         checks = [{"label": lbl, "ok": ok, "detail": det}
                   for lbl, ok, det in report.checks]
-        iso_ok = None
+        entry_ok = report.ok
         if not args.skip_iso:
             iso = verify_iso_homomorphism(entry.descriptor)
-            iso_ok = iso.ok
-            checks.append({"label": "iso-homomorphism", "ok": iso_ok,
+            entry_ok = entry_ok and iso.ok
+            checks.append({"label": "iso-homomorphism", "ok": iso.ok,
                            "detail": "%d pairs checked" % iso.checked_pairs})
-        entry_ok = report.ok and (iso_ok is not False)
         if not entry_ok:
             failed.append(name)
         summaries.append({"name": name, "ok": entry_ok, "checks": checks})
@@ -354,12 +341,30 @@ def _add_format(p, extra=()):
                    default="text")
 
 
+class _VerbParser(argparse.ArgumentParser):
+    """A verb's parser reads its positionals among its options, as in
+    ``independence h3 --samples 3 E``; the top-level one, having
+    subparsers, cannot."""
+
+    _intermixed = False
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._intermixed:  # the two passes of the intermixed parse
+            return super().parse_known_args(args, namespace)
+        self._intermixed = True
+        try:
+            return self.parse_known_intermixed_args(args, namespace)
+        finally:
+            self._intermixed = False
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="nilflow",
         description="verification toolkit for geodesic-flow first integrals "
                     "on nilpotent Lie groups")
-    sub = parser.add_subparsers(dest="verb", required=True)
+    sub = parser.add_subparsers(dest="verb", required=True,
+                                parser_class=_VerbParser)
 
     p = sub.add_parser("catalog", help="list bundled algebras")
     p.add_argument("name", nargs="?")

@@ -373,7 +373,7 @@ def basis_vector(alg, ref, names=None):
             idx = None
     if idx is None or not (1 <= idx <= alg.dim):
         raise ValueError("unknown basis reference %r" % ref)
-    return linalg.identity(alg.dim)[idx - 1]
+    return [Fraction(int(k == idx)) for k in range(1, alg.dim + 1)]
 
 
 def parse_integral(alg, text, names=None, quad_refs=None, der_refs=None):

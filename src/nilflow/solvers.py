@@ -68,6 +68,7 @@ DEFAULT_SAMPLES = 200
 DRAWS_PER_SAMPLE = 1000
 SINGULAR_THRESHOLD = 1e-10
 DEN_MIN = 0.1
+INDEPENDENCE_FRACTION = 0.99
 
 
 class NoSampleAccepted(ValueError):
@@ -267,6 +268,11 @@ class ScanReport:
     @property
     def fraction(self):
         return self.full_rank / self.accepted if self.accepted else 0.0
+
+    @property
+    def ok(self):
+        """Full rank on INDEPENDENCE_FRACTION of some accepted draws."""
+        return self.accepted > 0 and self.fraction >= INDEPENDENCE_FRACTION
 
     def __repr__(self):
         return ("<ScanReport %d/%d full rank (%d)>"

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from conftest import acceptance_lines
+from helpers import in_span
 from nilflow import catalog, solvers
 from nilflow.geodesic import conservation_report, integrate
 from nilflow.integrals import Butler, Energy, Linear, Quadratic
@@ -58,30 +59,6 @@ def _identity(n):
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
-def _in_span(mats, target):
-    if not mats:
-        return all(all(c == 0 for c in row) for row in target)
-    n = len(target)
-    k = len(mats)
-    rows = [[m[i][j] for m in mats] + [target[i][j]]
-            for i in range(n) for j in range(n)]
-    pivot_row = 0
-    for col in range(k):
-        sel = next((r for r in range(pivot_row, len(rows)) if rows[r][col] != 0),
-                   None)
-        if sel is None:
-            continue
-        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
-        pv = rows[pivot_row][col]
-        rows[pivot_row] = [c / pv for c in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
-    return not any(all(c == 0 for c in r[:-1]) and r[-1] != 0 for r in rows)
-
-
 def test_criterion_1_momentum_map_is_a_homomorphism():
     t0 = time.time()
     failures = []
@@ -113,7 +90,7 @@ def test_criterion_2_solver_fixture_dimensions():
             problems.append("%s killing dim %d != %d" % (name, got, want))
     for name in catalog.names():
         alg = catalog.get(name).descriptor
-        if not _in_span(killing2_tensors(alg), _identity(alg.dim)):
+        if not in_span(killing2_tensors(alg), _identity(alg.dim)):
             problems.append("%s killing span misses Id" % name)
     ok = not problems
     detail = "; ".join(problems) if problems else \

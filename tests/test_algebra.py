@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import free_23, h3
 from nilflow.algebra import (
     JacobiViolation,
     LieAlgebraDescriptor,
@@ -15,21 +16,8 @@ from nilflow.algebra import (
 )
 
 
-def _h3():
-    return LieAlgebraDescriptor(3, {(1, 2): {3: Fraction(1)}}, name="h3")
-
-
-def _free_23():
-    structure = {
-        (1, 2): {3: Fraction(1)},
-        (1, 3): {4: Fraction(1)},
-        (2, 3): {5: Fraction(1)},
-    }
-    return LieAlgebraDescriptor(5, structure, name="free23")
-
-
 def test_bracket_bilinear_antisymmetric():
-    alg = _h3()
+    alg = h3()
     e1 = [Fraction(1), Fraction(0), Fraction(0)]
     e2 = [Fraction(0), Fraction(1), Fraction(0)]
     b = alg.bracket(e1, e2)
@@ -111,7 +99,7 @@ def test_not_nilpotent_rejected():
 
 
 def test_analysis_h3():
-    an = _h3().analyze()
+    an = h3().analyze()
     assert an.step == 2
     assert len(an.center_basis) == 1
     assert an.center_basis[0] == [Fraction(0), Fraction(0), Fraction(1)]
@@ -119,7 +107,7 @@ def test_analysis_h3():
 
 
 def test_analysis_free_23():
-    an = _free_23().analyze()
+    an = free_23().analyze()
     assert an.step == 3
     # center is span(e4, e5); the complement is taken against [g, g]
     assert len(an.center_basis) == 2
@@ -127,7 +115,7 @@ def test_analysis_free_23():
 
 
 def test_is_central():
-    alg = _h3()
+    alg = h3()
     assert alg.is_central([Fraction(0), Fraction(0), Fraction(7)])
     assert not alg.is_central([Fraction(1), Fraction(0), Fraction(0)])
 
@@ -193,7 +181,7 @@ def test_metric_check_names_the_first_nonpositive_leading_minor(g):
 
 
 def test_j_map_identity():
-    alg = _h3()
+    alg = h3()
     z = [Fraction(0), Fraction(0), Fraction(1)]
     jz, vbasis = alg.j_map(z), alg.analyze().v_complement
     nv = len(vbasis)
@@ -209,7 +197,7 @@ def test_j_map_identity():
 
 
 def test_definition_round_trip(tmp_path):
-    alg = _free_23()
+    alg = free_23()
     data = to_definition(alg)
     back = from_definition(data)
     assert back.dim == alg.dim

@@ -64,8 +64,9 @@ def test_get_parses_parameter_suffix():
 def test_get_finds_an_entry_only_under_the_name_it_builds():
     for name in catalog.names() + ["h7", "r3+h3", "r+n3"]:
         assert catalog.get(name).name == name
-    # each spelling builds a valid entry under another name
-    for name in ("h03", "r0+h3", "r1+h3", "r+ h3"):
+    # each spelling names no entry, though the first four read as one
+    # under another name, and the last is an extension of an extension
+    for name in ("h03", "r0+h3", "r1+h3", "r+ h3", "r+r+h3"):
         with pytest.raises(ValueError, match="unknown catalog name"):
             catalog.get(name)
 
@@ -182,6 +183,16 @@ def test_extension_of_a_quadratic_member_is_rejected():
     with pytest.raises(ValueError,
                        match=r"^cannot lift <Quadratic quad:S1> "):
         catalog.get("r+h5")
+
+
+def test_extension_of_a_parameter_family_reaches_the_lift():
+    # the prefix is read first, so the parameter belongs to the base
+    with pytest.raises(ValueError,
+                       match=r"^cannot lift <Quadratic quad:S1> "):
+        catalog.get("r+n6_19(1)")
+    with pytest.raises(ValueError, match=r"^n6_24\(0\) claims no complete "
+                                         r"set to lift to r\+n6_24\(0\)$"):
+        catalog.get("r+n6_24(0)")
 
 
 def test_extension_entries_shift_structure():

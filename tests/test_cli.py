@@ -1,5 +1,3 @@
-import contextlib
-import io
 import json
 import os
 import subprocess
@@ -9,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import run_cli
 from nilflow import cli
 from nilflow.algebra import MAX_FILE_DIM, load_algebra
 
@@ -16,18 +15,6 @@ CLI = [sys.executable, "-m", "nilflow.cli"]
 # the package directory this process imports nilflow from, so that the CLI
 # subprocesses find it too when the checkout is not installed
 SRC = os.path.dirname(os.path.dirname(cli.__file__))
-
-
-def _main(argv):
-    """(exit code, stdout, stderr) of one in-process CLI call; an argparse
-    rejection counts with its exit code."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
 
 
 def _env(env=None):
@@ -47,7 +34,7 @@ def _spawn(*args, env=None):
 
 def _run(*args):
     """One in-process CLI run, reported as a finished subprocess is."""
-    code, out, err = _main(list(args))
+    code, out, err = run_cli(list(args))
     return subprocess.CompletedProcess(args, code, out, err)
 
 
@@ -117,7 +104,7 @@ def test_name_with_file_is_usage_error(tmp_path):
                                 "brackets": [[1, 2, 3, "1"]]}))
     for verb in ("derivations", "killing2"):
         assert _run(verb, "--file", str(path)).returncode == 0
-        code, out, err = _main([verb, "n3", "--file", str(path)])
+        code, out, err = run_cli([verb, "n3", "--file", str(path)])
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -126,13 +113,13 @@ def test_killing2_above_step_three_skips_the_structured_check(tmp_path):
     path = tmp_path / "filiform5.json"
     path.write_text(json.dumps({"name": "filiform5", "dim": 5, "brackets": [
         [1, 2, 3, "1"], [1, 3, 4, "1"], [1, 4, 5, "1"]]}))
-    code, out, err = _main(["killing2", "--file", str(path)])
+    code, out, err = run_cli(["killing2", "--file", str(path)])
     assert (code, err) == (0, "")
     lines = out.split("\n")
     assert lines[:2] == ["symmetric Killing 2-tensors: dimension 3",
                          "structured solver spans the same space: "
                          "not applicable at step 4"]
-    code, out, err = _main(["killing2", "--file", str(path),
+    code, out, err = run_cli(["killing2", "--file", str(path),
                             "--format", "json"])
     assert (code, err) == (0, "")
     payload = json.loads(out)
@@ -238,7 +225,7 @@ def test_non_nilpotent_definition_is_usage_error(tmp_path):
     path = tmp_path / "affine.json"
     path.write_text(json.dumps({"dim": 2, "brackets": [[1, 2, 1, 1]]}))
     for verb in ("derivations", "killing2"):
-        code, out, err = _main([verb, "--file", str(path)])
+        code, out, err = run_cli([verb, "--file", str(path)])
         assert (code, out) == (2, ""), verb
         assert err == ("error: descending central series stabilizes at "
                        "dimension 1\n"), verb
@@ -250,7 +237,7 @@ def test_definition_file_above_the_dim_limit_is_usage_error(tmp_path):
     assert load_algebra(str(path)).dim == MAX_FILE_DIM
     path.write_text(json.dumps({"dim": MAX_FILE_DIM + 1, "brackets": []}))
     for verb in ("derivations", "killing2"):
-        code, out, err = _main([verb, "--file", str(path)])
+        code, out, err = run_cli([verb, "--file", str(path)])
         assert code == 2, verb
         assert out == ""
         assert err == ("error: dim: %d exceeds the limit of %d for definition "
@@ -312,10 +299,29 @@ def test_unliftable_extension_is_usage_error():
 def test_extension_of_an_entry_without_a_set_is_usage_error():
     # n6_23 claims no set, so there is nothing to lift
     for name in ("r+n6_23", "r2+n6_23"):
-        code, out, err = _main(["check", name])
+        code, out, err = run_cli(["check", name])
         assert (code, out) == (2, "")
         assert err == ("error: n6_23 claims no complete set to lift to %s\n"
                        % name)
+
+
+def test_specs_may_follow_options():
+    quot = "quot(right:X1 / lin:Z)"
+    for specs_first, options_first in (
+            (["independence", "h3", "E", "lin:Z", "--samples", "3"],
+             ["independence", "h3", "--samples", "3", "E", "lin:Z"]),
+            (["involution", "h3", "E", "lin:Z", "--format", "json"],
+             ["involution", "h3", "--format", "json", "E", "lin:Z"]),
+            (["quotient", "h3", "Gamma_2", quot, "--samples", "5"],
+             ["quotient", "h3", "Gamma_2", "--samples", "5", quot])):
+        code, out, err = run_cli(specs_first)
+        assert (code, err) == (0, ""), specs_first
+        assert run_cli(options_first) == (code, out, err), options_first
+    # an unknown option is still the top-level parser's rejection
+    code, out, err = run_cli(["independence", "h3", "--bogus"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: nilflow [-h]")
+    assert err.endswith("nilflow: error: unrecognized arguments: --bogus\n")
 
 
 def test_bad_step_sizes_are_usage_errors():
@@ -437,7 +443,7 @@ def _argv(draw):
 @settings(max_examples=100)
 @given(_argv())
 def test_cli_fuzz_keeps_the_exit_code_contract(argv):
-    code, _, err = _main(argv)
+    code, _, err = run_cli(argv)
     assert code in (0, 1, 2), (argv, code)
     if code == 2:
         assert "error:" in err, argv
@@ -478,7 +484,7 @@ def _geodesic_argv(draw):
 @settings(max_examples=80)
 @given(_geodesic_argv())
 def test_geodesic_fuzz_keeps_the_exit_code_contract(argv):
-    code, _, err = _main(argv)
+    code, _, err = run_cli(argv)
     assert code in (0, 1, 2), (argv, code)
     if code == 2:
         assert err.startswith("error:") and err.count("\n") == 1, (argv, err)

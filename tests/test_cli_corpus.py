@@ -1,5 +1,5 @@
 """A recorded CLI corpus: one sha256 of (exit code, stdout, stderr) for
-each of 208 in-process commands, stored in ``cli_corpus.json``.
+each of 228 in-process commands, stored in ``cli_corpus.json``.
 
 The CLI's text, its canonical JSON and its exit codes are the program's
 regression gates, so a changed digest is an output change.  Each change
@@ -16,17 +16,15 @@ Record the digests of the commands that have none yet with
 merged corpus as JSON.
 """
 
-import contextlib
 import hashlib
-import io
 import json
 import os
 import shlex
 import sys
 
-from nilflow import catalog, cli
+from helpers import ROOT, run_cli
+from nilflow import catalog
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CORPUS = os.path.join(ROOT, "tests", "cli_corpus.json")
 
 QUOT = "quot(right:X1 / lin:Z)"
@@ -94,7 +92,32 @@ def commands():
             ["check", "n6_24(3)", "--samples", "5"],
             # an extension of an entry that claims no set
             ["check", "r+n6_23"],
-            ["check", "r2+n6_23"]]
+            ["check", "r2+n6_23"],
+            # the name grammar [rK+]FAMILY[(q)]: families with and without
+            # a parameter, malformed parameters and prefixes, an unlisted
+            # Heisenberg algebra and an unliftable extension
+            ["catalog", "h4"],
+            ["catalog", "h1"],
+            ["catalog", "h3(2)"],
+            ["catalog", "n6_19"],
+            ["catalog", "n6_19(x)"],
+            ["catalog", "n6_19(1/0)"],
+            ["catalog", "n6_19(1"],
+            ["catalog", "zzz"],
+            ["catalog", "r+ h3"],
+            ["catalog", "r+zzz"],
+            ["catalog", "rx+h3"],
+            ["catalog", "h9"],
+            ["check", "r+h5"],
+            # the base of an extension is a family, with its parameter
+            ["catalog", "r+n6_19(1)"],
+            ["catalog", "r+n6_24(0)"],
+            ["catalog", "r+r+h3"],
+            ["catalog", "r2+r+h3"],
+            # integral specs after a verb's options
+            ["independence", "h3", "--samples", "3", "E", "lin:Z"],
+            ["involution", "h3", "--format", "json", "E", "lin:Z"],
+            ["quotient", "h3", "Gamma_2", "--samples", "5", QUOT]]
     # checked-in definition files, named relative to the repository root
     for path in ("tests/data/h3_metric.json", "tests/data/filiform5.json"):
         for verb in ("derivations", "killing2"):
@@ -110,14 +133,7 @@ def commands():
 def digest(argv):
     """sha256 of the exit code, stdout and stderr of one in-process run;
     an argparse rejection counts with its exit code."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.chdir(ROOT), contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
-    blob = json.dumps([code, out.getvalue(), err.getvalue()])
+    blob = json.dumps(list(run_cli(argv)))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 

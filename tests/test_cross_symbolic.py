@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import sympy
 
+from helpers import filiform6, free_23, h3, unit
 from nilflow import catalog
-from nilflow.algebra import LieAlgebraDescriptor
 from nilflow.geodesic import GeodesicField
 from nilflow.integrals import (
     Coordinate,
@@ -18,25 +18,6 @@ from nilflow.integrals import (
 )
 from nilflow.poisson import PoissonEngine
 from nilflow.solvers import killing2_tensors
-
-
-def _h3(metric=None):
-    return LieAlgebraDescriptor(3, {(1, 2): {3: Fraction(1)}}, metric=metric)
-
-
-def _free_23(metric=None):
-    structure = {
-        (1, 2): {3: Fraction(1)},
-        (1, 3): {4: Fraction(1)},
-        (2, 3): {5: Fraction(1)},
-    }
-    return LieAlgebraDescriptor(5, structure, metric=metric)
-
-
-def _filiform6():
-    # [e1, e_k] = e_{k+1}: step 5, so Psi reaches ad(w)^4
-    return LieAlgebraDescriptor(6, {(1, k): {k + 1: Fraction(1)}
-                                    for k in range(2, 6)})
 
 
 def _symbols(n):
@@ -124,30 +105,27 @@ def _engine_bracket_sympy(alg, f, g):
     return _to_sympy(poly, ws, ys)
 
 
-def _e(n, i):
-    return [Fraction(int(k == i)) for k in range(1, n + 1)]
-
-
 def test_right_invariant_pair_three_step():
-    alg = _free_23()
-    f = RightInvariant(alg, _e(5, 1))
-    g = RightInvariant(alg, _e(5, 2))
+    alg = free_23()
+    f = RightInvariant(alg, unit(5, 1))
+    g = RightInvariant(alg, unit(5, 2))
     assert sympy.simplify(_engine_bracket_sympy(alg, f, g)
                           - _independent_bracket(alg, f, g)) == 0
 
 
 def test_five_step_pairs():
     # only a function of the central w6 sees the ad(w)^4 term of Psi
-    alg = _filiform6()
-    for f, g in ((RightInvariant(alg, _e(6, 1)), RightInvariant(alg, _e(6, 2))),
-                 (Energy(alg), RightInvariant(alg, _e(6, 3))),
+    alg = filiform6()
+    for f, g in ((RightInvariant(alg, unit(6, 1)),
+                  RightInvariant(alg, unit(6, 2))),
+                 (Energy(alg), RightInvariant(alg, unit(6, 3))),
                  (Coordinate(alg, 5), Energy(alg))):
         assert sympy.simplify(_engine_bracket_sympy(alg, f, g)
                               - _independent_bracket(alg, f, g)) == 0
 
 
 def test_derivation_linear_pair():
-    alg = _h3()
+    alg = h3()
     d = [[Fraction(0), Fraction(1), Fraction(0)],
          [Fraction(-1), Fraction(0), Fraction(0)],
          [Fraction(0), Fraction(0), Fraction(0)]]
@@ -161,15 +139,15 @@ def test_energy_right_invariant_with_metric():
     g = [[Fraction(1), Fraction(0), Fraction(0)],
          [Fraction(0), Fraction(2), Fraction(1)],
          [Fraction(0), Fraction(1), Fraction(3)]]
-    alg = _h3(metric=g)
+    alg = h3(metric=g)
     f = Energy(alg)
-    h = RightInvariant(alg, _e(3, 1))
+    h = RightInvariant(alg, unit(3, 1))
     assert sympy.simplify(_engine_bracket_sympy(alg, f, h)
                           - _independent_bracket(alg, f, h)) == 0
 
 
 def test_killing_tensors_commute_with_energy_symbolically():
-    alg = _h3()
+    alg = h3()
     e = Energy(alg)
     for s in killing2_tensors(alg):
         gs = Quadratic(alg, s)
@@ -180,13 +158,13 @@ def test_flow_field_is_hamiltonian():
     # the field rows equal the independently assembled {x_i, E}, on
     # algebras of step 2, 3 and 5, with and without a metric
     cases = (
-        (_h3(), 1),
-        (_free_23(), 1),
-        (_h3([[2, 1, 0], [1, 2, 1], [0, 1, 2]]), 3),
-        (_free_23([[2, 1, 0, 0, 0], [1, 2, 0, 0, 0], [0, 0, 3, 0, 0],
+        (h3(), 1),
+        (free_23(), 1),
+        (h3([[2, 1, 0], [1, 2, 1], [0, 1, 2]]), 3),
+        (free_23([[2, 1, 0, 0, 0], [1, 2, 0, 0, 0], [0, 0, 3, 0, 0],
                    [0, 0, 0, 2, 1], [0, 0, 0, 1, 2]]), 3),
         (catalog.get("n6_25").descriptor, 3),
-        (_filiform6(), 2),
+        (filiform6(), 2),
     )
     base = [0.31, -0.42, 0.55, 0.12, -0.73, 0.26,
             1.21, 0.44, -0.95, 0.61, 1.52, -0.38]

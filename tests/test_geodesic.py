@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from helpers import filiform6, free_23, h3, tridiagonal, unit
 from nilflow import catalog
 from nilflow.algebra import LieAlgebraDescriptor
 from nilflow.geodesic import (
@@ -28,36 +29,8 @@ ORDER_RATIO_MIN = 8.0
 REVERSIBILITY_TOL = 1e-12
 
 
-def _h3():
-    return LieAlgebraDescriptor(3, {(1, 2): {3: Fraction(1)}}, name="h3")
-
-
-def _free_23(metric=None):
-    structure = {
-        (1, 2): {3: Fraction(1)},
-        (1, 3): {4: Fraction(1)},
-        (2, 3): {5: Fraction(1)},
-    }
-    return LieAlgebraDescriptor(5, structure, metric=metric, name="free23")
-
-
-def _filiform6():
-    # [e1, e_k] = e_{k+1}: step 5, so Psi reaches ad(w)^4
-    return LieAlgebraDescriptor(6, {(1, k): {k + 1: Fraction(1)}
-                                    for k in range(2, 6)}, name="filiform6")
-
-
-def _tridiagonal(n):
-    return [[2 if i == j else 1 if abs(i - j) == 1 else 0 for j in range(n)]
-            for i in range(n)]
-
-
-def _e(n, k):
-    return [Fraction(int(i == k)) for i in range(n)]
-
-
 def test_h3_conserves_its_integrals():
-    alg = _h3()
+    alg = h3()
     fs = [Energy(alg),
           Linear(alg, [Fraction(0), Fraction(0), Fraction(1)]),
           RightInvariant(alg, [Fraction(1), Fraction(0), Fraction(0)])]
@@ -68,7 +41,7 @@ def test_h3_conserves_its_integrals():
 
 
 def test_non_integral_drifts():
-    alg = _h3()
+    alg = h3()
     not_conserved = Linear(alg, [Fraction(1), Fraction(0), Fraction(0)])
     traj = integrate(alg, [0.4, -0.2, 0.9], [1.1, 0.3, -0.7],
                      dt=1e-3, t_end=10.0)
@@ -77,13 +50,13 @@ def test_non_integral_drifts():
 
 
 def test_step_five_flow_conserves_its_integrals():
-    alg = _filiform6()
-    fs = [Energy(alg)] + [RightInvariant(alg, _e(6, k)) for k in range(6)]
+    alg = filiform6()
+    fs = [Energy(alg)] + [RightInvariant(alg, unit(6, k)) for k in range(1, 7)]
     traj = integrate(alg, [0.3, -0.5, 0.2, 0.7, -0.4, 0.1],
                      [0.8, -0.3, 0.6, 0.2, -0.9, 0.5], dt=1e-3, t_end=2.0)
     for name, drift in conservation_report(fs, traj):
         assert drift < 1e-10, "%s drifted by %g" % (name, drift)
-    (_, drift), = conservation_report([Linear(alg, _e(6, 0))], traj)
+    (_, drift), = conservation_report([Linear(alg, unit(6, 1))], traj)
     assert drift > 1e-3
 
 
@@ -144,9 +117,9 @@ def _closed_form(alg):
 
 
 def test_two_step_flow_matches_closed_form():
-    h3, h5 = _h3(), catalog.get("h5").descriptor
-    cases = [h3, LieAlgebraDescriptor(3, h3.structure, metric=_tridiagonal(3)),
-             h5, LieAlgebraDescriptor(5, h5.structure, metric=_tridiagonal(5))]
+    h5 = catalog.get("h5").descriptor
+    cases = [h3(), h3(metric=tridiagonal(3)),
+             h5, LieAlgebraDescriptor(5, h5.structure, metric=tridiagonal(5))]
     for alg in cases:
         w0, y0, errors, base_point = _closed_form(alg)
         traj = integrate(alg, w0, y0, dt=1e-3, t_end=2.0)
@@ -158,7 +131,7 @@ def test_two_step_flow_matches_closed_form():
         assert np.max(np.abs(w - base_point(2.0))) < 1e-12
 
 
-@pytest.mark.parametrize("metric", [None, _tridiagonal(5)])
+@pytest.mark.parametrize("metric", [None, tridiagonal(5)])
 def test_rk4_global_error_scales_as_dt4(metric):
     # halving dt divides RK4's global error by about 2^4 = 16; h5 keeps
     # the finest error (about 6e-9) well above roundoff
@@ -175,7 +148,7 @@ def test_rk4_global_error_scales_as_dt4(metric):
 
 
 def test_fourth_order_convergence():
-    alg = _free_23()
+    alg = free_23()
     w0 = [0.3, -1.1, 0.7, 0.2, -0.5]
     y0 = [1.2, 0.4, -0.9, 0.6, 1.5]
     drifts = []
@@ -187,7 +160,7 @@ def test_fourth_order_convergence():
 
 
 def test_momentum_reversal_runs_backwards():
-    alg = _free_23()
+    alg = free_23()
     w0 = [0.3, -1.1, 0.7, 0.2, -0.5]
     y0 = [1.2, 0.4, -0.9, 0.6, 1.5]
     fwd = integrate(alg, w0, y0, dt=1e-3, t_end=2.0)
@@ -202,9 +175,9 @@ def test_batched_matches_single():
     metric = [[2, 1, 0, 0, 0], [1, 2, 0, 0, 0], [0, 0, 3, 0, 0],
               [0, 0, 0, 2, 1], [0, 0, 0, 1, 2]]
     cases = (
-        (_h3(), [[0.4, -0.2, 0.9], [0.1, 0.5, -0.3]],
+        (h3(), [[0.4, -0.2, 0.9], [0.1, 0.5, -0.3]],
          [[1.1, 0.3, -0.7], [0.2, -0.6, 1.4]]),
-        (_free_23(metric), [[0.3, -1.1, 0.7, 0.2, -0.5],
+        (free_23(metric), [[0.3, -1.1, 0.7, 0.2, -0.5],
                             [0.1, 0.5, -0.3, 0.8, 0.4]],
          [[1.2, 0.4, -0.9, 0.6, 1.5], [0.2, -0.6, 1.4, -0.3, 0.7]]),
     )
@@ -217,7 +190,7 @@ def test_batched_matches_single():
 
 
 def test_evaluate_along_matches_value():
-    alg = _h3()
+    alg = h3()
     f = RightInvariant(alg, [Fraction(1), Fraction(0), Fraction(0)])
     traj = integrate(alg, [0.4, -0.2, 0.9], [1.1, 0.3, -0.7],
                      dt=0.01, t_end=0.5)
@@ -233,7 +206,7 @@ def test_evaluate_along_matches_value():
 
 
 def test_quotient_denominator_cutoff():
-    alg = _h3()
+    alg = h3()
     num = RightInvariant(alg, [Fraction(1), Fraction(0), Fraction(0)])
     den = Linear(alg, [Fraction(0), Fraction(0), Fraction(1)])
     q = QuotientInduced(num, den)
@@ -248,7 +221,7 @@ def test_quotient_denominator_cutoff():
 
 
 def test_write_csv_round_trip():
-    alg = _h3()
+    alg = h3()
     traj = integrate(alg, [0.4, -0.2, 0.9], [1.1, 0.3, -0.7],
                      dt=0.1, t_end=0.5)
     buf = io.StringIO()
@@ -280,7 +253,7 @@ def _reference_rk4(alg, w0, y0, dt, t_end):
     return out
 
 
-@pytest.mark.parametrize("alg", [_h3(), catalog.get("n6_25").descriptor],
+@pytest.mark.parametrize("alg", [h3(), catalog.get("n6_25").descriptor],
                          ids=["h3", "n6_25"])
 def test_trajectory_matches_the_reference_loop(alg):
     w0, y0 = np.random.default_rng(alg.dim).uniform(-1.5, 1.5, (2, 3, alg.dim))
@@ -302,7 +275,7 @@ def test_integrate_calls_the_field_four_times_a_step(monkeypatch):
         return call(self, state)
 
     monkeypatch.setattr(GeodesicField, "__call__", counting)
-    alg = _free_23()
+    alg = free_23()
     traj = integrate(alg, np.zeros((3, 5)), np.ones((3, 5)), dt=0.01,
                      t_end=0.37)
     assert len(traj.times) - 1 == 37
@@ -323,7 +296,7 @@ def test_non_finite_reports_the_first_bad_state(monkeypatch):
     monkeypatch.setattr(GeodesicField, "__call__", overflowing)
     with np.errstate(invalid="ignore"), \
             pytest.raises(NonFinite, match=r"no longer finite at t=0\.701$"):
-        integrate(_h3(), [0.4, -0.2, 0.9], [1.1, 0.3, -0.7], dt=1e-3,
+        integrate(h3(), [0.4, -0.2, 0.9], [1.1, 0.3, -0.7], dt=1e-3,
                   t_end=2.0)
     assert len(calls) == 4 * 1000
 
@@ -332,7 +305,7 @@ def test_blow_up_raises_non_finite_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFinite, match=r"no longer finite at t=0\.001$"):
-            integrate(_h3(), [1e200] * 3, [1e200, 1, 1], t_end=0.01)
+            integrate(h3(), [1e200] * 3, [1e200, 1, 1], t_end=0.01)
 
 
 def _whole_trajectory_report(integrals, traj):
@@ -363,7 +336,7 @@ def _whole_trajectory_report(integrals, traj):
 
 
 def test_chunked_report_matches_the_whole_trajectory_report():
-    alg = _h3()
+    alg = h3()
     vec = [[Fraction(c) for c in v] for v in ([1, 0, 0], [0, 0, 1], [1, -1, 0])]
     quotient = QuotientInduced(RightInvariant(alg, vec[0]), Linear(alg, vec[1]))
     fs = [Energy(alg), RightInvariant(alg, vec[0]), Linear(alg, vec[2]),

@@ -6,6 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import fr, free_23, h3
 from nilflow import catalog, linalg
 from nilflow.algebra import LieAlgebraDescriptor
 from nilflow.group import (
@@ -19,27 +20,10 @@ from nilflow.group import (
 from nilflow.integrals import _w_vec
 
 
-def _h3():
-    return LieAlgebraDescriptor(3, {(1, 2): {3: Fraction(1)}}, name="h3")
-
-
-def _free_23():
-    structure = {
-        (1, 2): {3: Fraction(1)},
-        (1, 3): {4: Fraction(1)},
-        (2, 3): {5: Fraction(1)},
-    }
-    return LieAlgebraDescriptor(5, structure, name="free23")
-
-
 def _filiform(n):
     # [e1, e_k] = e_{k+1} for k = 2..n-1: step n - 1
     structure = {(1, k): {k + 1: Fraction(1)} for k in range(2, n)}
     return LieAlgebraDescriptor(n, structure, name="filiform%d" % n)
-
-
-def _fr(*vals):
-    return [Fraction(v) for v in vals]
 
 
 def _reference_bch(alg, u, v):
@@ -134,64 +118,64 @@ def test_bch_words_drop_unneeded_zero_coefficients():
 
 
 def test_bch_two_step_closed_form():
-    alg = _h3()
-    u = _fr(1, 0, 0)
-    v = _fr(0, 1, 0)
+    alg = h3()
+    u = fr(1, 0, 0)
+    v = fr(0, 1, 0)
     # u * v = u + v + [u,v]/2
-    assert bch(alg, u, v) == _fr(1, 1, Fraction(1, 2))
-    assert bch(alg, v, u) == _fr(1, 1, Fraction(-1, 2))
+    assert bch(alg, u, v) == fr(1, 1, Fraction(1, 2))
+    assert bch(alg, v, u) == fr(1, 1, Fraction(-1, 2))
 
 
 def test_bch_three_step_closed_form():
-    alg = _free_23()
-    u = _fr(1, 0, 0, 0, 0)
-    v = _fr(0, 1, 0, 0, 0)
+    alg = free_23()
+    u = fr(1, 0, 0, 0, 0)
+    v = fr(0, 1, 0, 0, 0)
     # u+v+[u,v]/2+([u,[u,v]]-[v,[u,v]])/12
     got = bch(alg, u, v)
-    assert got == _fr(1, 1, Fraction(1, 2), Fraction(1, 12), Fraction(-1, 12))
+    assert got == fr(1, 1, Fraction(1, 2), Fraction(1, 12), Fraction(-1, 12))
 
 
 def test_bch_associative_exact():
-    alg = _free_23()
-    u = _fr(1, -2, 3, 0, 1)
-    v = _fr(0, 1, -1, 2, 0)
-    w = _fr(2, 0, 1, -1, 1)
+    alg = free_23()
+    u = fr(1, -2, 3, 0, 1)
+    v = fr(0, 1, -1, 2, 0)
+    w = fr(2, 0, 1, -1, 1)
     left = bch(alg, bch(alg, u, v), w)
     right = bch(alg, u, bch(alg, v, w))
     assert left == right
 
 
 def test_group_inverse():
-    alg = _free_23()
-    u = _fr(1, 2, -1, 3, 0)
+    alg = free_23()
+    u = fr(1, 2, -1, 3, 0)
     inv = [-x for x in u]
     assert bch(alg, u, inv) == [Fraction(0)] * 5
     assert bch(alg, inv, u) == [Fraction(0)] * 5
 
 
 def test_bch_with_central_element_is_addition():
-    alg = _h3()
-    u = _fr(1, 2, 3)
-    z = _fr(0, 0, 5)
-    assert bch(alg, u, z) == _fr(1, 2, 8)
-    assert bch(alg, z, u) == _fr(1, 2, 8)
+    alg = h3()
+    u = fr(1, 2, 3)
+    z = fr(0, 0, 5)
+    assert bch(alg, u, z) == fr(1, 2, 8)
+    assert bch(alg, z, u) == fr(1, 2, 8)
 
 
 def test_bch_on_four_step_filiform():
     # dim-5 filiform: [e1,e2]=e3, [e1,e3]=e4, [e1,e4]=e5 is 4-step
     alg = _filiform(5)
     assert alg.analyze().step == 4
-    e1, e2 = _fr(1, 0, 0, 0, 0), _fr(0, 1, 0, 0, 0)
+    e1, e2 = fr(1, 0, 0, 0, 0), fr(0, 1, 0, 0, 0)
     # X+Y+[X,Y]/2+[X,[X,Y]]/12, as [Y,[X,Y]] and [Y,[X,[X,Y]]] vanish
-    assert bch(alg, e1, e2) == _fr(1, 1, Fraction(1, 2), Fraction(1, 12), 0)
+    assert bch(alg, e1, e2) == fr(1, 1, Fraction(1, 2), Fraction(1, 12), 0)
     # Y = e1+e2: the cubic terms cancel, the quartic -[Y,[X,[X,Y]]]/24 is
     # -e5/24
-    assert bch(alg, e1, _fr(1, 1, 0, 0, 0)) == _fr(
+    assert bch(alg, e1, fr(1, 1, 0, 0, 0)) == fr(
         2, 1, Fraction(1, 2), 0, Fraction(-1, 24))
 
 
 _RATIONAL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-_GROUP_ALGEBRAS = (_free_23(), _filiform(5), _filiform(6))
+_GROUP_ALGEBRAS = (free_23(), _filiform(5), _filiform(6))
 
 
 @st.composite
@@ -218,8 +202,8 @@ def test_bch_with_the_negative_is_zero(case):
 
 # steps 4 and 5 reach the Psi coefficients 0 and -1/720 of ad(w)^3, ad(w)^4
 _HIGH_STEP_CASES = (
-    (_filiform(5), _fr(1, -1, 2, 0, 3), _fr(0, 3, 1, 0, -1)),
-    (_filiform(6), _fr(2, -1, 1, 3, 0, -2), _fr(0, 3, 1, 0, -1, 4)),
+    (_filiform(5), fr(1, -1, 2, 0, 3), fr(0, 3, 1, 0, -1)),
+    (_filiform(6), fr(2, -1, 1, 3, 0, -2), fr(0, 3, 1, 0, -1, 4)),
 )
 
 
@@ -233,7 +217,7 @@ def _dexp_inverse(alg, w, u):
 
 def test_dexp_round_trips_on_basis_vectors():
     # Phi(ad w) Psi(ad w) = Psi(ad w) Phi(ad w) = I, column by column
-    cases = ((_free_23(), _fr(1, -1, 2, 0, 3), None),) + _HIGH_STEP_CASES
+    cases = ((free_23(), fr(1, -1, 2, 0, 3), None),) + _HIGH_STEP_CASES
     for alg, w, _ in cases:
         for e in linalg.identity(alg.dim):
             assert _dexp_inverse(alg, w, _dexp(alg, w, e)) == e
@@ -241,7 +225,7 @@ def test_dexp_round_trips_on_basis_vectors():
 
 
 def test_dexp_apply_matches_matrix():
-    cases = ((_free_23(), _fr(1, 0, -2, 1, 0), _fr(0, 3, 1, 0, -1)),) \
+    cases = ((free_23(), fr(1, 0, -2, 1, 0), fr(0, 3, 1, 0, -1)),) \
         + _HIGH_STEP_CASES
     for alg, w, u in cases:
         # Phi(ad w) = sum_k phi_k (ad w)^k from powers of the ad matrix
@@ -258,15 +242,15 @@ def test_dexp_apply_matches_matrix():
 
 
 def test_dexp_at_zero_is_identity():
-    alg = _h3()
-    u = _fr(4, -5, 6)
-    assert _dexp(alg, _fr(0, 0, 0), u) == u
+    alg = h3()
+    u = fr(4, -5, 6)
+    assert _dexp(alg, fr(0, 0, 0), u) == u
 
 
 def test_adjoint_inverse_undoes_adjoint():
-    alg = _free_23()
-    w = _fr(1, 2, 0, -1, 1)
-    u = _fr(0, 1, 1, 0, 2)
+    alg = free_23()
+    w = fr(1, 2, 0, -1, 1)
+    u = fr(0, 1, 1, 0, 2)
     # Ad(exp w) u = u + [w,u] + [w,[w,u]]/2 in a 3-step algebra
     wu = alg.bracket(w, u)
     wwu = alg.bracket(w, wu)

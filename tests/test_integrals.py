@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import free_23, h3
 from nilflow import catalog
-from nilflow.algebra import LieAlgebraDescriptor
 from nilflow.integrals import (
     MAX_SPEC_DEPTH,
     Butler,
@@ -23,19 +23,6 @@ from polytext import parse
 
 FD_STEP = 1e-6
 FD_TOL = 1e-7
-
-
-def _h3(metric=None):
-    return LieAlgebraDescriptor(3, {(1, 2): {3: Fraction(1)}}, metric=metric)
-
-
-def _free_23():
-    structure = {
-        (1, 2): {3: Fraction(1)},
-        (1, 3): {4: Fraction(1)},
-        (2, 3): {5: Fraction(1)},
-    }
-    return LieAlgebraDescriptor(5, structure)
 
 
 def _fd_partials(f, w, y):
@@ -85,14 +72,14 @@ Y5 = [1.2, 0.4, -0.9, 0.6, 1.5]
 
 
 def test_energy_gradient():
-    _assert_gradient_matches(Energy(_free_23()), W5, Y5)
+    _assert_gradient_matches(Energy(free_23()), W5, Y5)
 
 
 def test_energy_value_with_metric():
     g = [[Fraction(1), Fraction(0), Fraction(0)],
          [Fraction(0), Fraction(2), Fraction(1)],
          [Fraction(0), Fraction(1), Fraction(3)]]
-    alg = _h3(metric=g)
+    alg = h3(metric=g)
     e = Energy(alg)
     y = [Fraction(1), Fraction(-1), Fraction(2)]
     # (1/2) y^T G y
@@ -103,7 +90,7 @@ def test_energy_value_with_metric():
 
 
 def test_linear_value_and_gradient():
-    alg = _free_23()
+    alg = free_23()
     f = Linear(alg, [Fraction(0), Fraction(0), Fraction(0), Fraction(2), Fraction(-1)])
     assert f.value((W5, Y5)) == pytest.approx(2 * Y5[3] - Y5[4])
     _assert_gradient_matches(f, W5, Y5)
@@ -111,19 +98,19 @@ def test_linear_value_and_gradient():
 
 def test_linear_rejects_wrong_length():
     with pytest.raises(ValueError):
-        Linear(_h3(), [Fraction(1)])
+        Linear(h3(), [Fraction(1)])
     with pytest.raises(ValueError):
-        RightInvariant(_h3(), [Fraction(1)] * 4)
+        RightInvariant(h3(), [Fraction(1)] * 4)
 
 
 def test_right_invariant_gradient():
-    alg = _free_23()
+    alg = free_23()
     f = RightInvariant(alg, [Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(0)])
     _assert_gradient_matches(f, W5, Y5)
 
 
 def test_right_invariant_reduces_to_linear_at_identity():
-    alg = _free_23()
+    alg = free_23()
     x = [Fraction(1), Fraction(2), Fraction(0), Fraction(0), Fraction(1)]
     r = RightInvariant(alg, x)
     l = Linear(alg, x)
@@ -133,7 +120,7 @@ def test_right_invariant_reduces_to_linear_at_identity():
 
 
 def test_quadratic_value_and_gradient():
-    alg = _free_23()
+    alg = free_23()
     s = [[Fraction(0)] * 5 for _ in range(5)]
     s[0][4] = s[4][0] = Fraction(1)
     s[2][2] = Fraction(1)
@@ -151,11 +138,11 @@ def test_quadratic_rejects_asymmetric():
     s = [[Fraction(0)] * 3 for _ in range(3)]
     s[0][1] = Fraction(1)
     with pytest.raises(ValueError):
-        Quadratic(_h3(), s)
+        Quadratic(h3(), s)
 
 
 def test_derivation_integral_gradient():
-    alg = _h3()
+    alg = h3()
     d = [[Fraction(0), Fraction(-1), Fraction(0)],
          [Fraction(1), Fraction(0), Fraction(0)],
          [Fraction(0), Fraction(0), Fraction(0)]]
@@ -170,7 +157,7 @@ def test_derivation_integral_gradient():
 
 
 def test_non_derivation_rejected():
-    alg = _h3()
+    alg = h3()
     # rotation in the (e1, e3) plane breaks the Leibniz rule on [e1, e2]
     d = [[Fraction(0), Fraction(0), Fraction(-1)],
          [Fraction(0), Fraction(0), Fraction(0)],
@@ -184,7 +171,7 @@ def test_non_derivation_rejected():
 
 
 def test_butler_family_h3():
-    alg = _h3()
+    alg = h3()
     g0 = Butler(alg, 0).as_polynomial()
     g1 = Butler(alg, 1).as_polynomial()
     # g0 = y1^2 + y2^2, and each step multiplies by -y3^2
@@ -194,11 +181,12 @@ def test_butler_family_h3():
 
 
 def test_butler_gradient():
-    _assert_gradient_matches(Butler(_h3(), 1), [0.2, 0.1, -0.4], [0.8, -0.5, 1.3])
+    _assert_gradient_matches(Butler(h3(), 1), [0.2, 0.1, -0.4],
+                             [0.8, -0.5, 1.3])
 
 
 def test_quotient_induced_law_and_gradient():
-    alg = _h3()
+    alg = h3()
     num = RightInvariant(alg, [Fraction(1), Fraction(0), Fraction(0)])
     den = Linear(alg, [Fraction(0), Fraction(0), Fraction(1)])
     q = QuotientInduced(num, den)
@@ -212,7 +200,7 @@ def test_quotient_induced_law_and_gradient():
 
 
 def test_quotient_induced_not_polynomial():
-    alg = _h3()
+    alg = h3()
     q = QuotientInduced(RightInvariant(alg, [Fraction(1), Fraction(0), Fraction(0)]),
                         Linear(alg, [Fraction(0), Fraction(0), Fraction(1)]))
     with pytest.raises(NonPolynomialVariant):
@@ -220,7 +208,7 @@ def test_quotient_induced_not_polynomial():
 
 
 def test_parse_round_trip():
-    alg = _free_23()
+    alg = free_23()
     d = [[Fraction(0), Fraction(-1), Fraction(0), Fraction(0), Fraction(0)],
          [Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(0)],
          [Fraction(0), Fraction(0), Fraction(0), Fraction(0), Fraction(0)],
@@ -241,7 +229,7 @@ def test_parse_round_trip():
 
 
 def test_parse_bounds_the_spec_nesting():
-    alg = _h3()
+    alg = h3()
     spec = "E"
     for _ in range(MAX_SPEC_DEPTH):
         spec = "quot(E / %s)" % spec
@@ -253,7 +241,7 @@ def test_parse_bounds_the_spec_nesting():
 
 
 def test_parse_rejects_unknown():
-    alg = _h3()
+    alg = h3()
     with pytest.raises(ValueError):
         parse_integral(alg, "lin:e9")
     with pytest.raises(ValueError):

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import free_23, h3, unit
 from nilflow import catalog, integrals
-from nilflow.algebra import LieAlgebraDescriptor
 from nilflow.integrals import (
     DerivationIntegral,
     Energy,
@@ -30,25 +30,6 @@ from nilflow.solvers import skew_derivations
 from polytext import parse
 
 
-def _h3(metric=None):
-    return LieAlgebraDescriptor(3, {(1, 2): {3: Fraction(1)}}, metric=metric)
-
-
-def _free_23():
-    structure = {
-        (1, 2): {3: Fraction(1)},
-        (1, 3): {4: Fraction(1)},
-        (2, 3): {5: Fraction(1)},
-    }
-    return LieAlgebraDescriptor(5, structure)
-
-
-def _e(n, i):
-    out = [Fraction(0)] * n
-    out[i - 1] = Fraction(1)
-    return out
-
-
 class _Poly(FirstIntegral):
     """Wrap a raw phase-space polynomial so the engine can bracket it."""
 
@@ -61,10 +42,10 @@ class _Poly(FirstIntegral):
 
 
 def test_central_pair_gives_center_momentum():
-    alg = _h3()
+    alg = h3()
     eng = PoissonEngine(alg)
-    r1 = RightInvariant(alg, _e(3, 1))
-    r2 = RightInvariant(alg, _e(3, 2))
+    r1 = RightInvariant(alg, unit(3, 1))
+    r2 = RightInvariant(alg, unit(3, 2))
     res = eng.bracket(r1, r2)
     assert res.poly == parse("(1) y3", 6)
     assert not res.is_zero
@@ -72,10 +53,10 @@ def test_central_pair_gives_center_momentum():
 
 
 def test_central_linear_commutes_with_everything():
-    alg = _h3()
+    alg = h3()
     eng = PoissonEngine(alg)
-    z = Linear(alg, _e(3, 3))
-    others = [Energy(alg), RightInvariant(alg, _e(3, 1)),
+    z = Linear(alg, unit(3, 3))
+    others = [Energy(alg), RightInvariant(alg, unit(3, 1)),
               Quadratic(alg, [[Fraction(1), Fraction(0), Fraction(0)],
                               [Fraction(0), Fraction(1), Fraction(0)],
                               [Fraction(0), Fraction(0), Fraction(0)]])]
@@ -84,7 +65,7 @@ def test_central_linear_commutes_with_everything():
 
 
 def test_derivation_linear_bracket_value():
-    alg = _h3()
+    alg = h3()
     eng = PoissonEngine(alg)
     # D rotates e2 -> e1, e1 -> -e2 and kills the center
     d = [[Fraction(0), Fraction(1), Fraction(0)],
@@ -99,10 +80,10 @@ def test_derivation_linear_bracket_value():
 
 
 def test_antisymmetry():
-    alg = _free_23()
+    alg = free_23()
     eng = PoissonEngine(alg)
-    fs = [Energy(alg), RightInvariant(alg, _e(5, 1)), Linear(alg, _e(5, 2)),
-          RightInvariant(alg, _e(5, 3))]
+    fs = [Energy(alg), RightInvariant(alg, unit(5, 1)),
+          Linear(alg, unit(5, 2)), RightInvariant(alg, unit(5, 3))]
     for i in range(len(fs)):
         for j in range(i, len(fs)):
             ab = eng.bracket(fs[i], fs[j]).poly
@@ -111,7 +92,7 @@ def test_antisymmetry():
 
 
 def test_jacobi_identity_spot_check():
-    alg = _free_23()
+    alg = free_23()
     eng = PoissonEngine(alg)
     nv = 10
     a = _Poly(alg, parse("(1) w1 y3 + (2) y5", nv))
@@ -125,70 +106,71 @@ def test_jacobi_identity_spot_check():
 
 
 def test_is_first_integral():
-    alg = _h3()
+    alg = h3()
     eng = PoissonEngine(alg)
     assert eng.is_first_integral(Energy(alg)).ok
-    assert eng.is_first_integral(RightInvariant(alg, _e(3, 1))).ok
-    assert eng.is_first_integral(Linear(alg, _e(3, 3))).ok
-    bad = eng.is_first_integral(Linear(alg, _e(3, 1)))
+    assert eng.is_first_integral(RightInvariant(alg, unit(3, 1))).ok
+    assert eng.is_first_integral(Linear(alg, unit(3, 3))).ok
+    bad = eng.is_first_integral(Linear(alg, unit(3, 1)))
     assert not bad.ok
     # the nonzero bracket {f, E} is the exact certificate
     assert bad.bracket == parse("(-1) y2 y3", 6)
 
 
 def test_involution_table():
-    alg = _h3()
+    alg = h3()
     eng = PoissonEngine(alg)
-    fine = [Linear(alg, _e(3, 3)), Energy(alg), RightInvariant(alg, _e(3, 1))]
+    fine = [Linear(alg, unit(3, 3)), Energy(alg),
+            RightInvariant(alg, unit(3, 1))]
     table = eng.involution_table(fine)
     assert len(table) == 3
     assert all(res.is_zero for _, _, res in table)
-    broken = fine + [Linear(alg, _e(3, 1))]
+    broken = fine + [Linear(alg, unit(3, 1))]
     table = eng.involution_table(broken)
     bad_pairs = [(i, j) for i, j, res in table if not res.is_zero]
     assert bad_pairs  # the non-central linear breaks involution with E
 
 
 def test_criterion_linear_linear():
-    alg = _h3()
+    alg = h3()
     eng = PoissonEngine(alg)
-    commuting = criterion_linear_linear(eng, Linear(alg, _e(3, 1)),
-                                        Linear(alg, _e(3, 3)))
+    commuting = criterion_linear_linear(eng, Linear(alg, unit(3, 1)),
+                                        Linear(alg, unit(3, 3)))
     assert commuting.bracket_is_zero and commuting.condition_holds
-    clashing = criterion_linear_linear(eng, Linear(alg, _e(3, 1)),
-                                       Linear(alg, _e(3, 2)))
+    clashing = criterion_linear_linear(eng, Linear(alg, unit(3, 1)),
+                                       Linear(alg, unit(3, 2)))
     assert not clashing.bracket_is_zero and not clashing.condition_holds
     assert commuting.agrees and clashing.agrees
 
 
 def test_criterion_linear_quadratic():
-    alg = _h3()
+    alg = h3()
     eng = PoissonEngine(alg)
     s = [[Fraction(1), Fraction(0), Fraction(0)],
          [Fraction(0), Fraction(1), Fraction(0)],
          [Fraction(0), Fraction(0), Fraction(0)]]
     gs = Quadratic(alg, s)
-    central = criterion_linear_quadratic(eng, Linear(alg, _e(3, 3)), gs)
+    central = criterion_linear_quadratic(eng, Linear(alg, unit(3, 3)), gs)
     assert central.bracket_is_zero and central.condition_holds
-    off = criterion_linear_quadratic(eng, Linear(alg, _e(3, 1)), gs)
+    off = criterion_linear_quadratic(eng, Linear(alg, unit(3, 1)), gs)
     assert off.agrees  # equivalence holds in both directions
 
 
 def test_criterion_derivation_linear():
-    alg = _h3()
+    alg = h3()
     eng = PoissonEngine(alg)
     d = [[Fraction(0), Fraction(1), Fraction(0)],
          [Fraction(-1), Fraction(0), Fraction(0)],
          [Fraction(0), Fraction(0), Fraction(0)]]
     fd = DerivationIntegral(alg, d)
-    in_kernel = criterion_derivation_linear(eng, fd, Linear(alg, _e(3, 3)))
+    in_kernel = criterion_derivation_linear(eng, fd, Linear(alg, unit(3, 3)))
     assert in_kernel.bracket_is_zero and in_kernel.condition_holds
-    moved = criterion_derivation_linear(eng, fd, Linear(alg, _e(3, 2)))
+    moved = criterion_derivation_linear(eng, fd, Linear(alg, unit(3, 2)))
     assert not moved.bracket_is_zero and not moved.condition_holds
 
 
 def test_criterion_derivation_quadratic():
-    alg = _h3()
+    alg = h3()
     eng = PoissonEngine(alg)
     d = [[Fraction(0), Fraction(1), Fraction(0)],
          [Fraction(-1), Fraction(0), Fraction(0)],
@@ -207,7 +189,7 @@ def test_criterion_derivation_quadratic():
 
 
 def test_criteria_agree_on_random_instances():
-    alg = _free_23()
+    alg = free_23()
     eng = PoissonEngine(alg)
     rng = random.Random(7)
     for _ in range(25):
@@ -217,7 +199,7 @@ def test_criteria_agree_on_random_instances():
 
 
 def test_iso_homomorphism_report():
-    alg = _h3()
+    alg = h3()
     rep = verify_iso_homomorphism(alg)
     assert rep.ok
     assert rep.injectivity_ok
@@ -239,7 +221,7 @@ def test_iso_check_does_not_revalidate_solved_derivations(monkeypatch):
 
 def test_fresh_objects_get_fresh_gradients():
     # equal-content integrals built in a loop must all bracket identically
-    alg = _h3()
+    alg = h3()
     eng = PoissonEngine(alg)
     seen = set()
     for _ in range(30):
@@ -254,9 +236,9 @@ def test_fresh_objects_get_fresh_gradients():
 
 def test_gradient_cache_lets_integrals_go():
     # criteria build fresh integrals per instance; the cache must not pin them
-    alg = _h3()
+    alg = h3()
     eng = PoissonEngine(alg)
-    f = RightInvariant(alg, _e(3, 1))
+    f = RightInvariant(alg, unit(3, 1))
     eng.bracket(f, Energy(alg))
     ref = weakref.ref(f)
     del f
@@ -268,9 +250,10 @@ def test_metric_changes_bracket_values():
     g = [[Fraction(1), Fraction(0), Fraction(0)],
          [Fraction(0), Fraction(2), Fraction(1)],
          [Fraction(0), Fraction(1), Fraction(3)]]
-    alg = _h3(metric=g)
+    alg = h3(metric=g)
     eng = PoissonEngine(alg)
-    res = eng.bracket(RightInvariant(alg, _e(3, 1)), RightInvariant(alg, _e(3, 2)))
+    res = eng.bracket(RightInvariant(alg, unit(3, 1)),
+                      RightInvariant(alg, unit(3, 2)))
     # {X1*, X2*} = f_{[X1,X2]} = <e3, Y>_G = y2 + 3 y3
     assert res.poly == parse("(1) y2 + (3) y3", 6)
 
@@ -290,7 +273,7 @@ class _NegatingEngine(PoissonEngine):
 
 def test_iso_homomorphism_names_the_failing_pairs():
     # a negated bracket breaks exactly the identities with a nonzero side
-    for alg in (_h3(), _free_23()):
+    for alg in (h3(), free_23()):
         rep = verify_iso_homomorphism(alg, engine=_NegatingEngine(alg))
         good = verify_iso_homomorphism(alg)
         assert good.ok and not rep.ok
@@ -298,7 +281,7 @@ def test_iso_homomorphism_names_the_failing_pairs():
         assert rep.checked_pairs == good.checked_pairs
         eng = PoissonEngine(alg)
         gens = ([DerivationIntegral(alg, d) for d in skew_derivations(alg)]
-                + [RightInvariant(alg, _e(alg.dim, k + 1))
+                + [RightInvariant(alg, unit(alg.dim, k + 1))
                    for k in range(alg.dim)])
         names = (["D%d" % (a + 1) for a in range(len(gens) - alg.dim)]
                  + ["e%d*" % (k + 1) for k in range(alg.dim)])
@@ -307,6 +290,6 @@ def test_iso_homomorphism_names_the_failing_pairs():
                    if not eng.bracket(gens[i], gens[j]).is_zero]
         assert rep.checked_pairs == len(gens) * (len(gens) - 1) // 2
         assert rep.identity_failures == nonzero
-    alg = _h3()
+    alg = h3()
     rep = verify_iso_homomorphism(alg, engine=_NegatingEngine(alg))
     assert rep.identity_failures == ["{D1, e1*}", "{D1, e2*}", "{e1*, e2*}"]

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import fr, h3
 from nilflow import catalog
-from nilflow.algebra import LieAlgebraDescriptor
 from nilflow.group import bch
 from nilflow.integrals import (Linear, QuotientInduced, RightInvariant,
                                parse_integral)
@@ -18,33 +18,25 @@ from nilflow.solvers import NoSampleAccepted
 INVARIANCE_TOL = 1e-10
 
 
-def _h3():
-    return LieAlgebraDescriptor(3, {(1, 2): {3: Fraction(1)}}, name="h3")
-
-
-def _fr(*vals):
-    return [Fraction(v) for v in vals]
-
-
 def test_left_translate_is_bch_on_w():
-    alg = _h3()
-    g = _fr(2, 0, 0)
-    w = _fr(1, 1, 0)
-    y = _fr(0, 1, 2)
+    alg = h3()
+    g = fr(2, 0, 0)
+    w = fr(1, 1, 0)
+    y = fr(0, 1, 2)
     moved_w, moved_y = left_translate(alg, g, (w, y))
     assert moved_w == bch(alg, g, w)
     assert moved_y == y
 
 
 def test_shift_multipliers_h3():
-    alg = _h3()
-    num = RightInvariant(alg, _fr(1, 0, 0))
-    den = Linear(alg, _fr(0, 0, 1))
+    alg = h3()
+    num = RightInvariant(alg, fr(1, 0, 0))
+    den = Linear(alg, fr(0, 0, 1))
     expected = {(2, 0, 0): Fraction(0),
                 (0, 1, 0): Fraction(1),
                 (0, 0, 1): Fraction(0)}
     for gen, want in expected.items():
-        got = shift_multiplier(alg, _fr(*gen), num, den)
+        got = shift_multiplier(alg, fr(*gen), num, den)
         assert got == want, "generator %s" % (gen,)
 
 
@@ -56,26 +48,26 @@ def test_shift_multipliers_n3():
         for gen in lattice.generators:
             c = shift_multiplier(alg, gen, q.num, q.den)
             assert c is not None and c.denominator == 1
-            if list(gen) == _fr(2, 0, 0, 0, 0):
+            if list(gen) == fr(2, 0, 0, 0, 0):
                 assert c == Fraction(-2)
             else:
                 assert c == Fraction(0)
 
 
 def test_shift_multiplier_rejects_w_dependent_denominator():
-    alg = _h3()
-    num = RightInvariant(alg, _fr(1, 0, 0))
-    den = RightInvariant(alg, _fr(1, 0, 0))
+    alg = h3()
+    num = RightInvariant(alg, fr(1, 0, 0))
+    den = RightInvariant(alg, fr(1, 0, 0))
     with pytest.raises(ValueError):
-        shift_multiplier(alg, _fr(0, 1, 0), num, den)
+        shift_multiplier(alg, fr(0, 1, 0), num, den)
 
 
 def test_shift_multiplier_none_when_not_proportional():
-    alg = _h3()
+    alg = h3()
     # numerator w-shift is not a multiple of y3 when the denominator is y2
-    num = RightInvariant(alg, _fr(1, 0, 0))
-    den = Linear(alg, _fr(0, 1, 0))
-    assert shift_multiplier(alg, _fr(0, 1, 0), num, den) is None
+    num = RightInvariant(alg, fr(1, 0, 0))
+    den = Linear(alg, fr(0, 1, 0))
+    assert shift_multiplier(alg, fr(0, 1, 0), num, den) is None
 
 
 def test_bundled_quotient_functions_invariant():
@@ -95,7 +87,7 @@ def test_raw_right_invariant_does_not_descend():
     entry = catalog.get("h3")
     alg = entry.descriptor
     lattice = entry.lattices["Gamma_2"]
-    raw = RightInvariant(alg, _fr(1, 0, 0))
+    raw = RightInvariant(alg, fr(1, 0, 0))
     worst, _ = invariance_check(alg, lattice, raw, nsamples=100, seed=0)
     assert worst > 0.1
 
@@ -112,27 +104,27 @@ def test_invariance_check_that_accepts_nothing_raises():
 
 def test_integer_shifts_leave_value_fixed():
     # direct check of the descent mechanism at one exact point
-    alg = _h3()
-    num = RightInvariant(alg, _fr(1, 0, 0))
-    den = Linear(alg, _fr(0, 0, 1))
+    alg = h3()
+    num = RightInvariant(alg, fr(1, 0, 0))
+    den = Linear(alg, fr(0, 0, 1))
     q = QuotientInduced(num, den)
     w = [0.3, -0.4, 0.7]
     y = [0.5, 1.1, 0.9]
     base = float(q.value((w, y)))
-    moved = left_translate(alg, _fr(0, 1, 0), (w, y))
+    moved = left_translate(alg, fr(0, 1, 0), (w, y))
     assert abs(float(q.value(moved)) - base) < 1e-12
 
 
 def test_custom_lattice_subgroup_scaling():
     # doubling a generator doubles the shift constant
-    alg = _h3()
-    num = RightInvariant(alg, _fr(1, 0, 0))
-    den = Linear(alg, _fr(0, 0, 1))
-    c1 = shift_multiplier(alg, _fr(0, 1, 0), num, den)
-    c2 = shift_multiplier(alg, _fr(0, 2, 0), num, den)
+    alg = h3()
+    num = RightInvariant(alg, fr(1, 0, 0))
+    den = Linear(alg, fr(0, 0, 1))
+    c1 = shift_multiplier(alg, fr(0, 1, 0), num, den)
+    c2 = shift_multiplier(alg, fr(0, 2, 0), num, den)
     assert c2 == 2 * c1
 
 
 def test_lattice_repr_names_generator_count():
-    lat = Lattice("L", [_fr(1, 0, 0)])
+    lat = Lattice("L", [fr(1, 0, 0)])
     assert "1 generator" in repr(lat)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import free_23, h3, in_span, tridiagonal
 from nilflow import catalog, linalg
 from nilflow.algebra import LieAlgebraDescriptor
 from nilflow.integrals import (
@@ -32,27 +33,13 @@ from nilflow.solvers import (
 MIN_FULL_RANK_FRACTION = 0.99
 
 
-def _h3(metric=None):
-    return LieAlgebraDescriptor(3, {(1, 2): {3: Fraction(1)}}, metric=metric,
-                                name="h3")
-
-
-def _free_23(metric=None):
-    structure = {
-        (1, 2): {3: Fraction(1)},
-        (1, 3): {4: Fraction(1)},
-        (2, 3): {5: Fraction(1)},
-    }
-    return LieAlgebraDescriptor(5, structure, metric=metric, name="free23")
-
-
 def _plain_and_metric():
     """h3 and free23, each also with a non-diagonal positive-definite
     metric, so the G^{-1} A / G^{-1} B parameter path is exercised; both
     metrics leave a nonzero space of skew derivations."""
-    return (_h3(), _free_23(),
-            _h3([[2, 1, 0], [1, 2, 1], [0, 1, 2]]),
-            _free_23([[2, 1, 0, 0, 0], [1, 2, 0, 0, 0], [0, 0, 3, 0, 0],
+    return (h3(), free_23(),
+            h3([[2, 1, 0], [1, 2, 1], [0, 1, 2]]),
+            free_23([[2, 1, 0, 0, 0], [1, 2, 0, 0, 0], [0, 0, 3, 0, 0],
                       [0, 0, 0, 2, 1], [0, 0, 0, 1, 2]]))
 
 
@@ -89,11 +76,6 @@ def _defect_message(pair, defect):
             "defect %s" % (pair[0], pair[1], defect))
 
 
-def _tridiagonal(n):
-    return [[2 if i == j else 1 if abs(i - j) == 1 else 0 for j in range(n)]
-            for i in range(n)]
-
-
 def _is_derivation(alg, d):
     return _first_defect(alg, d) is None
 
@@ -106,48 +88,14 @@ def _is_metric_skew(alg, d):
     return all(gd[i][j] == -gd[j][i] for i in range(n) for j in range(n))
 
 
-def _in_span(mats, target):
-    """Exact membership of target in the rational span of mats."""
-    if not mats:
-        return all(all(c == 0 for c in row) for row in target)
-    n = len(target)
-    cols = [[m[i][j] for m in mats] for i in range(n) for j in range(n)]
-    rhs = [target[i][j] for i in range(n) for j in range(n)]
-    # Gaussian elimination on the (n^2) x k system
-    k = len(mats)
-    rows = [cols[r] + [rhs[r]] for r in range(n * n)]
-    pivot_row = 0
-    for col in range(k):
-        sel = None
-        for r in range(pivot_row, len(rows)):
-            if rows[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
-        pv = rows[pivot_row][col]
-        rows[pivot_row] = [c / pv for c in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
-    # inconsistent iff some row is (0,...,0 | nonzero)
-    for r in rows:
-        if all(c == 0 for c in r[:-1]) and r[-1] != 0:
-            return False
-    return True
-
-
 def test_h3_dimensions():
-    alg = _h3()
+    alg = h3()
     assert len(skew_derivations(alg)) == 1
     assert len(killing2_tensors(alg)) == 2
 
 
 def test_free23_dimensions():
-    alg = _free_23()
+    alg = free_23()
     assert len(skew_derivations(alg)) == 1
     assert len(killing2_tensors(alg)) == 5
 
@@ -188,7 +136,7 @@ def test_validate_derivation_reports_first_defective_pair():
 
 def test_derivation_defects_are_in_the_ring_of_the_matrix():
     # a component no term reaches is the zero of D's entries
-    alg = _free_23()
+    alg = free_23()
     for one in (1, Fraction(1)):
         d = [[0 * one] * 5 for _ in range(5)]
         d[1][0] = one  # e1 -> e2 fails the product rule
@@ -199,7 +147,7 @@ def test_derivation_defects_are_in_the_ring_of_the_matrix():
         assert any(defects)
 
 
-_ORACLE_ALGEBRAS = (_h3(), _free_23(), _plain_and_metric()[3])
+_ORACLE_ALGEBRAS = (h3(), free_23(), _plain_and_metric()[3])
 _ALL_DERIVATIONS = {}
 
 
@@ -261,7 +209,7 @@ def test_validate_derivation_agrees_with_the_bracket_oracle(candidate):
 def test_the_oracle_sees_every_outcome():
     """The candidates above reach all three outcomes: on h3, diag(1, 0, 1)
     is a derivation that is not skew."""
-    alg = _h3()
+    alg = h3()
     assert _all_derivations(alg)
     d = [[Fraction(int(i == j != 1)) for j in range(3)] for i in range(3)]
     assert _first_defect(alg, d) is None and not _is_metric_skew(alg, d)
@@ -286,7 +234,7 @@ def test_solver_bases_match_the_recorded_digest():
     lines = []
     for name in catalog.names():
         alg = catalog.get(name).descriptor
-        for metric in (None, _tridiagonal(alg.dim)):
+        for metric in (None, tridiagonal(alg.dim)):
             variant = LieAlgebraDescriptor(alg.dim, alg.structure,
                                            metric=metric)
             for solve in (skew_derivations, killing2_tensors,
@@ -402,7 +350,7 @@ def _rational_metrics(draw, n):
     return g
 
 
-_REFERENCE_STRUCTURES = (_h3(), _free_23(), catalog.get("n6_10").descriptor,
+_REFERENCE_STRUCTURES = (h3(), free_23(), catalog.get("n6_10").descriptor,
                          catalog.get("n6_25").descriptor)
 
 
@@ -458,10 +406,10 @@ def test_killing_tensors_are_integrals():
 
 
 def test_identity_always_killing():
-    for alg in (_h3(), _free_23(), _abelian(4)):
+    for alg in (h3(), free_23(), _abelian(4)):
         n = alg.dim
         ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        assert _in_span(killing2_tensors(alg), ident)
+        assert in_span(killing2_tensors(alg), ident)
 
 
 def test_structured_solver_spans_same_space():
@@ -470,9 +418,9 @@ def test_structured_solver_spans_same_space():
         structured = killing2_structured(alg)
         assert len(full) == len(structured)
         for s in structured:
-            assert _in_span(full, s)
+            assert in_span(full, s)
         for s in full:
-            assert _in_span(structured, s)
+            assert in_span(structured, s)
 
 
 @pytest.mark.parametrize("solve", [skew_derivations, killing2_tensors])
@@ -481,7 +429,7 @@ def test_symmetry_space_solved_once_per_descriptor(solve, monkeypatch):
     inner = solvers._solve_in_parameter_space
     monkeypatch.setattr(solvers, "_solve_in_parameter_space",
                         lambda *a: solves.append(1) or inner(*a))
-    alg = _h3()
+    alg = h3()
     first = solve(alg)
     expected = [[list(row) for row in m] for m in first]
     first[0][0][0] = Fraction(99)
@@ -489,13 +437,13 @@ def test_symmetry_space_solved_once_per_descriptor(solve, monkeypatch):
     first.append(first[0])
     assert solve(alg) == expected
     assert len(solves) == 1
-    other = solve(_h3([[2, 1, 0], [1, 2, 1], [0, 1, 2]]))
+    other = solve(h3([[2, 1, 0], [1, 2, 1], [0, 1, 2]]))
     assert len(solves) == 2
     assert other != expected
 
 
 def test_independence_exact_full_rank():
-    alg = _h3()
+    alg = h3()
     fs = [Linear(alg, [Fraction(0), Fraction(0), Fraction(1)]),
           Energy(alg),
           RightInvariant(alg, [Fraction(1), Fraction(0), Fraction(0)])]
@@ -506,7 +454,7 @@ def test_independence_exact_full_rank():
 
 
 def test_independence_float_path():
-    alg = _h3()
+    alg = h3()
     fs = [Linear(alg, [Fraction(0), Fraction(0), Fraction(1)]),
           Energy(alg),
           RightInvariant(alg, [Fraction(1), Fraction(0), Fraction(0)])]
@@ -515,7 +463,7 @@ def test_independence_float_path():
 
 
 def test_dependent_family_never_full_rank():
-    alg = _h3()
+    alg = h3()
     z = [Fraction(0), Fraction(0), Fraction(1)]
     z2 = [Fraction(0), Fraction(0), Fraction(2)]
     rep = independence_scan(alg, [Linear(alg, z), Linear(alg, z2)],
@@ -526,7 +474,7 @@ def test_dependent_family_never_full_rank():
 
 
 def test_predicate_filters_samples():
-    alg = _h3()
+    alg = h3()
     fs = [Energy(alg)]
     hits = []
 
@@ -544,7 +492,7 @@ def test_predicate_filters_samples():
 def test_scan_that_accepts_nothing_raises():
     # the denominator quot(E / E) = exp(-1) sin(2 pi) is below den_min
     # everywhere, so no draw is ever accepted
-    alg = _h3()
+    alg = h3()
     nested = parse_integral(alg, "quot(E / quot(E / E))")
     with pytest.raises(NoSampleAccepted, match="1000 draws"):
         independence_scan(alg, [nested], nsamples=5)
@@ -557,14 +505,14 @@ def test_sample_points_stops_at_the_draw_budget():
         draws.append((w, y))
         return "hit" if len(draws) == 1 else None
 
-    got = list(solvers.sample_points(_h3(), 3, 0, first_only))
+    got = list(solvers.sample_points(h3(), 3, 0, first_only))
     assert got == ["hit"]
     assert len(draws) == 3 * solvers.DRAWS_PER_SAMPLE
     assert all(len(w) == len(y) == 3 for w, y in draws)
 
 
 def test_exact_scan_sees_the_float_draws_rounded_to_32nds():
-    alg = _h3()
+    alg = h3()
     seen = []
 
     def record(w, y):
