@@ -187,9 +187,21 @@ class LieAlgebraDescriptor:
         return out
 
     def ad(self, x):
-        """Matrix of ad(x) = [x, .] in the fixed basis."""
-        return linalg.transpose([self.bracket(x, col)
-                                 for col in linalg.identity(self.dim)])
+        """Matrix of ad(x) = [x, .] in the fixed basis, read off the pair
+        table: c_ij^k adds x_i c_ij^k to entry (k, j) and -x_j c_ij^k to
+        entry (k, i).  Each entry sums its terms in the order ``bracket``
+        sums column j of [x, e_j], so a float matrix is bit for bit the
+        bracket's."""
+        zero = 0 * x[0] + Fraction(0)
+        out = [[zero] * self.dim for _ in range(self.dim)]
+        for i, j, targets in self._pairs:
+            xi, xj = x[i], x[j]
+            for k, c in targets:
+                if xi:
+                    out[k][j] = out[k][j] + xi * c
+                if xj:
+                    out[k][i] = out[k][i] - xj * c
+        return out
 
     def gram(self):
         return self.metric if self.metric is not None else linalg.identity(self.dim)
@@ -249,8 +261,7 @@ class LieAlgebraDescriptor:
                                commutator_chain=chain, v_complement=comp)
 
     def is_central(self, z):
-        return all(linalg.is_zero_vec(self.bracket(z, col))
-                   for col in linalg.identity(self.dim))
+        return all(linalg.is_zero_vec(row) for row in self.ad(z))
 
     def j_map(self, z):
         """Matrix of j(z) on the complement basis of a 2-step algebra.
@@ -278,8 +289,9 @@ class LieAlgebraDescriptor:
 
 # -- definition files ---------------------------------------------------
 
-# largest dim of a definition file: at dim 24 (free step 2 on 6 generators,
-# plus 3 abelian directions) the Killing-tensor solve takes about 18 s
+# largest dim of a definition file or a catalog name: at dim 24 (free
+# step 2 on 6 generators, plus 3 abelian directions) the Killing-tensor
+# solve takes about 18 s
 MAX_FILE_DIM = 24
 
 

@@ -10,7 +10,9 @@ dimensions of the metric-skew derivations and Killing 2-tensors of every
 entry sit in the one table ``_RECORDED_DIMS``.  ``get`` is the one reader
 of a name, ``[rK+]FAMILY[(q)]``; it builds a family from the one registry
 ``_FAMILIES`` and an extension from its cached base, and applies the
-recorded dimensions before caching.
+recorded dimensions before caching.  It refuses a name of dimension
+above ``algebra.MAX_FILE_DIM`` before building it, and it caches every
+listed entry but only the last few others.
 
 Some bundled constructions are known to be defective (a stored rotation
 that is not actually a derivation, a set that is not involutive, a
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import group, linalg
-from .algebra import LieAlgebraDescriptor
+from .algebra import MAX_FILE_DIM, LieAlgebraDescriptor
 from .integrals import Butler, parse_integral
 from .poisson import PoissonEngine
 from .quotients import Lattice, invariance_check
@@ -465,7 +467,11 @@ def _entry_extension(k, base):
 
 # -- registry ------------------------------------------------------------
 
+# the listed entries stay cached; of the other names (other parameters,
+# Heisenberg algebras and extensions) the _RECENT_MAX used last are kept
 _CACHE = {}
+_RECENT = {}
+_RECENT_MAX = 8
 
 _EPS = (Fraction(-1), Fraction(0), Fraction(1), Fraction(2))
 
@@ -510,10 +516,14 @@ def names():
                   for family, (_, _, ks) in _FAMILIES.items() for k in ks]
 
 
+_LISTED = frozenset(names())
+
+
 def get(name):
     """Entry by the name it builds: 'h3', 'n6_19(1)' or 'r2+h3', not 'h03',
     'r1+h3' or 'r+r+h3' (the base of an extension is a family); a
-    parameter is a rational, so 'n6_19(1.0)' is 'n6_19(1)'."""
+    parameter is a rational, so 'n6_19(1.0)' is 'n6_19(1)'.  A name of
+    dimension above ``MAX_FILE_DIM`` is refused before it is built."""
     name = name.strip()
     match = _NAME.fullmatch(name)
     # a name outside the grammar is read as a family, which none is
@@ -526,30 +536,49 @@ def get(name):
             raise ValueError("bad parameter %r in %r" % (arg, name)) from None
     base = family if eps is None else "%s(%s)" % (family, eps)
     key = base if prefix is None else "%s+%s" % (prefix, base)
-    if key not in _CACHE:
-        builder, params, _ = _FAMILIES.get(family, (None, (), ()))
-        if prefix is not None:
-            entry = _entry_extension(int(prefix[1:] or 1), get(base))
-        elif params and eps is None:
-            raise ValueError("%s needs a parameter, e.g. %s(1)"
-                             % (family, family))
-        elif eps is not None and not params:
-            raise ValueError("%s takes no parameter" % family)
-        elif builder is not None:
-            entry = builder(eps) if params else builder()
-        elif family[:1] == "h" and family[1:].isdigit():
-            dim = int(family[1:])
-            if dim < 3 or dim % 2 == 0:
-                raise ValueError("Heisenberg names are h3, h5, h7, ...")
-            entry = _entry_heisenberg(dim // 2)
-        else:
-            raise ValueError("unknown catalog name %r" % family)
-        if entry.name != key:
-            raise ValueError("unknown catalog name %r" % key)
-        entry.expected.update(zip(("skew_derivation_dim", "killing2_dim"),
-                                  _RECORDED_DIMS.get(key, ())))
+    entry = (_CACHE.get(key) or _RECENT.pop(key, None)
+             or _build(key, prefix, family, eps, base))
+    if key in _LISTED:
         _CACHE[key] = entry
-    return _CACHE[key]
+    else:  # most recently used last
+        _RECENT[key] = entry
+        if len(_RECENT) > _RECENT_MAX:
+            del _RECENT[next(iter(_RECENT))]
+    return entry
+
+
+def _build(key, prefix, family, eps, base):
+    """The entry named ``key``, with its recorded dimensions applied."""
+    builder, params, _ = _FAMILIES.get(family, (None, (), ()))
+    if prefix is not None:
+        k, base_entry = int(prefix[1:] or 1), get(base)
+        _check_dim(key, k + base_entry.descriptor.dim)
+        entry = _entry_extension(k, base_entry)
+    elif params and eps is None:
+        raise ValueError("%s needs a parameter, e.g. %s(1)" % (family, family))
+    elif eps is not None and not params:
+        raise ValueError("%s takes no parameter" % family)
+    elif builder is not None:
+        entry = builder(eps) if params else builder()
+    elif family[:1] == "h" and family[1:].isdigit():
+        dim = int(family[1:])
+        if dim < 3 or dim % 2 == 0:
+            raise ValueError("Heisenberg names are h3, h5, h7, ...")
+        _check_dim(key, dim)
+        entry = _entry_heisenberg(dim // 2)
+    else:
+        raise ValueError("unknown catalog name %r" % family)
+    if entry.name != key:
+        raise ValueError("unknown catalog name %r" % key)
+    entry.expected.update(zip(("skew_derivation_dim", "killing2_dim"),
+                              _RECORDED_DIMS.get(key, ())))
+    return entry
+
+
+def _check_dim(key, dim):
+    if dim > MAX_FILE_DIM:
+        raise ValueError("%s has dimension %d, above the limit of %d"
+                         % (key, dim, MAX_FILE_DIM))
 
 
 # -- verification --------------------------------------------------------

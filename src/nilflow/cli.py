@@ -303,12 +303,11 @@ def cmd_quotient(args):
 
 
 def cmd_verify(args):
-    names = args.names or catalog.names()
+    entries = [catalog.get(name) for name in args.names or catalog.names()]
     failed = []
     summaries = []
     lines = []
-    for name in names:
-        entry = catalog.get(name)
+    for entry in entries:
         report = catalog.verify_entry(entry, nsamples=args.samples)
         checks = [{"label": lbl, "ok": ok, "detail": det}
                   for lbl, ok, det in report.checks]
@@ -319,14 +318,16 @@ def cmd_verify(args):
             checks.append({"label": "iso-homomorphism", "ok": iso.ok,
                            "detail": "%d pairs checked" % iso.checked_pairs})
         if not entry_ok:
-            failed.append(name)
-        summaries.append({"name": name, "ok": entry_ok, "checks": checks})
-        lines.append("%s: %s" % (name, "ok" if entry_ok else "CLAIMS FAILED"))
+            failed.append(entry.name)
+        summaries.append({"name": entry.name, "ok": entry_ok,
+                          "checks": checks})
+        lines.append("%s: %s" % (entry.name,
+                                 "ok" if entry_ok else "CLAIMS FAILED"))
         for c in checks:
             if not c["ok"]:
                 lines.append("  %-26s FAIL  %s" % (c["label"], c["detail"]))
     lines.append("%d/%d entries verified; failing: %s"
-                 % (len(names) - len(failed), len(names),
+                 % (len(entries) - len(failed), len(entries),
                     ", ".join(failed) or "none"))
     payload = {"entries": summaries, "failed": failed,
                "ok": not failed}

@@ -117,9 +117,10 @@ class FirstIntegral:
             alg, fp, n = self.alg, self.as_polynomial(), self.alg.dim
             grad_w = [fp.partial(i) for i in range(n)]
             grad_y = [fp.partial(n + i) for i in range(n)]
-            # U_i = <Psi e_i, grad_w f>; most integrals (Energy, Linear,
-            # Quadratic) have grad_w f = 0, and inner skips zero factors
-            u = [linalg.inner(col, grad_w) for col in _psi_columns(alg)]
+            if any(grad_w):  # U_i = <Psi e_i, grad_w f>
+                u = [linalg.inner(col, grad_w) for col in _psi_columns(alg)]
+            else:  # Energy, Linear and Quadratic: U = 0, no Psi sums
+                u = [RationalPolynomial(2 * n)] * n
             if alg.metric is not None:
                 ginv = alg.gram_inverse()
                 u, grad_y = linalg.mat_vec(ginv, u), linalg.mat_vec(ginv, grad_y)
@@ -187,8 +188,8 @@ class Quadratic(FirstIntegral):
     def __init__(self, alg, s, label=None):
         super().__init__(alg, label)
         self.s = [[frac(c) for c in row] for row in s]
-        gs = linalg.mat_mul(alg.gram(), self.s)
-        if linalg.transpose(gs) != gs:
+        gs = _metric_times(alg, self.s)
+        if len(gs) != alg.dim or linalg.transpose(gs) != gs:
             raise ValueError("quadratic operator is not symmetric for the metric")
 
     def _expand(self):
@@ -270,10 +271,16 @@ def derivation_defects(alg, d):
                      for row in block]
 
 
+def _metric_times(alg, m):
+    """G m, which is m itself when the metric is the identity."""
+    return m if alg.metric is None else linalg.mat_mul(alg.metric, m)
+
+
 def is_metric_skew(alg, m):
     """True when G m is antisymmetric, i.e. m is skew for the metric."""
-    gm = linalg.mat_mul(alg.gram(), m)
-    return linalg.transpose(gm) == linalg.mat_scale(gm, Fraction(-1))
+    gm = _metric_times(alg, m)
+    return all(gm[i][j] == -gm[j][i]
+               for i in range(len(gm)) for j in range(i, len(gm)))
 
 
 def validate_derivation(alg, d):

@@ -5,6 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import filiform6
 from nilflow import catalog, group
 from nilflow.ratpoly import RationalPolynomial
 
@@ -90,3 +91,25 @@ def test_float_bracket_is_the_dense_formula_bit_for_bit(data):
     u, v = (data.draw(st.lists(entry, min_size=alg.dim, max_size=alg.dim))
             for _ in range(2))
     assert repr(alg.bracket(u, v)) == repr(_dense_bracket(alg, u, v))
+
+
+def _bracket_ad(alg, x):
+    """ad(x) as the brackets [x, e_j], the columns of the matrix."""
+    zero, one = Fraction(0), Fraction(1)
+    identity = [[one if i == j else zero for j in range(alg.dim)]
+                for i in range(alg.dim)]
+    return [list(row) for row in zip(*[alg.bracket(x, e) for e in identity])]
+
+
+@_SETTINGS
+@given(st.data())
+def test_ad_from_the_pair_table_is_the_bracket_matrix(data):
+    alg = data.draw(st.sampled_from(_ALGEBRAS + [filiform6()]))
+    exact = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    x = data.draw(st.lists(exact, min_size=alg.dim, max_size=alg.dim))
+    assert alg.ad(x) == _bracket_ad(alg, x)
+    # floats, signed zeros included, come out bit for bit
+    approx = st.one_of(st.sampled_from([0.0, -0.0, 1e-300]),
+                       st.floats(min_value=-3, max_value=3))
+    x = data.draw(st.lists(approx, min_size=alg.dim, max_size=alg.dim))
+    assert repr(alg.ad(x)) == repr(_bracket_ad(alg, x))

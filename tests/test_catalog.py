@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import tempfile
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilflow import catalog
-from nilflow.algebra import (LieAlgebraDescriptor, dump_algebra,
+from nilflow.algebra import (MAX_FILE_DIM, LieAlgebraDescriptor, dump_algebra,
                              from_definition, load_algebra, to_definition)
 from nilflow.group import bch
 from nilflow.integrals import RightInvariant
@@ -69,6 +70,42 @@ def test_get_finds_an_entry_only_under_the_name_it_builds():
     for name in ("h03", "r0+h3", "r1+h3", "r+ h3", "r+r+h3"):
         with pytest.raises(ValueError, match="unknown catalog name"):
             catalog.get(name)
+
+
+def test_get_refuses_a_name_above_the_dimension_limit(monkeypatch):
+    # r100000+h3 once started a Jacobi check of hours; now no descriptor
+    # above the limit is built
+    built = []
+
+    def recording(**kwargs):
+        built.append(kwargs["dim"])
+        return LieAlgebraDescriptor(**kwargs)
+
+    monkeypatch.setattr(catalog, "LieAlgebraDescriptor", recording)
+    for name, dim in (("r100000+h3", 100003), ("h101", 101), ("h25", 25),
+                      ("r22+h3", 25)):
+        with pytest.raises(ValueError, match="^%s has dimension %d, above "
+                           "the limit of %d$" % (re.escape(name), dim,
+                                                 MAX_FILE_DIM)):
+            catalog.get(name)
+    assert catalog.get("r21+h3").descriptor.dim == MAX_FILE_DIM
+    assert all(dim <= MAX_FILE_DIM for dim in built)
+
+
+def test_unlisted_names_leave_a_bounded_cache():
+    listed = [catalog.get(name) for name in catalog.names()]
+    for q in range(3 * catalog._RECENT_MAX):
+        catalog.get("n6_22(%d/7)" % q)
+    assert set(catalog._CACHE) == set(catalog.names())
+    assert len(catalog._RECENT) == catalog._RECENT_MAX
+    assert all(catalog.get(name) is entry
+               for name, entry in zip(catalog.names(), listed))
+    # the one used last is kept, and a use makes it the newest again
+    last = catalog.get("n6_22(%d/7)" % (3 * catalog._RECENT_MAX - 1))
+    assert list(catalog._RECENT)[-1] == last.name
+    oldest = next(iter(catalog._RECENT))
+    assert catalog.get(oldest) is catalog._RECENT[oldest]
+    assert list(catalog._RECENT)[-1] == oldest
 
 
 def test_get_unknown_raises():

@@ -1,5 +1,5 @@
 """A recorded CLI corpus: one sha256 of (exit code, stdout, stderr) for
-each of 228 in-process commands, stored in ``cli_corpus.json``.
+each of 233 in-process commands, stored in ``cli_corpus.json``.
 
 The CLI's text, its canonical JSON and its exit codes are the program's
 regression gates, so a changed digest is an output change.  Each change
@@ -117,7 +117,14 @@ def commands():
             # integral specs after a verb's options
             ["independence", "h3", "--samples", "3", "E", "lin:Z"],
             ["involution", "h3", "--format", "json", "E", "lin:Z"],
-            ["quotient", "h3", "Gamma_2", "--samples", "5", QUOT]]
+            ["quotient", "h3", "Gamma_2", "--samples", "5", QUOT],
+            # names above the dimension limit of 24 are refused unbuilt
+            ["check", "r100000+h3"],
+            ["catalog", "h101"],
+            ["catalog", "r22+h3"],
+            ["catalog", "h23"],
+            # verify labels an entry by the name it builds
+            ["verify", "--skip-iso", "--samples", "3", "n6_19(1.0)"]]
     # checked-in definition files, named relative to the repository root
     for path in ("tests/data/h3_metric.json", "tests/data/filiform5.json"):
         for verb in ("derivations", "killing2"):

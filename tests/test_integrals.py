@@ -2,9 +2,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import free_23, h3
-from nilflow import catalog
+from helpers import filiform6, fr, free_23, h3, tridiagonal
+from nilflow import catalog, linalg
 from nilflow.integrals import (
     MAX_SPEC_DEPTH,
     Butler,
@@ -16,6 +18,8 @@ from nilflow.integrals import (
     Quadratic,
     QuotientInduced,
     RightInvariant,
+    _psi_columns,
+    is_metric_skew,
     parse_integral,
     validate_derivation,
 )
@@ -139,6 +143,77 @@ def test_quadratic_rejects_asymmetric():
     s[0][1] = Fraction(1)
     with pytest.raises(ValueError):
         Quadratic(h3(), s)
+
+
+def _gram_skew(alg, m):
+    """The Gram-product test of skewness: (G m)^T == -(G m)."""
+    gm = linalg.mat_mul(alg.gram(), m)
+    return linalg.transpose(gm) == linalg.mat_scale(gm, Fraction(-1))
+
+
+def _gram_symmetric(alg, s):
+    """The Gram-product test of symmetry: (G s)^T == G s."""
+    gs = linalg.mat_mul(alg.gram(), s)
+    return linalg.transpose(gs) == gs
+
+
+def _accepted_as_quadratic(alg, s):
+    try:
+        Quadratic(alg, s)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_skew_and_symmetry_checks_match_the_gram_products(data):
+    alg = data.draw(st.sampled_from([h3(), h3(tridiagonal(3))]))
+    n = alg.dim
+    entry = st.integers(min_value=-2, max_value=2).map(Fraction)
+    a = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+    # G^{-1} times an antisymmetric and a symmetric matrix pass the checks
+    ginv = alg.gram_inverse()
+    skew = linalg.mat_mul(ginv, [[a[i][j] - a[j][i] for j in range(n)]
+                                 for i in range(n)])
+    sym = linalg.mat_mul(ginv, [[a[i][j] + a[j][i] for j in range(n)]
+                                for i in range(n)])
+    assert is_metric_skew(alg, skew) and _accepted_as_quadratic(alg, sym)
+    for m in (a, skew, sym):
+        assert is_metric_skew(alg, m) == _gram_skew(alg, m)
+        assert _accepted_as_quadratic(alg, m) == _gram_symmetric(alg, m)
+
+
+def test_quadratic_rejects_a_matrix_of_the_wrong_size():
+    with pytest.raises(ValueError, match="not symmetric for the metric"):
+        Quadratic(h3(), [[Fraction(1)]])
+
+
+def _psi_route(f):
+    """(U, V) with the Psi sums and the G^{-1} products always formed."""
+    alg, fp, n = f.alg, f.as_polynomial(), f.alg.dim
+    grad_w = [fp.partial(i) for i in range(n)]
+    grad_y = [fp.partial(n + i) for i in range(n)]
+    u = [linalg.inner(col, grad_w) for col in _psi_columns(alg)]
+    ginv = alg.gram_inverse()
+    return linalg.mat_vec(ginv, u), linalg.mat_vec(ginv, grad_y)
+
+
+@pytest.mark.parametrize("alg", [h3(tridiagonal(3)), free_23(tridiagonal(5)),
+                                 filiform6()], ids=["h3", "free23", "fil6"])
+def test_gradient_polys_match_the_psi_route(alg):
+    n = alg.dim
+    sym = [[Fraction((i + 1) * (j + 1) % 5 - 2) for j in range(n)]
+           for i in range(n)]
+    x = fr(*[(-1) ** i * (i + 1) for i in range(n)])
+    fs = [Energy(alg), Linear(alg, x),
+          Quadratic(alg, linalg.mat_mul(alg.gram_inverse(), sym)),
+          RightInvariant(alg, x)]
+    for f in fs:
+        assert f.gradient_polys() == _psi_route(f)
+    # the first three have a zero grad_w f, so a zero U
+    assert all(not any(f.gradient_polys()[0]) for f in fs[:3])
 
 
 def test_derivation_integral_gradient():
