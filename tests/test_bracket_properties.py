@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import filiform6
-from nilflow import catalog, group
+from nilflow import catalog, group, linalg
 from nilflow.ratpoly import RationalPolynomial
 
 _ALGEBRAS = [catalog.get(name).descriptor for name in catalog.names()]
@@ -95,10 +95,8 @@ def test_float_bracket_is_the_dense_formula_bit_for_bit(data):
 
 def _bracket_ad(alg, x):
     """ad(x) as the brackets [x, e_j], the columns of the matrix."""
-    zero, one = Fraction(0), Fraction(1)
-    identity = [[one if i == j else zero for j in range(alg.dim)]
-                for i in range(alg.dim)]
-    return [list(row) for row in zip(*[alg.bracket(x, e) for e in identity])]
+    return linalg.transpose([alg.bracket(x, e)
+                             for e in linalg.identity(alg.dim)])
 
 
 @_SETTINGS
