@@ -11,8 +11,8 @@ entry sit in the one table ``_RECORDED_DIMS``.  ``get`` is the one reader
 of a name, ``[rK+]FAMILY[(q)]``; it builds a family from the one registry
 ``_FAMILIES`` and an extension from its cached base, and applies the
 recorded dimensions before caching.  It refuses a name of dimension
-above ``algebra.MAX_FILE_DIM`` before building it, and it caches every
-listed entry but only the last few others.
+above ``algebra.MAX_FILE_DIM`` before building it, and it caches the
+listed entries only.
 
 Some bundled constructions are known to be defective (a stored rotation
 that is not actually a derivation, a set that is not involutive, a
@@ -467,11 +467,8 @@ def _entry_extension(k, base):
 
 # -- registry ------------------------------------------------------------
 
-# the listed entries stay cached; of the other names (other parameters,
-# Heisenberg algebras and extensions) the _RECENT_MAX used last are kept
+# the listed entries, built once; any other name is built at each get
 _CACHE = {}
-_RECENT = {}
-_RECENT_MAX = 8
 
 _EPS = (Fraction(-1), Fraction(0), Fraction(1), Fraction(2))
 
@@ -536,14 +533,9 @@ def get(name):
             raise ValueError("bad parameter %r in %r" % (arg, name)) from None
     base = family if eps is None else "%s(%s)" % (family, eps)
     key = base if prefix is None else "%s+%s" % (prefix, base)
-    entry = (_CACHE.get(key) or _RECENT.pop(key, None)
-             or _build(key, prefix, family, eps, base))
+    entry = _CACHE.get(key) or _build(key, prefix, family, eps, base)
     if key in _LISTED:
         _CACHE[key] = entry
-    else:  # most recently used last
-        _RECENT[key] = entry
-        if len(_RECENT) > _RECENT_MAX:
-            del _RECENT[next(iter(_RECENT))]
     return entry
 
 
@@ -551,8 +543,8 @@ def _build(key, prefix, family, eps, base):
     """The entry named ``key``, with its recorded dimensions applied."""
     builder, params, _ = _FAMILIES.get(family, (None, (), ()))
     if prefix is not None:
-        k, base_entry = int(prefix[1:] or 1), get(base)
-        _check_dim(key, k + base_entry.descriptor.dim)
+        base_entry = get(base)
+        k = _bounded(key, prefix[1:] or "1", base_entry.descriptor.dim)
         entry = _entry_extension(k, base_entry)
     elif params and eps is None:
         raise ValueError("%s needs a parameter, e.g. %s(1)" % (family, family))
@@ -561,10 +553,9 @@ def _build(key, prefix, family, eps, base):
     elif builder is not None:
         entry = builder(eps) if params else builder()
     elif family[:1] == "h" and family[1:].isdigit():
-        dim = int(family[1:])
+        dim = _bounded(key, family[1:])
         if dim < 3 or dim % 2 == 0:
             raise ValueError("Heisenberg names are h3, h5, h7, ...")
-        _check_dim(key, dim)
         entry = _entry_heisenberg(dim // 2)
     else:
         raise ValueError("unknown catalog name %r" % family)
@@ -575,10 +566,16 @@ def _build(key, prefix, family, eps, base):
     return entry
 
 
-def _check_dim(key, dim):
-    if dim > MAX_FILE_DIM:
-        raise ValueError("%s has dimension %d, above the limit of %d"
-                         % (key, dim, MAX_FILE_DIM))
+def _bounded(key, digits, extra=0):
+    """``int(digits)``, where ``key`` has dimension ``int(digits) + extra``
+    and is refused above ``MAX_FILE_DIM``; digits longer than the limit's
+    are refused unread, as int() reads no more than 4,300 of them."""
+    digits = digits.lstrip("0") or "0"
+    if (len(digits) > len(str(MAX_FILE_DIM))
+            or int(digits) + extra > MAX_FILE_DIM):
+        raise ValueError("%s has dimension above the limit of %d"
+                         % (key, MAX_FILE_DIM))
+    return int(digits)
 
 
 # -- verification --------------------------------------------------------
