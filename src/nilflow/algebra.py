@@ -86,7 +86,6 @@ class LieAlgebraDescriptor:
 
     def _validate_structure(self, structure):
         n = self.dim
-        seen = set()
         clean = {}
         for key, val in structure.items():
             i, j = int(key[0]), int(key[1])
@@ -95,10 +94,6 @@ class LieAlgebraDescriptor:
             if i >= j:
                 raise ValueError(
                     "store brackets with i < j only, got (%d, %d)" % (i, j))
-            if (j, i) in seen:
-                raise ValueError(
-                    "both orders (%d, %d) and (%d, %d) present" % (i, j, j, i))
-            seen.add((i, j))
             entry = {}
             for k, c in val.items():
                 k = int(k)

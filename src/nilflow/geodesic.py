@@ -26,7 +26,7 @@ small fixed size whatever the length of the flow.
 
 import numpy as np
 
-from .integrals import Coordinate, Energy, QuotientInduced
+from .integrals import Coordinate, Energy
 from .poisson import PoissonEngine
 from .ratpoly import Evaluator, phase_names
 
@@ -112,36 +112,28 @@ def _check_finite(states, step, dt):
     raise NonFinite("state is no longer finite at t=%g" % (first * dt))
 
 
-def _values(f, coords):
-    """Values of one integral at (2n, ...) coordinates: coords.shape[1:]."""
-    if isinstance(f, QuotientInduced):
-        num, den = _values(f.num, coords), _values(f.den, coords)
-        if np.any(np.abs(den) < DEN_CUTOFF):
-            raise DenominatorVanished(
-                "|denominator| fell below %g along the flow" % DEN_CUTOFF)
-        return np.exp(-1.0 / den ** 2) * np.sin(2.0 * np.pi * num / den)
-    n = len(coords) // 2
-    values = f.value((coords[:n], coords[n:]))
-    if np.isscalar(values):  # a polynomial with no terms gives the scalar 0
-        return np.full(coords.shape[1:], float(values))
-    return values
-
-
 def conservation_report(integrals, traj):
     """Relative drift of each integral: max |f(t) - f(0)| / max(|f(0)|, 1).
 
     The trajectory is read in contiguous chunks of whole time steps, about
-    ``CHUNK_ROWS`` states each; f(0) comes from the first chunk.  A drift
-    is the ``np.max`` of the chunk maxima, so a NaN value gives a NaN
-    drift."""
-    states = traj.states
+    ``CHUNK_ROWS`` states each; f(0) comes from the first chunk, and f is
+    taken on a chunk once its ``denominators`` clear DEN_CUTOFF there.  A
+    drift is the ``np.max`` of the chunk maxima, so a NaN gives a NaN."""
+    states, n = traj.states, traj.states.shape[2] // 2
     span = max(1, CHUNK_ROWS // max(1, traj.batch))
     starts, refs = [None] * len(integrals), [None] * len(integrals)
     maxima = [[] for _ in integrals]
     for t0 in range(0, len(states), span):
         coords = np.ascontiguousarray(np.moveaxis(states[t0:t0 + span], 2, 0))
+        point = (coords[:n], coords[n:])
         for i, f in enumerate(integrals):
-            values = _values(f, coords)
+            if any(np.any(np.abs(d) < DEN_CUTOFF)
+                   for d in f.denominators(point)):
+                raise DenominatorVanished(
+                    "|denominator| fell below %g along the flow" % DEN_CUTOFF)
+            values = f.value(point)
+            if np.isscalar(values):  # a polynomial with no terms gives 0
+                values = np.full(coords.shape[1:], float(values))
             if t0 == 0:
                 starts[i] = values[0]
                 refs[i] = np.maximum(np.abs(values[0]), 1.0)

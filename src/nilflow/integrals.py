@@ -6,7 +6,8 @@ integral has two exact expansions in the 2n variables (w, y): its value
 (U, V), V = G^{-1} grad_y f and U = G^{-1} Psi(ad w)^T grad_w f.  The
 numeric ``value`` and ``gradient`` at a point evaluate these expansions
 through ``ratpoly.Evaluator``; only the quotient-induced functions, which
-are not polynomial, keep their own chain rule.
+are not polynomial, keep their own chain rule and yield, lazily and
+innermost first, the ``denominators`` their value divides by.
 
 Constructors validate what can be validated: a quadratic form must be
 symmetric for the metric, a derivation must actually satisfy the product
@@ -19,6 +20,8 @@ against, and for solved derivations, which are derivations already.
 import math
 from fractions import Fraction
 from itertools import accumulate
+
+import numpy as np
 
 from . import group, linalg
 from .algebra import StepMismatch, per_descriptor
@@ -105,6 +108,10 @@ class FirstIntegral:
             self._gradient_at = Evaluator(u + v)
         uv = self._gradient_at(_coordinates(point))
         return uv[:self.alg.dim], uv[self.alg.dim:]
+
+    def denominators(self, point):
+        """Lazily, innermost first, what the value at a point divides by."""
+        return iter(())
 
     def as_polynomial(self):
         if self._poly is None:
@@ -306,11 +313,8 @@ class Butler(FirstIntegral):
                 "this family needs a 2-step algebra, step is %d" % analysis.step)
         self.v_basis = analysis.v_complement
         self.z_basis = analysis.center_basis
-        cols = self.v_basis + self.z_basis
-        if len(cols) != alg.dim:
-            raise ValueError("complement and center do not span")
-        bmat = [[cols[j][i] for j in range(alg.dim)] for i in range(alg.dim)]
-        self._coords = linalg.inverse(bmat)
+        self._coords = linalg.inverse(
+            linalg.transpose(self.v_basis + self.z_basis))
         self.gv = [[alg.inner(a, b) for b in self.v_basis] for a in self.v_basis]
         self._j_parts = [alg.j_map(z) for z in self.z_basis]
 
@@ -340,9 +344,17 @@ class QuotientInduced(FirstIntegral):
         self.den = den
 
     def value(self, point):
+        if isinstance(point[0], np.ndarray):
+            num, den = self.num.value(point), self.den.value(point)
+            return np.exp(-1.0 / den ** 2) * np.sin(2.0 * np.pi * num / den)
         d = float(self.den.value(point))
         q = float(self.num.value(point)) / d
         return math.exp(-1.0 / d ** 2) * math.sin(2 * math.pi * q)
+
+    def denominators(self, point):
+        yield from self.num.denominators(point)
+        yield from self.den.denominators(point)
+        yield self.den.value(point)
 
     def gradient(self, point):
         d = float(self.den.value(point))
@@ -368,16 +380,19 @@ class QuotientInduced(FirstIntegral):
 
 # -- the little spec-string grammar ------------------------------------
 
+def _index(digits, bound):
+    """int(digits) for a plain decimal (ASCII digits, no sign, space or
+    leading zero) up to ``bound``, else None; longer strings go unread."""
+    plain = (digits.isascii() and digits.isdigit()
+             and len(digits) <= len(str(bound)) and digits == str(int(digits)))
+    return int(digits) if plain and int(digits) <= bound else None
+
+
 def basis_vector(alg, ref, names=None):
     """Resolve 'e4' or a registered alias to a basis coefficient vector."""
-    idx = None
-    if names and ref in names:
-        idx = names[ref]
-    elif ref.startswith("e"):
-        try:
-            idx = int(ref[1:])
-        except ValueError:
-            idx = None
+    idx = (names or {}).get(ref)
+    if idx is None and ref.startswith("e"):
+        idx = _index(ref[1:], alg.dim)
     if idx is None or not (1 <= idx <= alg.dim):
         raise ValueError("unknown basis reference %r" % ref)
     return [Fraction(int(k == idx)) for k in range(1, alg.dim + 1)]
@@ -387,32 +402,29 @@ def parse_integral(alg, text, names=None, quad_refs=None, der_refs=None):
     """Build an integral from its compact string form.
 
     Grammar: ``E``, ``lin:e4``, ``right:e2``, ``quad:NAME``, ``der:NAME``,
-    ``butler:1``, ``quot(SPEC / SPEC)``.  NAME references are resolved
+    ``butler:1``, ``quot(SPEC / SPEC)``.  An index is a plain decimal up
+    to the dimension; by Cayley-Hamilton on j(Z)^2, Butler members beyond
+    half the complement's dimension add nothing.  NAME references resolve
     through the optional quad_refs / der_refs dictionaries of matrices.
     A ``der:`` matrix is not validated, so a stored matrix that is not a
     derivation still parses and its bracket checks show the defect.
     """
     text = text.strip()
-    if max(accumulate((c == "(") - (c == ")") for c in text),
-           default=0) > MAX_SPEC_DEPTH:
+    depth = list(accumulate((c == "(") - (c == ")") for c in text))
+    if max(depth, default=0) > MAX_SPEC_DEPTH:
         raise ValueError("integral spec nests deeper than %d levels"
                          % MAX_SPEC_DEPTH)
     if text == "E":
         return Energy(alg, label="E")
     if text.startswith("quot(") and text.endswith(")"):
-        inner_text = text[5:-1]
-        depth = 0
-        for pos in range(len(inner_text) - 2):
-            ch = inner_text[pos]
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif depth == 0 and inner_text[pos:pos + 3] == " / ":
-                num = parse_integral(alg, inner_text[:pos], names, quad_refs, der_refs)
-                den = parse_integral(alg, inner_text[pos + 3:], names, quad_refs, der_refs)
-                return QuotientInduced(num, den, label=text)
-        raise ValueError("malformed quotient spec %r" % text)
+        # the top-level " / ": the first one just inside "quot("
+        pos = next((p for p in range(5, len(text) - 3)
+                    if depth[p] == 1 and text[p:p + 3] == " / "), None)
+        if pos is None:
+            raise ValueError("malformed quotient spec %r" % text)
+        num = parse_integral(alg, text[5:pos], names, quad_refs, der_refs)
+        den = parse_integral(alg, text[pos + 3:-1], names, quad_refs, der_refs)
+        return QuotientInduced(num, den, label=text)
     if ":" not in text:
         raise ValueError("malformed integral spec %r" % text)
     head, ref = text.split(":", 1)
@@ -429,5 +441,9 @@ def parse_integral(alg, text, names=None, quad_refs=None, der_refs=None):
             raise ValueError("unknown derivation reference %r" % ref)
         return DerivationIntegral(alg, der_refs[ref], check=False, label=text)
     if head == "butler":
-        return Butler(alg, int(ref), label=text)
+        index = _index(ref, alg.dim)
+        if index is None:
+            raise ValueError("Butler index %r is not a decimal from 0 to %d"
+                             % (ref, alg.dim))
+        return Butler(alg, index, label=text)
     raise ValueError("unknown integral kind %r" % head)

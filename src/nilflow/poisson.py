@@ -55,6 +55,8 @@ class PoissonEngine:
         return f.gradient_polys()
 
     def bracket(self, f, g):
+        if not (f.alg is self.alg is g.alg):
+            raise ValueError("an integral is bound to another algebra")
         uf, vf = self.gradient_polys(f)
         ug, vg = self.gradient_polys(g)
         alg = self.alg

@@ -46,8 +46,8 @@ The checks that sample, the independence scan here and the lattice
 invariance check in ``quotients``, draw their points through the one
 generator ``sample_points``: one float stream per seed, one acceptance
 callback per draw, one draw budget, and one denominator rule,
-``denominators_clear``, for quotient-induced integrals.  The exact scan
-rounds each draw to a multiple of 1/32 in its own callback.
+``denominators_clear``, over what each integral's ``denominators`` yields.
+The exact scan rounds each draw to a multiple of 1/32 in its own callback.
 """
 
 import functools
@@ -106,17 +106,11 @@ def sample_points(alg, nsamples, seed, accept):
 
 
 def denominators_clear(integrals, points):
-    """True unless the denominator of a quotient-induced integral, or of
-    one nested in it, is below DEN_MIN in absolute value at one of the
-    points.  The nested ones are tested first, so no denominator is
-    evaluated where a division inside it is by zero."""
-    for f in integrals:
-        if isinstance(f, QuotientInduced):
-            if not denominators_clear([f.num, f.den], points):
-                return False
-            if any(abs(float(f.den.value(p))) < DEN_MIN for p in points):
-                return False
-    return True
+    """True unless an integral's ``denominators`` at one of the points
+    include one below DEN_MIN in absolute value; the test stops at the
+    first, so no denominator is evaluated that divides by a failed one."""
+    return not any(abs(float(d)) < DEN_MIN for f in integrals
+                   for p in points for d in f.denominators(p))
 
 
 def _common_scale(mat):

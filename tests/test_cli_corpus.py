@@ -1,5 +1,5 @@
 """A recorded CLI corpus: one sha256 of (exit code, stdout, stderr) for
-each of 233 in-process commands, stored in ``cli_corpus.json``.
+each of 239 in-process commands, stored in ``cli_corpus.json``.
 
 The CLI's text, its canonical JSON and its exit codes are the program's
 regression gates, so a changed digest is an output change.  Each change
@@ -124,7 +124,14 @@ def commands():
             ["catalog", "r22+h3"],
             ["catalog", "h23"],
             # verify labels an entry by the name it builds
-            ["verify", "--skip-iso", "--samples", "3", "n6_19(1.0)"]]
+            ["verify", "--skip-iso", "--samples", "3", "n6_19(1.0)"],
+            # spec indices are plain decimals up to the dimension
+            ["bracket", "h3", "lin:e03", "E"],
+            ["bracket", "h3", "lin:e+3", "E"],
+            ["bracket", "h3", "right:e0_1", "E"],
+            ["bracket", "n6_22(0)", "butler:x", "E"],
+            ["bracket", "n6_22(0)", "butler:80", "E"],
+            ["bracket", "n6_22(0)", "butler:6", "E", "--format", "json"]]
     # checked-in definition files, named relative to the repository root
     for path in ("tests/data/h3_metric.json", "tests/data/filiform5.json"):
         for verb in ("derivations", "killing2"):

@@ -20,9 +20,9 @@ from nilflow.geodesic import (
     conservation_report,
     integrate,
     write_csv,
-    _values,
 )
 from nilflow.integrals import Energy, Linear, QuotientInduced, RightInvariant
+from nilflow.solvers import denominators_clear
 
 DRIFT_TOL = 1e-12
 ORDER_RATIO_MIN = 8.0
@@ -194,15 +194,68 @@ def test_evaluate_along_matches_value():
     f = RightInvariant(alg, [Fraction(1), Fraction(0), Fraction(0)])
     traj = integrate(alg, [0.4, -0.2, 0.9], [1.1, 0.3, -0.7],
                      dt=0.01, t_end=0.5)
-    vals = _values(f, np.moveaxis(traj.states, 2, 0))
+    coords = np.moveaxis(traj.states, 2, 0)
+    vals = f.value((coords[:3], coords[3:]))
     assert vals.shape == (len(traj.times), 1)
     w = list(traj.states[7, 0, :3])
     y = list(traj.states[7, 0, 3:])
     assert abs(vals[7, 0] - float(f.value((w, y)))) < 1e-12
     # an integral with no terms still gives one value per time and start
     zero = Linear(alg, [Fraction(0)] * 3)
-    assert np.array_equal(_values(zero, np.moveaxis(traj.states, 2, 0)),
-                          np.zeros(vals.shape))
+    assert conservation_report([zero], traj) == [(zero.spec_string(), 0.0)]
+
+
+def _old_values(f, coords):
+    """The flow's values of one integral before ``QuotientInduced.value``
+    took array points: the quotient formula restated elementwise."""
+    if isinstance(f, QuotientInduced):
+        num, den = _old_values(f.num, coords), _old_values(f.den, coords)
+        return np.exp(-1.0 / den ** 2) * np.sin(2.0 * np.pi * num / den)
+    n = len(coords) // 2
+    values = f.value((coords[:n], coords[n:]))
+    if np.isscalar(values):
+        return np.full(coords.shape[1:], float(values))
+    return values
+
+
+def test_quotient_values_at_array_points_match_the_old_formula():
+    alg = h3()
+    vec = [[Fraction(c) for c in v] for v in ([1, 0, 0], [0, 0, 1], [0, 0, 0])]
+    inner = QuotientInduced(RightInvariant(alg, vec[0]), Linear(alg, vec[1]))
+    fs = [inner, QuotientInduced(Linear(alg, vec[2]), Linear(alg, vec[1])),
+          QuotientInduced(inner, Linear(alg, vec[1])),
+          QuotientInduced(RightInvariant(alg, vec[0]), inner)]
+    coords = np.random.default_rng(5).uniform(-2.0, 2.0, (6, 40, 3))
+    for f in fs:
+        # the last one divides by values of inner that underflow to 0
+        with np.errstate(all="ignore"):
+            new = f.value((coords[:3], coords[3:]))
+            old = _old_values(f, coords)
+        assert new.shape == (40, 3)
+        # bit for bit, signed zeros included
+        assert new.tobytes() == old.tobytes()
+
+
+def test_nested_denominators_stop_at_a_vanished_inner_one(monkeypatch):
+    # inner = right:e1 / lin:e3 vanishes with y3; the outer denominator
+    # divides by it and must not be evaluated where y3 = 0
+    alg = h3()
+    vec = [[Fraction(c) for c in v] for v in ([1, 0, 0], [0, 0, 1])]
+    inner = QuotientInduced(RightInvariant(alg, vec[0]), Linear(alg, vec[1]))
+    outer = QuotientInduced(Linear(alg, vec[1]), inner)
+
+    def unreachable(point):
+        raise AssertionError("the outer denominator was evaluated")
+
+    monkeypatch.setattr(inner, "value", unreachable)
+    assert not denominators_clear([outer], [([0.1, 0.2, 0.3],
+                                             [1.0, 0.5, 0.0])])
+    traj = integrate(alg, [0.1, 0.2, 0.3], [1.0, 0.5, 0.0], dt=0.01,
+                     t_end=0.05)
+    with pytest.raises(DenominatorVanished,
+                       match=r"^\|denominator\| fell below 1e-06 along "
+                             r"the flow$"):
+        conservation_report([Energy(alg), outer], traj)
 
 
 def test_quotient_denominator_cutoff():

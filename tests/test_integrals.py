@@ -315,6 +315,85 @@ def test_parse_bounds_the_spec_nesting():
         parse_integral(alg, "quot(E / %s)" % spec)
 
 
+def test_spec_indices_are_bounded_canonical_decimals():
+    alg = h3()
+    for ref in ("e01", "e+3", "e 3", "e0_1", "e\u0663", "e0", "e4",
+                "e" + "9" * 5000, "e" + "0" * 5000 + "1"):
+        for head in ("lin", "right"):
+            with pytest.raises(ValueError) as err:
+                parse_integral(alg, "%s:%s" % (head, ref))
+            assert str(err.value) == "unknown basis reference %r" % ref
+    assert parse_integral(alg, "lin:e3").x == [0, 0, 1]
+    n6 = catalog.get("n6_22(0)").descriptor
+    for ref in ("x", "-1", "+1", "01", " 1", "1_0", "\u0663", "7", "80",
+                "9" * 5000):
+        with pytest.raises(ValueError) as err:
+            parse_integral(n6, "butler:" + ref)
+        assert str(err.value) == ("Butler index %r is not a decimal from 0 "
+                                  "to 6" % ref)
+    for k in (0, 6):
+        assert parse_integral(n6, "butler:%d" % k).index == k
+    # the constructor keeps taking any index >= 0
+    assert Butler(n6, 7).index == 7
+
+
+def _old_quotient_split(text):
+    """The top-level " / " of quot(...) as the parser found it with its
+    own second depth loop: (num text, den text), or None."""
+    inner_text = text[5:-1]
+    depth = 0
+    for pos in range(len(inner_text) - 2):
+        ch = inner_text[pos]
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif depth == 0 and inner_text[pos:pos + 3] == " / ":
+            return inner_text[:pos], inner_text[pos + 3:]
+    return None
+
+
+def _parsed(alg, text):
+    try:
+        f = parse_integral(alg, text)
+    except ValueError as err:
+        return str(err)
+    return f.spec_string()
+
+
+def _check_quotient_split(alg, spec):
+    split = _old_quotient_split(spec)
+    try:
+        f = parse_integral(alg, spec)
+        got = (f.num.spec_string(), f.den.spec_string())
+    except ValueError as err:
+        got = str(err)
+    if split is None:
+        assert got == "malformed quotient spec %r" % spec
+    else:
+        parts = [_parsed(alg, part) for part in split]
+        bad = [p for p, part in zip(parts, split) if p != part.strip()]
+        assert got == (bad[0] if bad else tuple(parts))
+
+
+def test_quotient_split_matches_the_old_depth_loop():
+    alg = h3()
+    for spec in ("quot(E / E)", "quot( E / lin:e3 )",
+                 "quot(quot(E / lin:e3) / lin:e3)",
+                 "quot(lin:e3 / quot(E / quot(E / lin:e3)))",
+                 "quot(E) / (E)", "quot(E / E) / (E)", "quot((E / E))",
+                 "quot(E / E / E)", "quot(E / )", "quot( / E)",
+                 "quot(E /E)", "quot(E)) / ((E)", "quot(E / (E)",
+                 "quot(E / E))", "quot()"):
+        _check_quotient_split(alg, spec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="()/ E", max_size=16))
+def test_quotient_split_matches_the_old_depth_loop_on_any_text(body):
+    _check_quotient_split(h3(), "quot(%s)" % body)
+
+
 def test_parse_rejects_unknown():
     alg = h3()
     with pytest.raises(ValueError):

@@ -258,6 +258,16 @@ def test_metric_changes_bracket_values():
     assert res.poly == parse("(1) y2 + (3) y3", 6)
 
 
+def test_engine_refuses_integrals_of_another_algebra():
+    own, other = catalog.get("n6_19(1)"), catalog.get("n6_19(0)")
+    f, g = own.parse("right:e3"), own.parse("right:e5")
+    assert own.engine().bracket(f, g).poly == parse("(1) y6", 12)
+    with pytest.raises(ValueError, match="bound to another algebra"):
+        other.engine().bracket(f, g)
+    with pytest.raises(ValueError, match="bound to another algebra"):
+        other.engine().bracket(other.parse("right:e3"), g)
+
+
 def test_quotient_induced_integral_is_not_polynomial():
     entry = catalog.get("h3")
     f = entry.parse("quot(right:X1 / lin:Z)")
