@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .linalg import frac
+from .linalg import frac, plain
 
 
 class JacobiViolation(ValueError):
@@ -293,7 +293,7 @@ MAX_FILE_DIM = 24
 def _integer(field, x):
     if isinstance(x, (int, str)) and not isinstance(x, bool):
         try:
-            return int(x)
+            return int(x if isinstance(x, int) else plain(x))
         except ValueError:
             pass
     raise ValueError("%s: expected an integer, got %r" % (field, x))

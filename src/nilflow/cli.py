@@ -269,34 +269,30 @@ def cmd_quotient(args):
     if not fs:
         raise ValueError("no quotient functions stored for %s; pass specs"
                          % args.lattice)
-    results = []
-    worst = 0.0
+    alg = entry.descriptor
+    results, lines, worst, ok = [], [], 0.0, True
     for f in fs:
-        # the exact shifts first: a non-polynomial numerator or denominator
-        # is a usage error, found before any sample is drawn
-        shifts = {}
-        if isinstance(f, QuotientInduced):
-            for g in lat.generators:
-                c = quotients.shift_multiplier(entry.descriptor, g,
-                                               f.num, f.den)
-                key = "(" + ",".join(_frac_str(x) for x in g) + ")"
-                shifts[key] = None if c is None else _frac_str(c)
-        dev, acc = quotients.invariance_check(entry.descriptor, lat, f,
-                                              nsamples=args.samples,
+        # the exact shifts and verdict first: a non-polynomial numerator or
+        # denominator is a usage error, found before any sample is drawn;
+        # the float deviation is a diagnostic
+        cs = ([quotients.shift_multiplier(alg, g, f.num, f.den)
+               for g in lat.generators] if isinstance(f, QuotientInduced)
+              else [])
+        shifts = {"(" + ",".join(map(_frac_str, g)) + ")":
+                  None if c is None else _frac_str(c)
+                  for g, c in zip(lat.generators, cs)}
+        ok = quotients.descends(alg, lat, f) and ok
+        dev, acc = quotients.invariance_check(alg, lat, f, nsamples=args.samples,
                                               seed=args.seed)
         worst = max(worst, dev)
         results.append({"integral": f.spec_string(), "max_deviation": dev,
                         "accepted": acc, "shift_multipliers": shifts})
-    ok = worst < catalog.INVARIANCE_TOL
+        lines.append("%s: max deviation %.3e on %d samples"
+                     % (f.spec_string(), dev, acc))
+        lines += ["  generator %s shifts numerator by %s * denominator" % gc
+                  for gc in sorted(shifts.items())]
     payload = {"algebra": entry.name, "lattice": args.lattice,
                "results": results, "max_deviation": worst, "ok": ok}
-    lines = []
-    for r in results:
-        lines.append("%s: max deviation %.3e on %d samples"
-                     % (r["integral"], r["max_deviation"], r["accepted"]))
-        for g, c in sorted(r["shift_multipliers"].items()):
-            lines.append("  generator %s shifts numerator by %s * denominator"
-                         % (g, c))
     lines.append("invariant: %s" % ok)
     _emit(args, payload, lines)
     return EXIT_OK if ok else EXIT_CLAIM_FAILED

@@ -23,15 +23,25 @@ from math import gcd, lcm
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _EXACT = {int, Fraction}
+_NUMBER_CHARS = frozenset("0123456789+-./eE")
 
 
 def frac(x) -> Fraction:
-    """Coerce an int, string like '5/12', or Fraction to Fraction."""
+    """Coerce an int, a ``plain`` string like '5/12', or Fraction to Fraction."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)):
-        return Fraction(x)
+        return Fraction(plain(x) if isinstance(x, str) else x)
     raise TypeError("expected an exact rational, got %r" % (x,))
+
+
+def plain(text):
+    """``text`` if it spells a number in ASCII digits, signs, '.', '/' and
+    'e' only, else a ValueError; int() and Fraction() would also read
+    '1_0' as 10, and ' 3' or an Arabic-Indic digit as the plain digit."""
+    if not _NUMBER_CHARS.issuperset(text):
+        raise ValueError("%r is not a plain number" % text)
+    return text
 
 
 def identity(n):

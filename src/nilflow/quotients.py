@@ -1,21 +1,20 @@
-"""Lattice quotients and invariance of quotient-induced functions.
+"""Lattice quotients and the descent of functions to them.
 
 A lattice is stored by its generators, tuples of exponential
 coordinates.  A phase-space point is a plain (w, y) pair; left
 translation acts on the base coordinates w through the group product and
-leaves the body momentum y alone.  The numeric invariance check draws
-its points through ``solvers.sample_points`` and rejects them by
-``solvers.denominators_clear``, as the independence scan does.  For the
-bundled examples the numerator of a quotient-induced function shifts by
-an exact integer multiple of the denominator under every generator,
-which is what makes the composed function descend; ``shift_multiplier``
-verifies that structurally.
+leaves the body momentum y alone.  ``descends`` decides exactly whether
+a function is invariant under every generator, through its translate at
+symbolic w and y.  The numeric ``invariance_check`` measures the float
+deviation instead: it draws its points through ``solvers.sample_points``
+and rejects them by ``solvers.denominators_clear``, as the independence
+scan does.
 """
 
 from fractions import Fraction
 
 from . import group
-from .integrals import _w_vec, _y_vec
+from .integrals import QuotientInduced, _w_vec, _y_vec
 from .solvers import denominators_clear, sample_points
 
 
@@ -57,20 +56,20 @@ def invariance_check(alg, lattice, f, nsamples=None, seed=0):
     return max(deviations, default=0.0), len(deviations)
 
 
-def shift_multiplier(alg, g_coords, num, den):
-    """Exact c with num(g x) - num(x) = c * den(x), or None if no such c.
+def _shift(alg, g_coords, f):
+    """The polynomial f(g w, y) - f(w, y); a ValueError for a quotient."""
+    f_poly = f.as_polynomial()
+    w = group.bch(alg, [Fraction(c) for c in g_coords], _w_vec(alg))
+    return f.value((w, _y_vec(alg))) - f_poly
 
-    The composed function descends to the quotient by the subgroup
-    generated by g exactly when such a constant exists and is an integer
-    (the denominator itself must be translation invariant, which holds
-    automatically when it only depends on y).
-    """
-    num_poly = num.as_polynomial()
+
+def shift_multiplier(alg, g_coords, num, den):
+    """Exact c with num(g x) - num(x) = c * den(x), or None if no such c;
+    a ValueError when den depends on w."""
+    diff = _shift(alg, g_coords, num)
     den_poly = den.as_polynomial()
     if den_poly.degree_in(range(alg.dim)) != 0:
         raise ValueError("denominator must be invariant (independent of w)")
-    shift = group.bch(alg, [Fraction(c) for c in g_coords], _w_vec(alg))
-    diff = num.value((shift, _y_vec(alg))) - num_poly
     if diff.is_zero:
         return Fraction(0)
     # diff must be a constant multiple of den_poly, so any one of its
@@ -82,3 +81,15 @@ def shift_multiplier(alg, g_coords, num, den):
         if diff == den_poly * c:
             return c
     return None
+
+
+def descends(alg, lattice, f):
+    """Whether f(g x) = f(x) for every generator g, decided exactly: for
+    f = quot(num / den) every shift multiplier is an integer, so that
+    sin(2 pi num / den) is unchanged, and a polynomial f has no shift.
+    A ValueError for a nested quotient or for w in den."""
+    if isinstance(f, QuotientInduced):
+        shifts = (shift_multiplier(alg, g, f.num, f.den)
+                  for g in lattice.generators)
+        return all(c is not None and c.denominator == 1 for c in shifts)
+    return not any(_shift(alg, g, f) for g in lattice.generators)

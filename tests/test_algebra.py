@@ -216,3 +216,16 @@ def test_rational_coefficients_survive_serialization(tmp_path):
     dump_algebra(alg, path)
     loaded = load_algebra(path)
     assert loaded.structure[(1, 2)][3] == Fraction(5, 3)
+
+
+def test_definition_numbers_are_plain():
+    # int() and Fraction() read each of these spellings as a number
+    for dim in ("1_0", " 3 ", "\u0663", "3.0"):
+        with pytest.raises(ValueError, match="^dim: expected an integer"):
+            from_definition({"dim": dim, "brackets": []})
+    for coeff in ("1_0", " 1", "\u0661"):
+        with pytest.raises(ValueError, match="^brackets: expected an exact"):
+            from_definition({"dim": 3, "brackets": [[1, 2, 3, coeff]]})
+    alg = from_definition({"dim": "3", "brackets": [[1, 2, 3, "-1/2"]]})
+    assert alg.dim == 3
+    assert alg.structure == {(1, 2): {3: Fraction(-1, 2)}}

@@ -62,6 +62,16 @@ def test_get_parses_parameter_suffix():
     assert a.name == "n6_19(1)"
 
 
+def test_get_reads_a_parameter_only_as_a_plain_number():
+    # int() and Fraction() read these as 10, 1, 1 and 1
+    for name in ("n6_19(1_0)", "n6_19( 1)", "n6_19(\u0661)", "n6_19(1 )"):
+        with pytest.raises(ValueError, match="^bad parameter "):
+            catalog.get(name)
+    assert catalog.get("n6_19(1.0)").name == "n6_19(1)"
+    assert catalog.get("n6_24(1/2)").name == "n6_24(1/2)"
+    assert catalog.get("n6_24(-1)").name == "n6_24(-1)"
+
+
 def test_get_finds_an_entry_only_under_the_name_it_builds():
     for name in catalog.names() + ["h7", "r3+h3", "r+n3"]:
         assert catalog.get(name).name == name

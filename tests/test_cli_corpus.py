@@ -1,5 +1,5 @@
 """A recorded CLI corpus: one sha256 of (exit code, stdout, stderr) for
-each of 239 in-process commands, stored in ``cli_corpus.json``.
+each of 249 in-process commands, stored in ``cli_corpus.json``.
 
 The CLI's text, its canonical JSON and its exit codes are the program's
 regression gates, so a changed digest is an output change.  Each change
@@ -118,6 +118,17 @@ def commands():
             ["independence", "h3", "--samples", "3", "E", "lin:Z"],
             ["involution", "h3", "--format", "json", "E", "lin:Z"],
             ["quotient", "h3", "Gamma_2", "--samples", "5", QUOT],
+            # descent verdicts of quotients and polynomials, and the
+            # quotients the exact rule refuses (w in den, a nested quotient)
+            ["quotient", "h5", "Gamma_1_1", "E", "--samples", "5"],
+            ["quotient", "h5", "Gamma_1_1", "lin:e5", "--samples", "5"],
+            ["quotient", "h3", "Gamma_2", "--samples", "5",
+             "quot(right:X1 / E)"],
+            ["quotient", "h3", "Gamma_2", "--samples", "5",
+             "quot(right:Y1 / lin:Z)"],
+            ["quotient", "h3", "Gamma_2", "quot(right:X1 / right:X1)"],
+            ["quotient", "h3", "Gamma_2",
+             "quot(quot(right:X1 / lin:Z) / lin:Z)"],
             # names above the dimension limit of 24 are refused unbuilt
             ["check", "r100000+h3"],
             ["catalog", "h101"],
@@ -125,6 +136,12 @@ def commands():
             ["catalog", "h23"],
             # verify labels an entry by the name it builds
             ["verify", "--skip-iso", "--samples", "3", "n6_19(1.0)"],
+            # a parameter is a plain number: no underscore, space or
+            # non-ASCII digit
+            ["catalog", "n6_19(1_0)"],
+            ["catalog", "n6_19( 1)"],
+            ["catalog", "n6_19(\u0661)"],
+            ["check", "n6_24(1/2)", "--samples", "3"],
             # spec indices are plain decimals up to the dimension
             ["bracket", "h3", "lin:e03", "E"],
             ["bracket", "h3", "lin:e+3", "E"],

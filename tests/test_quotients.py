@@ -1,14 +1,16 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from helpers import fr, h3
-from nilflow import catalog
+from nilflow import catalog, quotients
 from nilflow.group import bch
 from nilflow.integrals import (Linear, QuotientInduced, RightInvariant,
                                parse_integral)
 from nilflow.quotients import (
     Lattice,
+    descends,
     invariance_check,
     left_translate,
     shift_multiplier,
@@ -128,3 +130,101 @@ def test_custom_lattice_subgroup_scaling():
 def test_lattice_repr_names_generator_count():
     lat = Lattice("L", [fr(1, 0, 0)])
     assert "1 generator" in repr(lat)
+
+
+def _float_verdict(alg, lattice, f):
+    worst, _ = invariance_check(alg, lattice, f, nsamples=20, seed=0)
+    return worst < INVARIANCE_TOL
+
+
+def test_a_half_shift_does_not_descend():
+    # (0, 1/2, 0) shifts quot(right:X1 / lin:Z)'s numerator by half its
+    # denominator, so the sine changes sign
+    entry = catalog.get("h3")
+    alg = entry.descriptor
+    f = entry.parse("quot(right:X1 / lin:Z)")
+    half = Lattice("Half", [fr(0, Fraction(1, 2), 0)])
+    assert shift_multiplier(alg, half.generators[0], f.num, f.den) == \
+        Fraction(1, 2)
+    assert not descends(alg, half, f)
+    assert not _float_verdict(alg, half, f)
+    report = catalog.verify_entry(replace(
+        entry, lattices={"Half": half}, quotient_functions={"Half": [f]}),
+        nsamples=5)
+    checks = {label: (ok, detail) for label, ok, detail in report.checks}
+    assert checks["invariance[Half]"] == (
+        False, "not descending: quot(right:X1 / lin:Z)")
+
+
+def _one_generator_cases():
+    """(algebra, one-generator lattice, f) for every bundled quotient
+    function and generator, and for polynomials on h5's Gamma_1_1."""
+    for name in ("h3", "n3"):
+        entry = catalog.get(name)
+        for lname, fs in entry.quotient_functions.items():
+            for g in entry.lattices[lname].generators:
+                for f in fs:
+                    yield entry.descriptor, Lattice(lname, [g]), f
+    entry = catalog.get("h5")
+    for spec in ("right:e1", "lin:e5", "E"):
+        yield entry.descriptor, entry.lattices["Gamma_1_1"], entry.parse(spec)
+
+
+def test_exact_descent_agrees_with_the_float_check():
+    verdicts = {}
+    for alg, lattice, f in _one_generator_cases():
+        exact = descends(alg, lattice, f)
+        assert exact == _float_verdict(alg, lattice, f), \
+            "%s under %s" % (f.spec_string(), lattice.generators)
+        verdicts.setdefault(f.spec_string(), []).append(exact)
+    assert verdicts["right:e1"] == [False]
+    assert verdicts["lin:e5"] == verdicts["E"] == [True]
+    assert all(verdicts["quot(right:e2 / lin:e4)"])
+
+
+def test_descends_refuses_what_it_cannot_decide():
+    entry = catalog.get("h3")
+    lattice = entry.lattices["Gamma_2"]
+    for spec in ("quot(right:X1 / right:X1)",
+                 "quot(quot(right:X1 / lin:Z) / lin:Z)"):
+        with pytest.raises(ValueError):
+            descends(entry.descriptor, lattice, entry.parse(spec))
+
+
+def test_verify_entry_draws_no_invariance_sample(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("float invariance sample drawn")
+
+    monkeypatch.setattr(quotients, "invariance_check", boom)
+    monkeypatch.setattr(quotients, "left_translate", boom)
+    monkeypatch.setattr(catalog, "invariance_check", boom, raising=False)
+    for name in ("h3", "n3"):
+        report = catalog.verify_entry(catalog.get(name), nsamples=5)
+        checks = {label: ok for label, ok, _ in report.checks}
+        assert checks["chart-law-homomorphism"]
+        assert all(ok for label, ok in checks.items()
+                   if label.startswith("invariance["))
+
+
+@pytest.mark.parametrize("name", ["h3", "h5", "n1", "n2", "n3", "n23free"])
+def test_chart_laws_hold_as_identities(name):
+    assert catalog._chart_homomorphism_ok(catalog.get(name))
+
+
+def test_a_chart_law_with_one_wrong_coefficient_fails():
+    entry = catalog.get("n2")
+
+    def law(u, v):
+        # n2's last slot with 1/6 in place of 1/12
+        out = list(catalog._n2_law(u, v))
+        out[3] += Fraction(1, 12) * (u[0] * v[1] - u[1] * v[0]) * (u[0] - v[0])
+        return tuple(out)
+
+    def to_exponential(c):
+        return tuple(c[:-1]) + (2 * c[-1],)
+
+    cm = entry.chart_maps
+    assert not catalog._chart_homomorphism_ok(
+        replace(entry, chart_maps=replace(cm, coordinate_law=law)))
+    assert not catalog._chart_homomorphism_ok(
+        replace(entry, chart_maps=replace(cm, to_exponential=to_exponential)))
