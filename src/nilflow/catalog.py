@@ -29,7 +29,7 @@ from . import group, linalg
 from .algebra import MAX_FILE_DIM, LieAlgebraDescriptor
 from .integrals import Butler, _w_vec, _y_vec, parse_integral
 from .poisson import PoissonEngine
-from .quotients import Lattice, descends
+from .quotients import Lattice, descent
 from .ratpoly import RationalPolynomial
 from .solvers import (independence_scan, killing2_same_span, killing2_tensors,
                       skew_derivations)
@@ -660,7 +660,8 @@ def verify_entry(entry, nsamples=None, seed=0):
 
     for lname, fns in entry.quotient_functions.items():
         lattice = entry.lattices[lname]
-        bad = [f.spec_string() for f in fns if not descends(alg, lattice, f)]
+        bad = [f.spec_string() for f, (ok, _)
+               in zip(fns, descent(alg, lattice, fns)) if not ok]
         checks.append(("invariance[%s]" % lname, not bad,
                        "not descending: %s" % ", ".join(bad) if bad else
                        "all descend under %d generators"

@@ -17,9 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import catalog, geodesic, quotients, solvers
+from . import catalog, geodesic, linalg, quotients, solvers
 from .algebra import load_algebra, to_definition
-from .integrals import QuotientInduced
 from .poisson import verify_iso_homomorphism
 
 EXIT_OK = 0
@@ -212,7 +211,7 @@ def _parse_coords(text, n, what):
     if len(parts) != n:
         raise ValueError("%s needs %d comma-separated values" % (what, n))
     try:
-        return [float(Fraction(p.strip())) for p in parts]
+        return [float(linalg.frac(p.strip())) for p in parts]
     except (ValueError, ZeroDivisionError, OverflowError):
         raise ValueError("%s needs finite rational values, got %r"
                          % (what, text)) from None
@@ -225,14 +224,9 @@ def cmd_geodesic(args):
     entry = catalog.get(args.name)
     n = entry.descriptor.dim
     rng = np.random.default_rng(args.seed)
-    if args.w0:
-        w0 = np.array([_parse_coords(args.w0, n, "--w0")])
-    else:
-        w0 = rng.uniform(-1.0, 1.0, (1, n))
-    if args.y0:
-        y0 = np.array([_parse_coords(args.y0, n, "--y0")])
-    else:
-        y0 = rng.uniform(-1.0, 1.0, (1, n))
+    w0, y0 = (np.array([_parse_coords(text, n, flag)]) if text
+              else rng.uniform(-1.0, 1.0, (1, n))
+              for text, flag in ((args.w0, "--w0"), (args.y0, "--y0")))
     fs = _members(entry, args.integrals, default=["E"])
     try:
         traj = geodesic.integrate(entry.descriptor, w0, y0, dt=args.dt,
@@ -269,19 +263,15 @@ def cmd_quotient(args):
     if not fs:
         raise ValueError("no quotient functions stored for %s; pass specs"
                          % args.lattice)
+    # the exact verdicts first, so a usage error precedes any float sample
     alg = entry.descriptor
-    results, lines, worst, ok = [], [], 0.0, True
-    for f in fs:
-        # the exact shifts and verdict first: a non-polynomial numerator or
-        # denominator is a usage error, found before any sample is drawn;
-        # the float deviation is a diagnostic
-        cs = ([quotients.shift_multiplier(alg, g, f.num, f.den)
-               for g in lat.generators] if isinstance(f, QuotientInduced)
-              else [])
+    verdicts = quotients.descent(alg, lat, fs)
+    ok = all(v for v, _ in verdicts)
+    results, lines, worst = [], [], 0.0
+    for f, (_, cs) in zip(fs, verdicts):
         shifts = {"(" + ",".join(map(_frac_str, g)) + ")":
                   None if c is None else _frac_str(c)
-                  for g, c in zip(lat.generators, cs)}
-        ok = quotients.descends(alg, lat, f) and ok
+                  for g, c in zip(lat.generators, cs or [])}
         dev, acc = quotients.invariance_check(alg, lat, f, nsamples=args.samples,
                                               seed=args.seed)
         worst = max(worst, dev)
@@ -300,9 +290,7 @@ def cmd_quotient(args):
 
 def cmd_verify(args):
     entries = [catalog.get(name) for name in args.names or catalog.names()]
-    failed = []
-    summaries = []
-    lines = []
+    failed, summaries, lines = [], [], []
     for entry in entries:
         report = catalog.verify_entry(entry, nsamples=args.samples)
         checks = [{"label": lbl, "ok": ok, "detail": det}
@@ -370,7 +358,7 @@ def build_parser():
 
     p = sub.add_parser("check", help="verify one bundled entry")
     p.add_argument("name")
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples")
     _add_format(p)
     p.set_defaults(fn=cmd_check)
 
@@ -398,8 +386,8 @@ def build_parser():
     p = sub.add_parser("independence", help="rank scan of gradients")
     p.add_argument("name")
     p.add_argument("integrals", nargs="*")
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples")
+    p.add_argument("--seed", default="0")
     p.add_argument("--exact", action="store_true")
     _add_format(p)
     p.set_defaults(fn=cmd_independence)
@@ -408,10 +396,10 @@ def build_parser():
     p.add_argument("name")
     p.add_argument("--w0", help="comma-separated initial configuration")
     p.add_argument("--y0", help="comma-separated initial velocity")
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--t", type=float, default=10.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=DRIFT_TOL)
+    p.add_argument("--dt", default="1e-3")
+    p.add_argument("--t", default="10.0")
+    p.add_argument("--seed", default="0")
+    p.add_argument("--tol", default=repr(DRIFT_TOL))
     p.add_argument("--integrals", nargs="*")
     _add_format(p, extra=("csv",))
     p.set_defaults(fn=cmd_geodesic)
@@ -420,15 +408,15 @@ def build_parser():
     p.add_argument("name")
     p.add_argument("lattice")
     p.add_argument("integrals", nargs="*")
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples")
+    p.add_argument("--seed", default="0")
     _add_format(p)
     p.set_defaults(fn=cmd_quotient)
 
     p = sub.add_parser("verify",
                        help="re-run every bundled claim across the catalog")
     p.add_argument("names", nargs="*")
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples")
     p.add_argument("--skip-iso", action="store_true")
     _add_format(p)
     p.set_defaults(fn=cmd_verify)
@@ -436,10 +424,25 @@ def build_parser():
     return parser
 
 
+def _read_numbers(args):
+    """Each number option through ``linalg.plain``, as catalog parameters
+    and definition files: not as int() and float() read '1_0' or ' 3'."""
+    for key, read in (("samples", int), ("seed", int), ("dt", float),
+                      ("t", float), ("tol", float)):
+        text = getattr(args, key, None)
+        try:
+            if text is not None:
+                setattr(args, key, read(linalg.plain(text)))
+        except ValueError:
+            raise ValueError("--%s needs a plain %s, got %r"
+                             % (key, read.__name__, text)) from None
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _read_numbers(args)
         if getattr(args, "samples", None) is not None and args.samples < 1:
             raise ValueError("--samples must be at least 1")
         code = args.fn(args)

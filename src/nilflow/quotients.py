@@ -3,12 +3,13 @@
 A lattice is stored by its generators, tuples of exponential
 coordinates.  A phase-space point is a plain (w, y) pair; left
 translation acts on the base coordinates w through the group product and
-leaves the body momentum y alone.  ``descends`` decides exactly whether
-a function is invariant under every generator, through its translate at
-symbolic w and y.  The numeric ``invariance_check`` measures the float
-deviation instead: it draws its points through ``solvers.sample_points``
-and rejects them by ``solvers.denominators_clear``, as the independence
-scan does.
+leaves the body momentum y alone.  ``descent`` decides exactly whether
+functions are invariant under every generator, from one translate per
+generator at symbolic w and y, with the shift multipliers of each
+quotient-induced one.  The numeric ``invariance_check`` measures the
+float deviation instead: it draws its points through
+``solvers.sample_points`` and rejects them by
+``solvers.denominators_clear``, as the independence scan does.
 """
 
 from fractions import Fraction
@@ -56,40 +57,37 @@ def invariance_check(alg, lattice, f, nsamples=None, seed=0):
     return max(deviations, default=0.0), len(deviations)
 
 
-def _shift(alg, g_coords, f):
-    """The polynomial f(g w, y) - f(w, y); a ValueError for a quotient."""
-    f_poly = f.as_polynomial()
-    w = group.bch(alg, [Fraction(c) for c in g_coords], _w_vec(alg))
-    return f.value((w, _y_vec(alg))) - f_poly
-
-
-def shift_multiplier(alg, g_coords, num, den):
-    """Exact c with num(g x) - num(x) = c * den(x), or None if no such c;
-    a ValueError when den depends on w."""
-    diff = _shift(alg, g_coords, num)
-    den_poly = den.as_polynomial()
-    if den_poly.degree_in(range(alg.dim)) != 0:
-        raise ValueError("denominator must be invariant (independent of w)")
+def _multiplier(diff, den):
+    """Exact c with diff = c * den, or None; one monomial of diff fixes c."""
     if diff.is_zero:
         return Fraction(0)
-    # diff must be a constant multiple of den_poly, so any one of its
-    # monomials fixes the constant
     exps = next(iter(diff.numerators))
-    dc = den_poly.coefficient(exps)
-    if dc != 0:
-        c = diff.coefficient(exps) / dc
-        if diff == den_poly * c:
-            return c
-    return None
+    dc = den.coefficient(exps)
+    c = diff.coefficient(exps) / dc if dc else None
+    return c if c is not None and diff == den * c else None
 
 
-def descends(alg, lattice, f):
-    """Whether f(g x) = f(x) for every generator g, decided exactly: for
-    f = quot(num / den) every shift multiplier is an integer, so that
-    sin(2 pi num / den) is unchanged, and a polynomial f has no shift.
-    A ValueError for a nested quotient or for w in den."""
-    if isinstance(f, QuotientInduced):
-        shifts = (shift_multiplier(alg, g, f.num, f.den)
-                  for g in lattice.generators)
-        return all(c is not None and c.denominator == 1 for c in shifts)
-    return not any(_shift(alg, g, f) for g in lattice.generators)
+def descent(alg, lattice, fs):
+    """Per f in fs, (descends, multipliers), decided exactly at one
+    translate (g w, y) of symbolic w and y per generator g.  A quotient
+    quot(num / den) descends iff each multiplier, the c with num(g x) -
+    num(x) = c * den(x) or None, is an integer; a polynomial has no
+    multipliers and descends iff no translate moves it.  A ValueError
+    for a nested quotient or for w in den."""
+    w, y = _w_vec(alg), _y_vec(alg)
+    moved = [(group.bch(alg, [Fraction(c) for c in g], w), y)
+             for g in lattice.generators]
+
+    def verdict(f):
+        top = f.num if isinstance(f, QuotientInduced) else f
+        fp = top.as_polynomial()  # NonPolynomialVariant when nested
+        shifts = [top.value(x) - fp for x in moved]
+        if top is f:
+            return not any(shifts), None
+        den = f.den.as_polynomial()
+        if den.degree_in(range(alg.dim)) != 0:
+            raise ValueError("denominator must be invariant (independent of w)")
+        cs = [_multiplier(d, den) for d in shifts]
+        return all(c is not None and c.denominator == 1 for c in cs), cs
+
+    return [verdict(f) for f in fs]

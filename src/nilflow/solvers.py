@@ -47,7 +47,8 @@ invariance check in ``quotients``, draw their points through the one
 generator ``sample_points``: one float stream per seed, one acceptance
 callback per draw, one draw budget, and one denominator rule,
 ``denominators_clear``, over what each integral's ``denominators`` yields.
-The exact scan rounds each draw to a multiple of 1/32 in its own callback.
+The exact scan expands each exact gradient before its first draw, which
+a quotient-induced integral refuses, and rounds each draw to 1/32nds.
 """
 
 import functools
@@ -59,8 +60,7 @@ from fractions import Fraction
 
 from . import linalg
 from .algebra import per_descriptor
-from .integrals import (NonPolynomialVariant, QuotientInduced,
-                        derivation_defects)
+from .integrals import derivation_defects
 from .ratpoly import RationalPolynomial, coefficient_rows
 
 
@@ -281,16 +281,13 @@ def independence_scan(alg, integrals, predicate=None, nsamples=None, seed=0,
     denominator clears DEN_MIN.  Float path: numpy singular values with
     the relative cutoff SINGULAR_THRESHOLD.  Exact path: each draw rounded
     to a multiple of 1/32 before ``predicate`` sees it, and exact row
-    reduction, so the rank statement carries no floating error; it takes
-    polynomial integrals only, and a quotient-induced one raises
-    NonPolynomialVariant before any sample is drawn.
+    reduction, so the rank statement carries no floating error; it
+    expands every integral's exact gradient before any sample is drawn,
+    so a quotient-induced one raises NonPolynomialVariant there.
     """
-    if exact:
+    if exact:  # NonPolynomialVariant for a quotient-induced integral
         for f in integrals:
-            if isinstance(f, QuotientInduced):
-                raise NonPolynomialVariant(
-                    "the exact scan needs polynomial integrals; %s is "
-                    "quotient-induced" % f.spec_string())
+            f.gradient_polys()
 
     def rank_at(w, y):
         if exact:  # the float draw rounded to a multiple of 1/32

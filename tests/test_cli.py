@@ -342,6 +342,22 @@ def test_bad_geodesic_values_are_usage_errors():
         assert "Traceback" not in res.stderr
 
 
+def test_number_options_are_plain_numbers():
+    # int() and float() read '1_0' as 10 and ' 3' or an Arabic-Indic digit
+    # as the plain digit; each number option refuses them
+    for args in (("independence", "h3", "--samples", "1_0"),
+                 ("independence", "h3", "--seed", "\u0661"),
+                 ("quotient", "h3", "Gamma_2", "--samples", " 3"),
+                 ("geodesic", "h3", "--dt", "1_0"),
+                 ("geodesic", "h3", "--t", "\u0661"),
+                 ("geodesic", "h3", "--tol", "1e-8 "),
+                 ("geodesic", "h3", "--w0", "1_0,0,0"),
+                 ("geodesic", "h3", "--y0", "0,\u0661,0")):
+        code, out, err = run_cli(list(args))
+        assert (code, out) == (2, ""), args
+        assert err.startswith("error: --") and err.count("\n") == 1, args
+
+
 def test_samples_below_one_are_usage_errors():
     for args in (("check", "h3"), ("independence", "h3"),
                  ("quotient", "h3", "Gamma_2"), ("verify", "h3")):

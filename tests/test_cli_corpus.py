@@ -1,5 +1,5 @@
 """A recorded CLI corpus: one sha256 of (exit code, stdout, stderr) for
-each of 249 in-process commands, stored in ``cli_corpus.json``.
+each of 252 in-process commands, stored in ``cli_corpus.json``.
 
 The CLI's text, its canonical JSON and its exit codes are the program's
 regression gates, so a changed digest is an output change.  Each change
@@ -148,7 +148,13 @@ def commands():
             ["bracket", "h3", "right:e0_1", "E"],
             ["bracket", "n6_22(0)", "butler:x", "E"],
             ["bracket", "n6_22(0)", "butler:80", "E"],
-            ["bracket", "n6_22(0)", "butler:6", "E", "--format", "json"]]
+            ["bracket", "n6_22(0)", "butler:6", "E", "--format", "json"],
+            # every number option is a plain number too
+            ["geodesic", "h3", "--t", "0.01", "--dt", "0.005", "--w0",
+             "1_0,0,0", "--y0", "0,1,-1", "--format", "csv"],
+            ["independence", "h3", "--samples", "1_0"],
+            # the exact scan expands each gradient before its first draw
+            ["independence", "h3", QUOT, "--exact", "--samples", "3"]]
     # checked-in definition files, named relative to the repository root
     for path in ("tests/data/h3_metric.json", "tests/data/filiform5.json"):
         for verb in ("derivations", "killing2"):

@@ -3,21 +3,27 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import fr, h3
-from nilflow import catalog, quotients
+from helpers import fr, h3, run_cli
+from nilflow import catalog, group, quotients
 from nilflow.group import bch
 from nilflow.integrals import (Linear, QuotientInduced, RightInvariant,
                                parse_integral)
-from nilflow.quotients import (
-    Lattice,
-    descends,
-    invariance_check,
-    left_translate,
-    shift_multiplier,
-)
+from nilflow.quotients import Lattice, descent, invariance_check, left_translate
 from nilflow.solvers import NoSampleAccepted
 
 INVARIANCE_TOL = 1e-10
+
+
+def _multipliers(alg, generators, num, den):
+    """``descent``'s exact multipliers of quot(num / den), per generator."""
+    [(_, cs)] = descent(alg, Lattice("L", generators),
+                        [QuotientInduced(num, den)])
+    return cs
+
+
+def _descends(alg, lattice, f):
+    [(ok, _)] = descent(alg, lattice, [f])
+    return ok
 
 
 def test_left_translate_is_bch_on_w():
@@ -37,18 +43,18 @@ def test_shift_multipliers_h3():
     expected = {(2, 0, 0): Fraction(0),
                 (0, 1, 0): Fraction(1),
                 (0, 0, 1): Fraction(0)}
-    for gen, want in expected.items():
-        got = shift_multiplier(alg, fr(*gen), num, den)
-        assert got == want, "generator %s" % (gen,)
+    got = _multipliers(alg, [fr(*gen) for gen in expected], num, den)
+    assert got == list(expected.values())
 
 
 def test_shift_multipliers_n3():
     entry = catalog.get("n3")
     alg = entry.descriptor
     lattice = entry.lattices["Lambda_2"]
-    for q in entry.quotient_functions["Lambda_2"]:
-        for gen in lattice.generators:
-            c = shift_multiplier(alg, gen, q.num, q.den)
+    fs = entry.quotient_functions["Lambda_2"]
+    for q, (ok, cs) in zip(fs, descent(alg, lattice, fs)):
+        assert ok
+        for gen, c in zip(lattice.generators, cs):
             assert c is not None and c.denominator == 1
             if list(gen) == fr(2, 0, 0, 0, 0):
                 assert c == Fraction(-2)
@@ -61,7 +67,7 @@ def test_shift_multiplier_rejects_w_dependent_denominator():
     num = RightInvariant(alg, fr(1, 0, 0))
     den = RightInvariant(alg, fr(1, 0, 0))
     with pytest.raises(ValueError):
-        shift_multiplier(alg, fr(0, 1, 0), num, den)
+        _multipliers(alg, [fr(0, 1, 0)], num, den)
 
 
 def test_shift_multiplier_none_when_not_proportional():
@@ -69,7 +75,7 @@ def test_shift_multiplier_none_when_not_proportional():
     # numerator w-shift is not a multiple of y3 when the denominator is y2
     num = RightInvariant(alg, fr(1, 0, 0))
     den = Linear(alg, fr(0, 1, 0))
-    assert shift_multiplier(alg, fr(0, 1, 0), num, den) is None
+    assert _multipliers(alg, [fr(0, 1, 0)], num, den) == [None]
 
 
 def test_bundled_quotient_functions_invariant():
@@ -122,8 +128,7 @@ def test_custom_lattice_subgroup_scaling():
     alg = h3()
     num = RightInvariant(alg, fr(1, 0, 0))
     den = Linear(alg, fr(0, 0, 1))
-    c1 = shift_multiplier(alg, fr(0, 1, 0), num, den)
-    c2 = shift_multiplier(alg, fr(0, 2, 0), num, den)
+    c1, c2 = _multipliers(alg, [fr(0, 1, 0), fr(0, 2, 0)], num, den)
     assert c2 == 2 * c1
 
 
@@ -144,9 +149,7 @@ def test_a_half_shift_does_not_descend():
     alg = entry.descriptor
     f = entry.parse("quot(right:X1 / lin:Z)")
     half = Lattice("Half", [fr(0, Fraction(1, 2), 0)])
-    assert shift_multiplier(alg, half.generators[0], f.num, f.den) == \
-        Fraction(1, 2)
-    assert not descends(alg, half, f)
+    assert descent(alg, half, [f]) == [(False, [Fraction(1, 2)])]
     assert not _float_verdict(alg, half, f)
     report = catalog.verify_entry(replace(
         entry, lattices={"Half": half}, quotient_functions={"Half": [f]}),
@@ -173,7 +176,7 @@ def _one_generator_cases():
 def test_exact_descent_agrees_with_the_float_check():
     verdicts = {}
     for alg, lattice, f in _one_generator_cases():
-        exact = descends(alg, lattice, f)
+        exact = _descends(alg, lattice, f)
         assert exact == _float_verdict(alg, lattice, f), \
             "%s under %s" % (f.spec_string(), lattice.generators)
         verdicts.setdefault(f.spec_string(), []).append(exact)
@@ -188,7 +191,26 @@ def test_descends_refuses_what_it_cannot_decide():
     for spec in ("quot(right:X1 / right:X1)",
                  "quot(quot(right:X1 / lin:Z) / lin:Z)"):
         with pytest.raises(ValueError):
-            descends(entry.descriptor, lattice, entry.parse(spec))
+            descent(entry.descriptor, lattice, [entry.parse(spec)])
+
+
+def test_one_translate_per_generator_per_lattice(monkeypatch):
+    calls, bch_of = [], group.bch
+
+    def counted(alg, u, v):  # counts the exact translates, not float ones
+        if any(not isinstance(x, (int, float, Fraction)) for x in u + v):
+            calls.append(1)
+        return bch_of(alg, u, v)
+
+    monkeypatch.setattr(group, "bch", counted)
+    code, _, _ = run_cli(["quotient", "n3", "Lambda_2", "--samples", "3"])
+    # five generators, each translate shared by both quotient functions
+    assert (code, len(calls)) == (0, 5)
+    del calls[:]
+    for name in catalog.names():
+        catalog.verify_entry(catalog.get(name), nsamples=3)
+    # h3's three generators, n3's five and one chart law each on six entries
+    assert len(calls) == 3 + 5 + 6
 
 
 def test_verify_entry_draws_no_invariance_sample(monkeypatch):

@@ -12,6 +12,7 @@ from nilflow.algebra import LieAlgebraDescriptor
 from nilflow.integrals import (
     Energy,
     Linear,
+    NonPolynomialVariant,
     NotADerivation,
     NotGramSkew,
     Quadratic,
@@ -509,6 +510,19 @@ def test_sample_points_stops_at_the_draw_budget():
     assert got == ["hit"]
     assert len(draws) == 3 * solvers.DRAWS_PER_SAMPLE
     assert all(len(w) == len(y) == 3 for w, y in draws)
+
+
+def test_exact_scan_refuses_a_quotient_before_any_draw():
+    entry = catalog.get("h3")
+    alg = entry.descriptor
+    quot = entry.parse("quot(right:X1 / lin:Z)")
+
+    def pred(w, y):
+        raise AssertionError("a sample was drawn")
+
+    with pytest.raises(NonPolynomialVariant, match="not polynomial"):
+        independence_scan(alg, [Energy(alg), quot], predicate=pred,
+                          nsamples=3, exact=True)
 
 
 def test_exact_scan_sees_the_float_draws_rounded_to_32nds():
