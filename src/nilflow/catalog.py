@@ -685,7 +685,7 @@ def _chart_homomorphism_ok(entry):
     """phi(u . v) == law(phi(u), phi(v)) and phi^-1(phi(u)) == u, as
     polynomial identities in u = w1..wn and v = y1..yn."""
     alg, cm = entry.descriptor, entry.chart_maps
-    u, v = tuple(_w_vec(alg)), tuple(_y_vec(alg))
+    u, v = _w_vec(alg), _y_vec(alg)
     phi = cm.from_exponential
     return (phi(group.bch(alg, u, v)) == cm.coordinate_law(phi(u), phi(v))
             and cm.to_exponential(phi(u)) == u)

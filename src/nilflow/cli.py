@@ -207,7 +207,7 @@ def cmd_independence(args):
 
 
 def _parse_coords(text, n, what):
-    parts = [p for p in text.split(",") if p.strip()]
+    parts = text.split(",")  # an empty field counts, and is refused
     if len(parts) != n:
         raise ValueError("%s needs %d comma-separated values" % (what, n))
     try:

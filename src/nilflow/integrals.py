@@ -9,6 +9,25 @@ through ``ratpoly.Evaluator``; only the quotient-induced functions, which
 are not polynomial, keep their own chain rule and yield, lazily and
 innermost first, the ``denominators`` their value divides by.
 
+Energy, Linear and Quadratic write their value polynomials directly: the
+integer numerators of (1/2) y . G S y or y . G x over the lcm of the
+denominators, in one ``ratpoly._canonical`` call, Energy being S = I.
+``Evaluator`` compiles monomials in dict order, so the terms are keyed
+in the order in which the polynomial products y . G (S y) of
+``alg.inner`` and ``mat_vec`` would meet them: that sum is replayed on
+the scalar entries of G and S.  The gradients are the partials of the
+value, as for every polynomial integral.
+
+The integrals of one derivation matrix share, per descriptor and keyed
+by the exact matrix, the value polynomial, the gradient and whether the
+matrix passed ``validate_derivation``, so a repeated D neither runs the
+Phi(ad w) series again nor repeats the product-rule check; a check that
+fails is not recorded, so a non-derivation raises at every construction.
+The table keeps at most ``DERIVATION_TABLE_SIZE`` matrices and drops the
+oldest, because a caller may build integrals of ever new matrices (a
+scan over a family of D, the commutators of a momentum-map check) and
+the descriptor lives as long as its catalog entry.
+
 Constructors validate what can be validated: a quadratic form must be
 symmetric for the metric, a derivation must actually satisfy the product
 rule, written as linear equations by ``derivation_rows``, and be skew for
@@ -20,16 +39,19 @@ against, and for solved derivations, which are derivations already.
 import math
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 
 import numpy as np
 
 from . import group, linalg
 from .algebra import StepMismatch, per_descriptor
 from .linalg import frac
-from .ratpoly import Evaluator, RationalPolynomial
+from .ratpoly import Evaluator, RationalPolynomial, _canonical
 
 # the deepest nesting a spec may have; far deeper ones exhaust the recursion
 MAX_SPEC_DEPTH = 100
+# the most derivation matrices whose expansions one descriptor keeps
+DERIVATION_TABLE_SIZE = 64
 
 
 class NonPolynomialVariant(ValueError):
@@ -64,14 +86,85 @@ def _vector_label(x):
 
 # -- polynomial helpers -------------------------------------------------
 
+@per_descriptor
 def _w_vec(alg):
+    """The symbolic w1..wn, once per descriptor; a tuple, as it is shared."""
     nv = 2 * alg.dim
-    return [RationalPolynomial.variable(nv, i) for i in range(alg.dim)]
+    return tuple(RationalPolynomial.variable(nv, i) for i in range(alg.dim))
 
 
+@per_descriptor
 def _y_vec(alg):
+    """The symbolic y1..yn, once per descriptor; a tuple, as it is shared."""
     nv = 2 * alg.dim
-    return [RationalPolynomial.variable(nv, alg.dim + i) for i in range(alg.dim)]
+    return tuple(RationalPolynomial.variable(nv, alg.dim + i)
+                 for i in range(alg.dim))
+
+
+def _add_term(acc, key, c):
+    """acc[key] += c (c != 0) as a polynomial sum adds a term: a sum that
+    cancels is deleted, so a key that comes back moves to the end."""
+    s = acc.get(key, 0) + c
+    if s:
+        acc[key] = s
+    else:
+        del acc[key]
+
+
+def _y_monomial(n, *indices):
+    """The exponent tuple of the product of the y_i, 0-based i."""
+    exps = [0] * (2 * n)
+    for i in indices:
+        exps[n + i] += 1
+    return tuple(exps)
+
+
+def _integers(rows):
+    """(m, d): integer rows m and the lcm d of the denominators of rows,
+    so that rows = m / d."""
+    den = lcm(*(c.denominator for row in rows for c in row))
+    return [[c.numerator * (den // c.denominator) for c in row]
+            for row in rows], den
+
+
+def _linear_form(alg, x):
+    """y . G x: y_i for ascending i, as alg.inner(y, x) sums them."""
+    gx = x if alg.metric is None else linalg.mat_vec(alg.metric, x)
+    (nums,), den = _integers([gx])
+    return _canonical(2 * alg.dim, {_y_monomial(alg.dim, i): c
+                                    for i, c in enumerate(nums) if c}, den)
+
+
+def _gs_rows(alg, s):
+    """(rows, d): row i of G S is rows[i] / d, rows[i] the integers
+    {k: coefficient} keyed in the order in which mat_vec(G, mat_vec(S, y))
+    meets y_k: S's rows in ascending k, added up along G's row i."""
+    s, den = _integers(s)
+    rows = [{k: c for k, c in enumerate(row) if c} for row in s]
+    if alg.metric is None:
+        return rows, den
+    gram, gden = _integers(alg.metric)
+    out = []
+    for grow in gram:
+        acc = {}
+        for g, row in zip(grow, rows):
+            if g:
+                for k, c in row.items():
+                    _add_term(acc, k, g * c)
+        out.append(acc)
+    return out, den * gden
+
+
+def _quadratic_form(alg, s):
+    """(1/2) y . G S y, keyed in the order in which alg.inner(y, S y) meets
+    its monomials: y_i times row i of G S, for ascending i, summed."""
+    rows, den = _gs_rows(alg, s)
+    acc = {}
+    for i, row in enumerate(rows):
+        for k, c in row.items():
+            _add_term(acc, (min(i, k), max(i, k)), c)
+    return _canonical(2 * alg.dim, {_y_monomial(alg.dim, i, k): c
+                                    for (i, k), c in acc.items()}, 2 * den)
 
 
 @per_descriptor
@@ -121,18 +214,22 @@ class FirstIntegral:
     def gradient_polys(self):
         """Exact (U, V) of the value polynomial: two lists of polynomials."""
         if self._grad is None:
-            alg, fp, n = self.alg, self.as_polynomial(), self.alg.dim
-            grad_w = [fp.partial(i) for i in range(n)]
-            grad_y = [fp.partial(n + i) for i in range(n)]
-            if any(grad_w):  # U_i = <Psi e_i, grad_w f>
-                u = [linalg.inner(col, grad_w) for col in _psi_columns(alg)]
-            else:  # Energy, Linear and Quadratic: U = 0, no Psi sums
-                u = [RationalPolynomial(2 * n)] * n
-            if alg.metric is not None:
-                ginv = alg.gram_inverse()
-                u, grad_y = linalg.mat_vec(ginv, u), linalg.mat_vec(ginv, grad_y)
-            self._grad = (u, grad_y)
+            self._grad = self._gradient()
         return self._grad
+
+    def _gradient(self):
+        """(U, V) from the partial derivatives of the value polynomial."""
+        alg, fp, n = self.alg, self.as_polynomial(), self.alg.dim
+        grad_w = [fp.partial(i) for i in range(n)]
+        grad_y = [fp.partial(n + i) for i in range(n)]
+        if any(grad_w):  # U_i = <Psi e_i, grad_w f>
+            u = [linalg.inner(col, grad_w) for col in _psi_columns(alg)]
+        else:  # Energy, Linear and Quadratic: U = 0, no Psi sums
+            u = [RationalPolynomial(2 * n)] * n
+        if alg.metric is not None:
+            ginv = alg.gram_inverse()
+            u, grad_y = linalg.mat_vec(ginv, u), linalg.mat_vec(ginv, grad_y)
+        return u, grad_y
 
     def _expand(self):
         raise NotImplementedError
@@ -148,8 +245,7 @@ class Energy(FirstIntegral):
     """E = (1/2) <Y, Y>, the Hamiltonian itself."""
 
     def _expand(self):
-        y = _y_vec(self.alg)
-        return self.alg.inner(y, y) * Fraction(1, 2)
+        return _quadratic_form(self.alg, linalg.identity(self.alg.dim))
 
     def _default_label(self):
         return "E"
@@ -183,7 +279,7 @@ class Linear(FirstIntegral):
         self.x = _direction(alg, x)
 
     def _expand(self):
-        return self.alg.inner(_y_vec(self.alg), self.x)
+        return _linear_form(self.alg, self.x)
 
     def _default_label(self):
         return "lin:%s" % _vector_label(self.x)
@@ -200,8 +296,7 @@ class Quadratic(FirstIntegral):
             raise ValueError("quadratic operator is not symmetric for the metric")
 
     def _expand(self):
-        y = _y_vec(self.alg)
-        return self.alg.inner(y, linalg.mat_vec(self.s, y)) * Fraction(1, 2)
+        return _quadratic_form(self.alg, self.s)
 
     def _default_label(self):
         return "quad:S"
@@ -223,20 +318,58 @@ class RightInvariant(FirstIntegral):
         return "right:%s" % _vector_label(self.x)
 
 
+class _Expansions:
+    """What the integrals of one derivation matrix share on a descriptor:
+    the value polynomial, the (U, V) gradient and whether the matrix
+    passed ``validate_derivation``."""
+
+    __slots__ = ("poly", "grad", "valid")
+
+    def __init__(self):
+        self.poly = self.grad = None
+        self.valid = False
+
+
+@per_descriptor
+def _derivation_table(alg):
+    """{matrix: _Expansions} of the descriptor's derivation integrals,
+    the oldest dropped beyond DERIVATION_TABLE_SIZE matrices."""
+    return {}
+
+
 class DerivationIntegral(FirstIntegral):
     """f_{D*} = <dexp_w(D w), Y> for a metric-skew derivation D."""
 
     def __init__(self, alg, d, check=True, label=None):
         super().__init__(alg, label)
         self.d = [[frac(c) for c in row] for row in d]
-        if check:
+        table = _derivation_table(alg)
+        key = tuple(map(tuple, self.d))
+        shared = table.get(key)
+        if check and not (shared and shared.valid):
             validate_derivation(alg, self.d)
+        if shared is None:
+            shared = table[key] = _Expansions()
+            if len(table) > DERIVATION_TABLE_SIZE:
+                del table[next(iter(table))]
+        shared.valid = shared.valid or check
+        self._shared = shared
 
     def _expand(self):
-        w = _w_vec(self.alg)
-        b = group.ad_series(self.alg, w, group.phi_coeff,
-                            linalg.mat_vec(self.d, w))
-        return self.alg.inner(b, _y_vec(self.alg))
+        shared = self._shared
+        if shared.poly is None:
+            w = _w_vec(self.alg)
+            b = group.ad_series(self.alg, w, group.phi_coeff,
+                                linalg.mat_vec(self.d, w))
+            shared.poly = self.alg.inner(b, _y_vec(self.alg))
+        return shared.poly
+
+    def _gradient(self):
+        shared = self._shared
+        if shared.grad is None:
+            shared.grad = super()._gradient()
+        u, v = shared.grad
+        return list(u), list(v)  # lists of this integral's own
 
     def _default_label(self):
         return "der:D"

@@ -358,6 +358,19 @@ def test_number_options_are_plain_numbers():
         assert err.startswith("error: --") and err.count("\n") == 1, args
 
 
+def test_empty_coordinate_fields_are_usage_errors():
+    # an empty field is counted, not dropped: four fields are not three
+    for flag, value in (("--w0", "1,,0,0"), ("--y0", "0,1,-1,"),
+                        ("--w0", ",1,0,0"), ("--y0", "0,,1")):
+        code, out, err = run_cli(["geodesic", "h3", "--t", "0.01", "--dt",
+                                  "0.005", flag, value, "--format", "csv"])
+        assert (code, out) == (2, ""), (flag, value)
+        assert err.startswith("error: %s needs " % flag), (flag, value)
+        assert err.count("\n") == 1, (flag, value)
+    code, _, err = run_cli(["geodesic", "h3", "--w0", "1,,0,0"])
+    assert (code, err) == (2, "error: --w0 needs 3 comma-separated values\n")
+
+
 def test_samples_below_one_are_usage_errors():
     for args in (("check", "h3"), ("independence", "h3"),
                  ("quotient", "h3", "Gamma_2"), ("verify", "h3")):

@@ -1,5 +1,5 @@
 """A recorded CLI corpus: one sha256 of (exit code, stdout, stderr) for
-each of 252 in-process commands, stored in ``cli_corpus.json``.
+each of 254 in-process commands, stored in ``cli_corpus.json``.
 
 The CLI's text, its canonical JSON and its exit codes are the program's
 regression gates, so a changed digest is an output change.  Each change
@@ -153,6 +153,11 @@ def commands():
             ["geodesic", "h3", "--t", "0.01", "--dt", "0.005", "--w0",
              "1_0,0,0", "--y0", "0,1,-1", "--format", "csv"],
             ["independence", "h3", "--samples", "1_0"],
+            # an empty comma field is counted, so these are usage errors
+            ["geodesic", "h3", "--t", "0.01", "--dt", "0.005", "--w0",
+             "1,,0,0", "--y0", "0,1,-1", "--format", "csv"],
+            ["geodesic", "h3", "--t", "0.01", "--dt", "0.005", "--w0",
+             "1,0,0", "--y0", "0,1,-1,", "--format", "csv"],
             # the exact scan expands each gradient before its first draw
             ["independence", "h3", QUOT, "--exact", "--samples", "3"]]
     # checked-in definition files, named relative to the repository root

@@ -198,7 +198,7 @@ def test_one_translate_per_generator_per_lattice(monkeypatch):
     calls, bch_of = [], group.bch
 
     def counted(alg, u, v):  # counts the exact translates, not float ones
-        if any(not isinstance(x, (int, float, Fraction)) for x in u + v):
+        if any(not isinstance(x, (int, float, Fraction)) for x in [*u, *v]):
             calls.append(1)
         return bch_of(alg, u, v)
 
