@@ -363,7 +363,10 @@ def load_algebra(path):
     """Read a definition file; its dim must not exceed MAX_FILE_DIM and its
     algebra must be nilpotent (``analyze`` raises NotNilpotent)."""
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("definition file nests too deeply") from None
     if isinstance(data, dict) and "dim" in data:
         dim = _integer("dim", data["dim"])
         if dim > MAX_FILE_DIM:

@@ -42,6 +42,7 @@ class DenominatorVanished(RuntimeError):
 DEN_CUTOFF = 1e-6
 CHECK_EVERY = 500  # RK4 steps between finiteness checks
 CHUNK_ROWS = 4096  # states (time x batch) per conservation_report chunk
+MAX_TRAJECTORY_FLOATS = 2 ** 27  # 1 GiB of stored float64 states
 
 
 class GeodesicField:
@@ -70,13 +71,19 @@ class Trajectory:
 def integrate(alg, w0, y0, dt=1e-3, t_end=10.0):
     """Integrate a batch of initial conditions with classical RK4.
 
-    ``w0`` and ``y0`` are (batch, n) arrays (or single vectors).
+    ``w0`` and ``y0`` are (batch, n) arrays (or single vectors).  A flow
+    whose stored states would exceed MAX_TRAJECTORY_FLOATS is refused.
     """
     w0 = np.atleast_2d(np.asarray(w0, dtype=float))
     y0 = np.atleast_2d(np.asarray(y0, dtype=float))
-    field = GeodesicField(alg)
     state = np.concatenate([w0, y0], axis=1)
     nsteps = int(round(t_end / dt))
+    stored = (nsteps + 1) * state.size
+    if stored > MAX_TRAJECTORY_FLOATS:
+        raise ValueError("a flow of %d steps from %d starts would store %d "
+                         "floats, above the limit of %d"
+                         % (nsteps, len(state), stored, MAX_TRAJECTORY_FLOATS))
+    field = GeodesicField(alg)
     out = np.empty((nsteps + 1,) + state.shape)
     out[0] = state
     half, sixth = 0.5 * dt, dt / 6.0

@@ -244,6 +244,15 @@ def test_definition_file_above_the_dim_limit_is_usage_error(tmp_path):
                        "files\n" % (MAX_FILE_DIM + 1, MAX_FILE_DIM))
 
 
+def test_deeply_nested_definition_file_is_usage_error(tmp_path):
+    # json.load exhausts the recursion limit long before this depth
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    code, out, err = run_cli(["derivations", "--file", str(path)])
+    assert (code, out, err) == (2, "", "error: definition file nests too "
+                                       "deeply\n")
+
+
 def test_unknown_entry_is_usage_error():
     res = _run("catalog", "zzz")
     assert res.returncode == 2

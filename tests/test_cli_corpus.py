@@ -1,5 +1,5 @@
 """A recorded CLI corpus: one sha256 of (exit code, stdout, stderr) for
-each of 254 in-process commands, stored in ``cli_corpus.json``.
+each of 255 in-process commands, stored in ``cli_corpus.json``.
 
 The CLI's text, its canonical JSON and its exit codes are the program's
 regression gates, so a changed digest is an output change.  Each change
@@ -86,6 +86,8 @@ def commands():
             ["geodesic", "h3", "--t", "1", "--dt", "0.5", "--y0",
              "1e200,1e200,1e200"],
             ["geodesic", "h3", "--dt", "0"],
+            # a flow whose stored trajectory would exceed the memory limit
+            ["geodesic", "h3", "--t", "1e12", "--dt", "1"],
             ["quotient", "h3", "Nope"],
             ["quotient", "n2", "Gamma_2"],
             ["check", "h3", "--samples", "0"],

@@ -1,13 +1,17 @@
 """How the value polynomials of the integrals are built.
 
-``Energy``, ``Linear`` and ``Quadratic`` write their forms directly; the
-oracle below is the polynomial route they replaced, y . G (S y) through
-``alg.inner`` and ``mat_vec``.  Equal data is not enough: ``Evaluator``
-compiles monomials in the order of a polynomial's dict, so float values
-depend on that order, and the oracle compares the order too.
+``Energy``, ``Linear`` and ``Quadratic`` write their forms directly, in
+the order ``render`` lists the terms; the oracle below is the polynomial
+route they replaced, y . G (S y) through ``alg.inner`` and ``mat_vec``.
+Equal data is not enough: ``Evaluator`` compiles monomials in the order
+of a polynomial's dict, so float values depend on that order.  Under the
+identity metric, that of every catalog entry, the order is the oracle's
+term for term, which keeps the catalog's float bits; under other metrics
+the value is the oracle's and the order is the render order.
 
 ``DerivationIntegral`` shares its expansions and its validation through
-a bounded per-descriptor table keyed by the exact matrix.
+bounded per-descriptor ``functools.lru_cache`` memos keyed by the exact
+matrix.
 """
 
 import random
@@ -22,10 +26,10 @@ from nilflow import catalog, group, integrals, linalg, solvers
 from nilflow.algebra import LieAlgebraDescriptor
 from nilflow.integrals import (DERIVATION_TABLE_SIZE, DerivationIntegral,
                                Energy, Linear, NotADerivation, Quadratic,
-                               _derivation_table)
-from nilflow.ratpoly import RationalPolynomial
+                               _derivations)
+from nilflow.ratpoly import RationalPolynomial, _term_key
 
-# the metric under which ascending k and the accumulation order differ
+# a metric under which the render order and the products' order differ
 H3_METRIC = [[2, 1, 0], [1, 2, 0], [0, 0, 1]]
 
 
@@ -114,43 +118,49 @@ def test_forms_keep_the_old_terms_and_order_under_the_identity(name):
     _assert_forms_match(alg, xs, ss)
 
 
-def test_forms_keep_the_accumulation_order_under_a_metric():
-    # on sparse S the accumulation order of mat_vec(G, mat_vec(S, y))
-    # differs from ascending k, and cancelled terms move to the end
-    alg = h3(H3_METRIC)
-    rng = random.Random(7)
-    ss = [_operator(alg, _random_picks(rng, 3)) for _ in range(200)]
-    xs = [[Fraction(rng.randint(-2, 2)) for _ in range(3)] for _ in range(20)]
-    _assert_forms_match(alg, xs, ss)
-
-
 @st.composite
 def _metric_case(draw):
-    alg = catalog.get(draw(st.sampled_from(catalog.names()))).descriptor
-    n = alg.dim
+    """h3 under H3_METRIC or an entry under a random metric, with the
+    picks of a metric-symmetric S and a direction x."""
     entry = st.one_of(st.just(Fraction(0)),
                       st.fractions(-2, 2, max_denominator=3))
-    a = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
-                      min_size=n, max_size=n))
-    # A^T A + I: a random rational positive definite metric
-    metric = linalg.mat_add(linalg.mat_mul(linalg.transpose(a), a),
-                            linalg.identity(n))
+    if draw(st.booleans()):
+        alg = h3(H3_METRIC)
+    else:
+        base = catalog.get(draw(st.sampled_from(catalog.names()))).descriptor
+        n = base.dim
+        a = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                          min_size=n, max_size=n))
+        # A^T A + I: a random rational positive definite metric
+        alg = _with_metric(base, linalg.mat_add(
+            linalg.mat_mul(linalg.transpose(a), a), linalg.identity(n)))
     picks = draw(st.lists(st.tuples(st.integers(0, 10 ** 6),
                                     st.fractions(-3, 3, max_denominator=3)),
                           min_size=1, max_size=4))
-    x = draw(st.lists(entry, min_size=n, max_size=n))
-    return _with_metric(alg, metric), picks, x
+    x = draw(st.lists(entry, min_size=alg.dim, max_size=alg.dim))
+    return alg, picks, x
 
 
-@settings(max_examples=60)
+def _assert_render_order(p):
+    keys = list(p.numerators)
+    assert keys == sorted(keys, key=_term_key, reverse=True)
+
+
+@settings(max_examples=80)
 @given(_metric_case())
-def test_forms_keep_the_old_terms_and_order_under_random_metrics(case):
+def test_forms_equal_the_products_in_render_order_under_a_metric(case):
     alg, picks, x = case
-    _assert_forms_match(alg, [x], [_operator(alg, picks),
-                                   _operator(alg, picks[:1])])
+    pairs = [(Energy(alg), _old_energy(alg)),
+             (Linear(alg, x), _old_linear(alg, x))]
+    for s in (_operator(alg, picks), _operator(alg, picks[:1])):
+        pairs.append((Quadratic(alg, s), _old_quadratic(alg, s)))
+    for f, old in pairs:
+        p = f.as_polynomial()
+        assert p == old, f
+        _assert_render_order(p)
 
 
-# -- the derivation table --------------------------------------------------
+# -- the derivation memos --------------------------------------------------
 
 def _entry_derivation(name):
     alg = catalog.get(name).descriptor
@@ -184,6 +194,9 @@ def test_a_table_hit_equals_a_fresh_expansion():
     assert hit.as_polynomial() == fresh.as_polynomial()
     assert hit.as_polynomial() is first.as_polynomial()
     assert hit.gradient_polys() == fresh.gradient_polys()
+    memos = _derivations(alg)
+    assert memos.value.cache_info().misses == 1
+    assert memos.gradient.cache_info().misses == 1
     # the fresh one is the Phi(ad w) series itself
     w, y = integrals._w_vec(alg), integrals._y_vec(alg)
     series = group.ad_series(alg, w, group.phi_coeff, linalg.mat_vec(d, w))
@@ -197,28 +210,45 @@ def test_one_matrix_is_validated_once(monkeypatch):
         calls.append(1)
         return validate(alg, d)
 
-    monkeypatch.setattr(integrals, "validate_derivation", counted)
     alg, d = _entry_derivation("h5")
+    _derivations(alg)  # the memos exist before the rebinding
+    # the check memo looks validate_derivation up by name at each call,
+    # so a rebinding, such as the benchmark tracer's, sees every check
+    monkeypatch.setattr(integrals, "validate_derivation", counted)
     for _ in range(20):
         DerivationIntegral(alg, d)
     assert len(calls) == 1
+    info = _derivations(alg).check.cache_info()
+    assert (info.hits, info.misses) == (19, 1)
 
 
 def test_the_table_keeps_at_most_its_cap():
     alg, d = _entry_derivation("h5")
     scaled = [linalg.mat_scale(d, Fraction(k))
               for k in range(1, DERIVATION_TABLE_SIZE + 11)]
+    value = _derivations(alg).value
+    assert value.cache_info().maxsize == DERIVATION_TABLE_SIZE
     for m in scaled:
-        DerivationIntegral(alg, m, check=False)
-        assert len(_derivation_table(alg)) <= DERIVATION_TABLE_SIZE
-    table = _derivation_table(alg)
-    assert len(table) == DERIVATION_TABLE_SIZE
-    keys = [tuple(map(tuple, m)) for m in scaled]
-    assert list(table) == keys[10:]  # the oldest ten were dropped
-    # a dropped matrix is expanded and validated anew
+        DerivationIntegral(alg, m, check=False).as_polynomial()
+        assert value.cache_info().currsize <= DERIVATION_TABLE_SIZE
+    assert value.cache_info().currsize == DERIVATION_TABLE_SIZE
+    assert value.cache_info().misses == len(scaled)
+    # the least recently used goes first: scaled[10] is used again, so
+    # the next new matrix evicts scaled[11]
+    DerivationIntegral(alg, scaled[10]).as_polynomial()
+    DerivationIntegral(alg, linalg.mat_scale(d, Fraction(-1)),
+                       check=False).as_polynomial()
+    misses = value.cache_info().misses
+    DerivationIntegral(alg, scaled[10]).as_polynomial()
+    assert value.cache_info().misses == misses
+    # an evicted matrix is expanded and validated anew
     fresh = _with_metric(alg, alg.metric)
-    assert (DerivationIntegral(alg, scaled[0]).as_polynomial()
-            == DerivationIntegral(fresh, scaled[0]).as_polynomial())
+    for m in (scaled[0], scaled[11]):
+        assert (DerivationIntegral(alg, m).as_polynomial()
+                == DerivationIntegral(fresh, m).as_polynomial())
+    assert value.cache_info().misses == misses + 2
+    check = _derivations(alg).check.cache_info()
+    assert check.maxsize == DERIVATION_TABLE_SIZE and check.currsize == 3
 
 
 def test_integrals_of_one_matrix_own_their_gradient_lists():

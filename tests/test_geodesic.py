@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 from helpers import filiform6, free_23, h3, tridiagonal, unit
-from nilflow import catalog
+from nilflow import catalog, geodesic
 from nilflow.algebra import LieAlgebraDescriptor
 from nilflow.geodesic import (
     CHUNK_ROWS,
@@ -442,3 +442,16 @@ def test_report_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < states.nbytes / 8, (peak, states.nbytes)
+
+
+def test_a_flow_above_the_storage_limit_is_refused(monkeypatch):
+    alg = h3()
+    w0, y0 = np.zeros((2, 3)), np.ones((2, 3))
+    with pytest.raises(ValueError, match="above the limit"):
+        integrate(alg, w0[0], y0[0], dt=1.0, t_end=1e12)  # about 44 TiB
+    # 11 stored states of 2 x 6 floats: exactly the limit runs, less refuses
+    monkeypatch.setattr(geodesic, "MAX_TRAJECTORY_FLOATS", 11 * 2 * 6)
+    assert integrate(alg, w0, y0, dt=0.1, t_end=1.0).states.shape == (11, 2, 6)
+    monkeypatch.setattr(geodesic, "MAX_TRAJECTORY_FLOATS", 11 * 2 * 6 - 1)
+    with pytest.raises(ValueError, match="would store 132 floats"):
+        integrate(alg, w0, y0, dt=0.1, t_end=1.0)
