@@ -118,46 +118,55 @@ def test_forms_keep_the_old_terms_and_order_under_the_identity(name):
     _assert_forms_match(alg, xs, ss)
 
 
-@st.composite
-def _metric_case(draw):
-    """h3 under H3_METRIC or an entry under a random metric, with the
-    picks of a metric-symmetric S and a direction x."""
-    entry = st.one_of(st.just(Fraction(0)),
-                      st.fractions(-2, 2, max_denominator=3))
-    if draw(st.booleans()):
-        alg = h3(H3_METRIC)
-    else:
-        base = catalog.get(draw(st.sampled_from(catalog.names()))).descriptor
-        n = base.dim
-        a = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
-                          min_size=n, max_size=n))
-        # A^T A + I: a random rational positive definite metric
-        alg = _with_metric(base, linalg.mat_add(
-            linalg.mat_mul(linalg.transpose(a), a), linalg.identity(n)))
-    picks = draw(st.lists(st.tuples(st.integers(0, 10 ** 6),
-                                    st.fractions(-3, 3, max_denominator=3)),
-                          min_size=1, max_size=4))
-    x = draw(st.lists(entry, min_size=alg.dim, max_size=alg.dim))
-    return alg, picks, x
-
-
-def _assert_render_order(p):
-    keys = list(p.numerators)
-    assert keys == sorted(keys, key=_term_key, reverse=True)
-
-
-@settings(max_examples=80)
-@given(_metric_case())
-def test_forms_equal_the_products_in_render_order_under_a_metric(case):
-    alg, picks, x = case
-    pairs = [(Energy(alg), _old_energy(alg)),
-             (Linear(alg, x), _old_linear(alg, x))]
-    for s in (_operator(alg, picks), _operator(alg, picks[:1])):
-        pairs.append((Quadratic(alg, s), _old_quadratic(alg, s)))
+def _assert_forms_equal_in_render_order(alg, xs, ss):
+    """Each form equals the product route (==) and lists its terms in
+    render order, _term_key descending."""
+    pairs = [(Energy(alg), _old_energy(alg))]
+    pairs += [(Linear(alg, x), _old_linear(alg, x)) for x in xs]
+    pairs += [(Quadratic(alg, s), _old_quadratic(alg, s)) for s in ss]
     for f, old in pairs:
         p = f.as_polynomial()
         assert p == old, f
-        _assert_render_order(p)
+        keys = list(p.numerators)
+        assert keys == sorted(keys, key=_term_key, reverse=True), f
+
+
+def test_forms_keep_the_accumulation_order_under_a_metric():
+    # on sparse S the accumulation order of mat_vec(G, mat_vec(S, y))
+    # differs from the render order; the forms keep the products' value
+    # and list their terms in render order
+    alg = h3(H3_METRIC)
+    rng = random.Random(7)
+    ss = [_operator(alg, _random_picks(rng, 3)) for _ in range(200)]
+    xs = [[Fraction(rng.randint(-2, 2)) for _ in range(3)] for _ in range(20)]
+    _assert_forms_equal_in_render_order(alg, xs, ss)
+
+
+@st.composite
+def _metric_case(draw):
+    alg = catalog.get(draw(st.sampled_from(catalog.names()))).descriptor
+    n = alg.dim
+    entry = st.one_of(st.just(Fraction(0)),
+                      st.fractions(-2, 2, max_denominator=3))
+    a = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    # A^T A + I: a random rational positive definite metric
+    metric = linalg.mat_add(linalg.mat_mul(linalg.transpose(a), a),
+                            linalg.identity(n))
+    picks = draw(st.lists(st.tuples(st.integers(0, 10 ** 6),
+                                    st.fractions(-3, 3, max_denominator=3)),
+                          min_size=1, max_size=4))
+    x = draw(st.lists(entry, min_size=n, max_size=n))
+    return _with_metric(alg, metric), picks, x
+
+
+@settings(max_examples=60)
+@given(_metric_case())
+def test_forms_keep_the_old_terms_and_order_under_random_metrics(case):
+    # the old terms, by value; the order, the render order
+    alg, picks, x = case
+    _assert_forms_equal_in_render_order(
+        alg, [x], [_operator(alg, picks), _operator(alg, picks[:1])])
 
 
 # -- the derivation memos --------------------------------------------------
