@@ -11,13 +11,17 @@ the flow runs on any nilpotent step.  Batches integrate together: each
 RK4 stage is one field call on the whole (batch, 2n) state, and each step
 is written straight into the stored trajectory.  ``Evaluator.rows``
 evaluates the field variable-major: one gather of the transposed state
-into a (monomial factors, batch) array it keeps for the batch size, one
-in-place product per degree and one ``p.T.dot(coeffs)``, which rounds as
-the row-major product does even at batch 1.  The stage states and the
-step increment go through two (batch, 2n) buffers, so a step allocates
-only the four field values.  The state is checked for finiteness every
-500 steps and at the end; a failed check names the time of the first
-non-finite stored state.
+into a (monomial factors, batch) array, one in-place product per degree
+and one ``p.T.dot(coeffs)``, which rounds as the row-major product does
+even at batch 1; it binds its arrays to the (batch, 2n) shape on the
+first call, so every later call of the flow is only that kernel.  The
+stage states and the step increment go through two (batch, 2n) buffers,
+so a step allocates only the four field values, and the step-size
+factors 0.5 dt, dt, 2 and dt/6 are 0-d float64 arrays made once per flow:
+the same doubles, which a ufunc takes without converting a Python float
+on each call.  The state is checked for finiteness every 500 steps and
+at the end; a failed check names the time of the first non-finite stored
+state.
 
 ``conservation_report`` reads the trajectory in contiguous chunks of
 about ``CHUNK_ROWS`` states (time x batch), so its temporaries stay a
@@ -72,8 +76,17 @@ def integrate(alg, w0, y0, dt=1e-3, t_end=10.0):
     """Integrate a batch of initial conditions with classical RK4.
 
     ``w0`` and ``y0`` are (batch, n) arrays (or single vectors).  A flow
-    whose stored states would exceed MAX_TRAJECTORY_FLOATS is refused.
+    whose stored states would exceed MAX_TRAJECTORY_FLOATS is refused, as
+    is a ``dt`` that is not finite and > 0 or a ``t_end`` that is not
+    finite and >= 0.
     """
+    if not 0 < dt < np.inf:
+        raise ValueError("dt must be finite and > 0, not %r" % (dt,))
+    if not 0 <= t_end < np.inf:
+        raise ValueError("t_end must be finite and >= 0, not %r" % (t_end,))
+    if not t_end / dt < np.inf:
+        raise ValueError("t_end / dt must be a finite step count, not %r / %r"
+                         % (t_end, dt))
     w0 = np.atleast_2d(np.asarray(w0, dtype=float))
     y0 = np.atleast_2d(np.asarray(y0, dtype=float))
     state = np.concatenate([w0, y0], axis=1)
@@ -86,21 +99,23 @@ def integrate(alg, w0, y0, dt=1e-3, t_end=10.0):
     field = GeodesicField(alg)
     out = np.empty((nsteps + 1,) + state.shape)
     out[0] = state
-    half, sixth = 0.5 * dt, dt / 6.0
+    # the step-size factors as 0-d arrays: see the module docstring
+    half, full, two, sixth = (np.array(c, dtype=float)
+                              for c in (0.5 * dt, dt, 2.0, dt / 6.0))
     x, incr = np.empty_like(state), np.empty_like(state)
     add, mul = np.add, np.multiply
     # a blow-up is reported as NonFinite, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, nsteps + 1):
             k1 = field(state)
-            k2 = field(add(state, mul(k1, half, out=x), out=x))
-            k3 = field(add(state, mul(k2, half, out=x), out=x))
-            k4 = field(add(state, mul(k3, dt, out=x), out=x))
+            k2 = field(add(state, mul(k1, half, x), x))
+            k3 = field(add(state, mul(k2, half, x), x))
+            k4 = field(add(state, mul(k3, full, x), x))
             # ((k1 + 2 k2) + 2 k3) + k4, the order of the unbuffered sum
-            add(k1, mul(k2, 2.0, out=incr), out=incr)
-            add(incr, mul(k3, 2.0, out=x), out=incr)
-            add(incr, k4, out=incr)
-            state = add(state, mul(incr, sixth, out=incr), out=out[step])
+            add(k1, mul(k2, two, incr), incr)
+            add(incr, mul(k3, two, x), incr)
+            add(incr, k4, incr)
+            state = add(state, mul(incr, sixth, incr), out[step])
             if step % CHECK_EVERY == 0:
                 _check_finite(out, step, dt)
     _check_finite(out, nsteps, dt)

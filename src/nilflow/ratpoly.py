@@ -326,13 +326,16 @@ class Evaluator:
     keeps its bits; a (count, slots) coefficient matrix times ``p`` goes
     through a matrix-vector BLAS call at batch 1 and rounds differently.
 
-    The gather array and its block views are a workspace kept for the
-    last batch size and rebuilt only when the batch size changes, so the
-    take and the products allocate nothing.  Only the dot allocates, and
-    its result is the output: an output never aliases the workspace and
-    stays valid across later calls.  The shared workspace makes ``rows``
-    not reentrant: one evaluator must not run ``rows`` in two threads at
-    once.
+    The first call at a new (batch, nvars) shape checks the width and
+    binds the gather index, a workspace for that batch size (the gather
+    array and its block views), the coefficients and the constant term
+    together; a later call at the same shape runs only the kernel.  The
+    workspace is kept for the last batch size and rebuilt only when the
+    batch size changes, so the take and the products allocate nothing.
+    Only the dot allocates, and its result is the output: an output never
+    aliases the workspace and stays valid across later calls.  The shared
+    workspace makes ``rows`` not reentrant: one evaluator must not run
+    ``rows`` in two threads at once.
     """
 
     def __init__(self, polys):
@@ -347,7 +350,7 @@ class Evaluator:
         self._float = [(factors, [(out, float(c)) for out, c in pairs])
                        for factors, pairs in self._exact]
         self._arrays = None
-        self._work = None
+        self._shape = self._bound = None
 
     def __call__(self, values):
         if len(values) != self.nvars:
@@ -369,24 +372,31 @@ class Evaluator:
 
     def rows(self, x):
         """Values at each row of a (batch, nvars) float array: (batch, count)."""
-        if x.shape[1] != self.nvars:
-            raise ValueError("expected %d columns" % self.nvars)
-        if self._arrays is None:
-            self._arrays = self._row_arrays()
-        flat, width, blocks, coeffs, constant = self._arrays
-        if self._work is None or self._work[0].shape[1] != x.shape[0]:
-            m = np.empty((len(flat), x.shape[0]))
-            self._work = (m, m[:width].T,
-                          [(m[head], m[block]) for head, block in blocks])
-        m, pt, products = self._work
+        if x.shape != self._shape:
+            self._bind(x.shape)
+        flat, m, pt, products, coeffs, constant = self._bound
         # flat is in range by construction; "raise" would buffer the out=
-        x.T.take(flat, axis=0, out=m, mode="clip")
+        x.T.take(flat, 0, m, "clip")
         for head, block in products:
-            np.multiply(head, block, out=head)
+            np.multiply(head, block, head)
         out = pt.dot(coeffs)
         if constant is not None:
             out += constant
         return out
+
+    def _bind(self, shape):
+        """Check the width of a new input shape, then bind the row arrays
+        and a workspace for its batch size to it."""
+        if shape[1] != self.nvars:
+            raise ValueError("expected %d columns" % self.nvars)
+        if self._arrays is None:
+            self._arrays = self._row_arrays()
+        flat, width, blocks, coeffs, constant = self._arrays
+        m = np.empty((len(flat), shape[0]))
+        self._bound = (flat, m, m[:width].T,
+                       [(m[head], m[block]) for head, block in blocks],
+                       coeffs, constant)
+        self._shape = shape
 
     def _row_arrays(self):
         """The gather index and coefficients of ``rows``, built on its first

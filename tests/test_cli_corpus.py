@@ -1,5 +1,5 @@
 """A recorded CLI corpus: one sha256 of (exit code, stdout, stderr) for
-each of 255 in-process commands, stored in ``cli_corpus.json``.
+each of 257 in-process commands, stored in ``cli_corpus.json``.
 
 The CLI's text, its canonical JSON and its exit codes are the program's
 regression gates, so a changed digest is an output change.  Each change
@@ -81,6 +81,11 @@ def commands():
              "E", QUOT],
             ["geodesic", "h3", "--t", "0.01", "--dt", "0.005", "--format",
              "csv"],
+            # every float of a step-3 flow, one of them from a seeded start
+            ["geodesic", "n6_25", "--t", "0.05", "--dt", "0.005", "--format",
+             "csv"],
+            ["geodesic", "n1", "--t", "0.05", "--dt", "0.005", "--seed", "3",
+             "--format", "csv"],
             ["geodesic", "h3", "--t", "0.05", "--dt", "0.005", "--w0",
              "1,0,1/2", "--y0", "0,1,-1"],
             ["geodesic", "h3", "--t", "1", "--dt", "0.5", "--y0",

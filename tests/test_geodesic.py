@@ -1,4 +1,5 @@
 import io
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -306,15 +307,65 @@ def _reference_rk4(alg, w0, y0, dt, t_end):
     return out
 
 
-@pytest.mark.parametrize("alg", [h3(), catalog.get("n6_25").descriptor],
-                         ids=["h3", "n6_25"])
-def test_trajectory_matches_the_reference_loop(alg):
-    w0, y0 = np.random.default_rng(alg.dim).uniform(-1.5, 1.5, (2, 3, alg.dim))
+@pytest.mark.parametrize("alg, batch",
+                         [(h3(), 3), (catalog.get("n6_25").descriptor, 3),
+                          (free_23(tridiagonal(5)), 5)],
+                         ids=["h3", "n6_25", "free23_metric"])
+def test_trajectory_matches_the_reference_loop(alg, batch):
+    w0, y0 = np.random.default_rng(alg.dim).uniform(-1.5, 1.5,
+                                                    (2, batch, alg.dim))
     for w, y in ((w0[:1], y0[:1]), (w0, y0)):
         traj = integrate(alg, w, y, dt=1e-3, t_end=0.2)
         assert traj.states.shape == (201, len(w), 2 * alg.dim)
         assert np.array_equal(traj.states,
                               _reference_rk4(alg, w, y, dt=1e-3, t_end=0.2))
+
+
+def test_field_rows_follow_the_batch_size():
+    # the field's evaluator binds a workspace to each new batch size; at
+    # every call its rows equal those of a fresh evaluator, and no output
+    # is overwritten by a later call
+    alg = free_23(tridiagonal(5))
+    field = GeodesicField(alg)
+    rng = np.random.default_rng(0)
+    results = []
+    for batch in (1, 5, 256, 1, 5):
+        state = rng.uniform(-1.5, 1.5, (batch, 2 * alg.dim))
+        got = field(state)
+        assert np.array_equal(got, GeodesicField(alg)(state))
+        results.append((got, got.copy()))
+    for got, kept in results:
+        assert np.array_equal(got, kept)
+
+
+@pytest.mark.parametrize("dt, t_end, message", [
+    (0.0, 1.0, "dt must be finite and > 0, not 0.0"),
+    (-0.1, 1.0, "dt must be finite and > 0, not -0.1"),
+    (float("nan"), 1.0, "dt must be finite and > 0, not nan"),
+    (float("inf"), 1.0, "dt must be finite and > 0, not inf"),
+    (0.1, -1.0, "t_end must be finite and >= 0, not -1.0"),
+    (0.1, float("nan"), "t_end must be finite and >= 0, not nan"),
+    (0.1, float("inf"), "t_end must be finite and >= 0, not inf"),
+    (1e-300, 1e300,
+     "t_end / dt must be a finite step count, not 1e+300 / 1e-300"),
+], ids=["zero_dt", "negative_dt", "nan_dt", "inf_dt", "negative_t_end",
+        "nan_t_end", "inf_t_end", "overflowing_step_count"])
+def test_bad_step_sizes_are_refused_before_the_flow(monkeypatch, dt, t_end,
+                                                     message):
+    def unbuilt(alg):
+        raise AssertionError("the field was built")
+
+    monkeypatch.setattr(geodesic, "GeodesicField", unbuilt)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        integrate(h3(), [0.4, -0.2, 0.9], [1.1, 0.3, -0.7], dt=dt,
+                  t_end=t_end)
+
+
+def test_a_flow_of_zero_length_is_its_start():
+    traj = integrate(h3(), [0.4, -0.2, 0.9], [1.1, 0.3, -0.7], dt=0.1,
+                     t_end=0.0)
+    assert traj.times.tolist() == [0.0]
+    assert traj.states.tolist() == [[[0.4, -0.2, 0.9, 1.1, 0.3, -0.7]]]
 
 
 def test_integrate_calls_the_field_four_times_a_step(monkeypatch):

@@ -143,3 +143,17 @@ def test_hash_consistency():
     p1 = _p(4, "(1) w1 y1")
     p2 = _p(4, "(1) w1 y1")
     assert p1 == p2 and hash(p1) == hash(p2)
+
+
+def test_rows_checks_the_width_of_every_new_shape():
+    # rows binds its arrays to the first shape it meets; a call at another
+    # shape checks the width again and leaves the bound shape working
+    text = "(1/2) w1^2 y2 + (-1) w2 y1 + (3)"
+    ev = Evaluator([_p(4, text)])
+    x = np.random.default_rng(0).uniform(-2.0, 2.0, (5, 4))
+    first = ev.rows(x).copy()
+    for bad in (np.ones((5, 3)), np.ones((2, 5)), np.ones((1, 0))):
+        with pytest.raises(ValueError, match="^expected 4 columns$"):
+            ev.rows(bad)
+    assert np.array_equal(ev.rows(x), first)
+    assert np.array_equal(first, Evaluator([_p(4, text)]).rows(x))
