@@ -245,10 +245,11 @@ class LieAlgebraDescriptor:
 
         split = center if step <= 2 else chain[0] if step == 3 else None
         if split is not None:
+            # a basis of the metric complement of split, not orthogonal:
+            # j_map and Butler read it through its Gram matrix
             gram = self.gram()
             rows = [linalg.mat_vec(gram, s) for s in split]
             comp = linalg.nullspace(rows, ncols=n) if rows else basis
-            comp = linalg.gram_schmidt(comp, self.metric)
         else:
             comp = None
 

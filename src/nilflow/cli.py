@@ -218,9 +218,6 @@ def _parse_coords(text, n, what):
 
 
 def cmd_geodesic(args):
-    if not (0 < args.dt <= args.t < np.inf and args.t / args.dt < np.inf):
-        raise ValueError("--dt and --t must be finite with 0 < dt <= t "
-                         "and a finite step count t / dt")
     entry = catalog.get(args.name)
     n = entry.descriptor.dim
     rng = np.random.default_rng(args.seed)

@@ -47,6 +47,7 @@ DEN_CUTOFF = 1e-6
 CHECK_EVERY = 500  # RK4 steps between finiteness checks
 CHUNK_ROWS = 4096  # states (time x batch) per conservation_report chunk
 MAX_TRAJECTORY_FLOATS = 2 ** 27  # 1 GiB of stored float64 states
+GRID_RTOL = 1e-9  # slack of a whole step count t_end / dt
 
 
 class GeodesicField:
@@ -75,10 +76,14 @@ class Trajectory:
 def integrate(alg, w0, y0, dt=1e-3, t_end=10.0):
     """Integrate a batch of initial conditions with classical RK4.
 
-    ``w0`` and ``y0`` are (batch, n) arrays (or single vectors).  A flow
-    whose stored states would exceed MAX_TRAJECTORY_FLOATS is refused, as
-    is a ``dt`` that is not finite and > 0 or a ``t_end`` that is not
-    finite and >= 0.
+    ``w0`` and ``y0`` are (batch, n) arrays (or single vectors) of one
+    batch and n = ``alg.dim``.  The flow runs t_end / dt steps, which must
+    be a whole number to a relative GRID_RTOL, so it ends at ``t_end``.
+    Every input is checked before the field is built: a ``dt`` that is not
+    finite and > 0, a ``t_end`` that is not finite and >= 0, a step count
+    that overflows or is not whole, starts of the wrong shape and a flow
+    whose stored states would exceed MAX_TRAJECTORY_FLOATS each raise
+    ValueError.
     """
     if not 0 < dt < np.inf:
         raise ValueError("dt must be finite and > 0, not %r" % (dt,))
@@ -87,10 +92,16 @@ def integrate(alg, w0, y0, dt=1e-3, t_end=10.0):
     if not t_end / dt < np.inf:
         raise ValueError("t_end / dt must be a finite step count, not %r / %r"
                          % (t_end, dt))
+    nsteps = int(round(t_end / dt))
+    if abs(t_end / dt - nsteps) > GRID_RTOL * nsteps:
+        raise ValueError("t_end / dt must be a whole number of steps, not "
+                         "%r / %r" % (t_end, dt))
     w0 = np.atleast_2d(np.asarray(w0, dtype=float))
     y0 = np.atleast_2d(np.asarray(y0, dtype=float))
+    if w0.ndim != 2 or w0.shape != y0.shape or w0.shape[1] != alg.dim:
+        raise ValueError("w0 and y0 must be (batch, %d) arrays of one batch, "
+                         "not %s and %s" % (alg.dim, w0.shape, y0.shape))
     state = np.concatenate([w0, y0], axis=1)
-    nsteps = int(round(t_end / dt))
     stored = (nsteps + 1) * state.size
     if stored > MAX_TRAJECTORY_FLOATS:
         raise ValueError("a flow of %d steps from %d starts would store %d "

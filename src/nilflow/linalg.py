@@ -222,16 +222,3 @@ def inverse(mat):
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in red]
-
-
-def gram_schmidt(vectors, gram=None):
-    """Orthogonalize (without normalizing) over the rationals."""
-    out = []
-    for v in vectors:
-        w = [frac(x) for x in v]
-        for u in out:
-            c = inner(w, u, gram) / inner(u, u, gram)
-            w = [a - c * b for a, b in zip(w, u)]
-        if not is_zero_vec(w):
-            out.append(w)
-    return out

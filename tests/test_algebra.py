@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import free_23, h3
+from helpers import ROOT, free_23, h3
 from nilflow.algebra import (
     JacobiViolation,
     LieAlgebraDescriptor,
@@ -14,6 +14,7 @@ from nilflow.algebra import (
     load_algebra,
     to_definition,
 )
+from nilflow.integrals import Butler
 
 
 def test_bracket_bilinear_antisymmetric():
@@ -194,6 +195,18 @@ def test_j_map_identity():
             assert lhs == rhs
     # and it is skew on the complement for the flat metric here
     assert jz[0][0] == 0 and jz[1][1] == 0 and jz[0][1] == -jz[1][0]
+
+
+def test_butler_on_a_non_orthogonal_complement_basis():
+    # under this metric the complement basis e1, e2 is not orthogonal
+    # (<e1, e2> = 1); each g_k is the one recorded with an orthogonalized
+    # basis, since Butler and j_map read the basis through its Gram matrix
+    alg = load_algebra(ROOT + "/tests/data/h3_metric.json")
+    assert alg.inner(*alg.analyze().v_complement) == 1
+    assert [Butler(alg, k).as_polynomial().render() for k in range(3)] == [
+        "(2) y1^2 + (2) y1 y2 + (2) y2^2",
+        "(-6) y1^2 y3^2 + (-6) y1 y2 y3^2 + (-6) y2^2 y3^2",
+        "(18) y1^2 y3^4 + (18) y1 y2 y3^4 + (18) y2^2 y3^4"]
 
 
 def test_definition_round_trip(tmp_path):

@@ -255,6 +255,21 @@ def test_entry_self_check(name):
         assert report.ok
 
 
+def test_n6_22_minus_1_stores_a_dependent_set():
+    # at eps = -1, butler:1 = -(2E - y5^2 - y6^2)(y5^2 + y6^2) is a
+    # polynomial in the stored E, lin:e5 and lin:e6, so the stored set is
+    # not independent; at eps = 0 the same identity fails
+    def residual(name):
+        entry = catalog.get(name)
+        g1, energy, y5, y6 = (entry.parse(s).as_polynomial() for s in
+                              ("butler:1", "E", "lin:e5", "lin:e6"))
+        zz = y5 * y5 + y6 * y6
+        return g1 + (2 * energy - zz) * zz
+
+    assert residual("n6_22(-1)").is_zero
+    assert not residual("n6_22(0)").is_zero
+
+
 def test_entries_without_sets_say_so():
     entry = catalog.get("n6_23")
     report = catalog.verify_entry(entry, nsamples=20)

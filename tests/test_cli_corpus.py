@@ -1,5 +1,5 @@
 """A recorded CLI corpus: one sha256 of (exit code, stdout, stderr) for
-each of 257 in-process commands, stored in ``cli_corpus.json``.
+each of 260 in-process commands, stored in ``cli_corpus.json``.
 
 The CLI's text, its canonical JSON and its exit codes are the program's
 regression gates, so a changed digest is an output change.  Each change
@@ -91,6 +91,12 @@ def commands():
             ["geodesic", "h3", "--t", "1", "--dt", "0.5", "--y0",
              "1e200,1e200,1e200"],
             ["geodesic", "h3", "--dt", "0"],
+            # a t that is not a whole number of dt steps, and a dt above t
+            ["geodesic", "h3", "--t", "0.05", "--dt", "0.03", "--format",
+             "csv"],
+            ["geodesic", "h3", "--t", "0.05", "--dt", "0.03", "--format",
+             "json"],
+            ["geodesic", "h3", "--t", "0.01", "--dt", "0.02"],
             # a flow whose stored trajectory would exceed the memory limit
             ["geodesic", "h3", "--t", "1e12", "--dt", "1"],
             ["quotient", "h3", "Nope"],

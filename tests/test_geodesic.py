@@ -338,27 +338,55 @@ def test_field_rows_follow_the_batch_size():
         assert np.array_equal(got, kept)
 
 
-@pytest.mark.parametrize("dt, t_end, message", [
-    (0.0, 1.0, "dt must be finite and > 0, not 0.0"),
-    (-0.1, 1.0, "dt must be finite and > 0, not -0.1"),
-    (float("nan"), 1.0, "dt must be finite and > 0, not nan"),
-    (float("inf"), 1.0, "dt must be finite and > 0, not inf"),
-    (0.1, -1.0, "t_end must be finite and >= 0, not -1.0"),
-    (0.1, float("nan"), "t_end must be finite and >= 0, not nan"),
-    (0.1, float("inf"), "t_end must be finite and >= 0, not inf"),
-    (1e-300, 1e300,
+_W0, _Y0 = [0.4, -0.2, 0.9], [1.1, 0.3, -0.7]
+
+
+@pytest.mark.parametrize("w0, y0, dt, t_end, message", [
+    (_W0, _Y0, 0.0, 1.0, "dt must be finite and > 0, not 0.0"),
+    (_W0, _Y0, -0.1, 1.0, "dt must be finite and > 0, not -0.1"),
+    (_W0, _Y0, float("nan"), 1.0, "dt must be finite and > 0, not nan"),
+    (_W0, _Y0, float("inf"), 1.0, "dt must be finite and > 0, not inf"),
+    (_W0, _Y0, 0.1, -1.0, "t_end must be finite and >= 0, not -1.0"),
+    (_W0, _Y0, 0.1, float("nan"), "t_end must be finite and >= 0, not nan"),
+    (_W0, _Y0, 0.1, float("inf"), "t_end must be finite and >= 0, not inf"),
+    (_W0, _Y0, 1e-300, 1e300,
      "t_end / dt must be a finite step count, not 1e+300 / 1e-300"),
+    (_W0, _Y0, 0.03, 0.05,
+     "t_end / dt must be a whole number of steps, not 0.05 / 0.03"),
+    (_W0, _Y0, 0.02, 0.01,
+     "t_end / dt must be a whole number of steps, not 0.01 / 0.02"),
+    ([1, 2, 3, 4], [5, 6], 0.01, 0.02,
+     "w0 and y0 must be (batch, 3) arrays of one batch, not (1, 4) and "
+     "(1, 2)"),
+    (_W0, _Y0[:2], 0.01, 0.02,
+     "w0 and y0 must be (batch, 3) arrays of one batch, not (1, 3) and "
+     "(1, 2)"),
+    ([_W0, _W0], [_Y0], 0.01, 0.02,
+     "w0 and y0 must be (batch, 3) arrays of one batch, not (2, 3) and "
+     "(1, 3)"),
+    ([[_W0]], [[_Y0]], 0.01, 0.02,
+     "w0 and y0 must be (batch, 3) arrays of one batch, not (1, 1, 3) and "
+     "(1, 1, 3)"),
 ], ids=["zero_dt", "negative_dt", "nan_dt", "inf_dt", "negative_t_end",
-        "nan_t_end", "inf_t_end", "overflowing_step_count"])
-def test_bad_step_sizes_are_refused_before_the_flow(monkeypatch, dt, t_end,
-                                                     message):
+        "nan_t_end", "inf_t_end", "overflowing_step_count",
+        "non_whole_step_count", "dt_above_t_end", "swapped_widths",
+        "narrow_y0", "mismatched_batches", "three_dimensional_starts"])
+def test_bad_step_sizes_are_refused_before_the_flow(monkeypatch, w0, y0, dt,
+                                                     t_end, message):
+    # every input rule of a flow lives in integrate, ahead of the field
     def unbuilt(alg):
         raise AssertionError("the field was built")
 
     monkeypatch.setattr(geodesic, "GeodesicField", unbuilt)
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
-        integrate(h3(), [0.4, -0.2, 0.9], [1.1, 0.3, -0.7], dt=dt,
-                  t_end=t_end)
+        integrate(h3(), w0, y0, dt=dt, t_end=t_end)
+
+
+def test_a_whole_step_count_runs_to_t_end():
+    # 0.3 / 0.1 is 2.9999999999999996 in floats: three steps, ending at 0.3
+    traj = integrate(h3(), _W0, _Y0, dt=0.1, t_end=0.3)
+    assert len(traj.times) == 4
+    assert traj.times[-1] == pytest.approx(0.3, rel=1e-15)
 
 
 def test_a_flow_of_zero_length_is_its_start():
