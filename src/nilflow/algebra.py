@@ -75,8 +75,11 @@ class LieAlgebraDescriptor:
         self.name = name
         self.params = dict(params) if params else {}
         self.structure = self._validate_structure(structure)
-        # 0-based (i, j, [(k, c), ...]) in the order of ``structure``
-        self._pairs = [(i - 1, j - 1, [(k - 1, c) for k, c in targets.items()])
+        # 0-based (i, j, [(k, c), ...]) in the order of ``structure``, read
+        # by ``bracket`` alone; an integral constant is an int, so int
+        # vectors bracket to ints without a Fraction product
+        self._pairs = [(i - 1, j - 1, [(k - 1, int(c) if c.denominator == 1
+                                        else c) for k, c in targets.items()])
                        for (i, j), targets in self.structure.items()]
         self.metric = self._validate_metric(metric)
         self._check_jacobi()
@@ -156,6 +159,11 @@ class LieAlgebraDescriptor:
         """[u, v] for coefficient vectors over any ring the structure
         constants multiply into: Fractions, floats, polynomials or a mix.
 
+        This is the one reader of the structure constants: ``ad``, the
+        ad(U) S criterion and the product-rule rows of derivations are
+        brackets too.  An integral constant is an int, so int vectors
+        bracket to ints; a constant like 1/2 stays a Fraction.
+
         Zero entries are the zero of the inputs' ring, so the result is
         exact if the inputs are exact.  Only products of two nonzero
         factors are formed, added in the order of the full formula, so a
@@ -182,21 +190,10 @@ class LieAlgebraDescriptor:
         return out
 
     def ad(self, x):
-        """Matrix of ad(x) = [x, .] in the fixed basis, read off the pair
-        table: c_ij^k adds x_i c_ij^k to entry (k, j) and -x_j c_ij^k to
-        entry (k, i).  Each entry sums its terms in the order ``bracket``
-        sums column j of [x, e_j], so a float matrix is bit for bit the
-        bracket's."""
-        zero = 0 * x[0] + Fraction(0)
-        out = [[zero] * self.dim for _ in range(self.dim)]
-        for i, j, targets in self._pairs:
-            xi, xj = x[i], x[j]
-            for k, c in targets:
-                if xi:
-                    out[k][j] = out[k][j] + xi * c
-                if xj:
-                    out[k][i] = out[k][i] - xj * c
-        return out
+        """Matrix of ad(x) = [x, .] in the fixed basis: column j is the
+        bracket [x, e_j]."""
+        return linalg.transpose([self.bracket(x, e)
+                                 for e in linalg.identity(self.dim)])
 
     def gram(self):
         return self.metric if self.metric is not None else linalg.identity(self.dim)

@@ -330,18 +330,23 @@ def derivation_rows(alg):
     equations in vec(D), once per descriptor: one (pair, rows) per basis
     pair i < j (1-based, in order), row k listing the terms (p, c) on
     x_p = D_{p // n, p % n}: +c_ij^l on D_kl, -c_aj^k on D_ai and -c_ia^k
-    on D_aj.  Applied to vec(D), row k is component k of the defect.  Only
-    structure constants enter, never the metric."""
+    on D_aj.  Applied to vec(D), row k is component k of the defect.  The
+    c_ab^k are read off the basis brackets [e_a, e_b], a < b; the metric
+    never enters."""
     n = alg.dim
+    basis = linalg.identity(n)
     into = [[] for _ in range(n)]  # into[b]: (a, k, c_ab^k), all a != b
-    for i, j, targets in alg._pairs:
-        into[j] += [(i, k, c) for k, c in targets]
-        into[i] += [(j, k, -c) for k, c in targets]
+    for a in range(n):
+        for b in range(a + 1, n):
+            ab = [(k, c) for k, c in enumerate(alg.bracket(basis[a], basis[b]))
+                  if c]
+            into[b] += [(a, k, c) for k, c in ab]
+            into[a] += [(b, k, -c) for k, c in ab]
     blocks = []
     for i in range(n):
         for j in range(i + 1, n):
-            ij = alg.structure.get((i + 1, j + 1), {}).items()
-            rows = [[(k * n + l - 1, c) for l, c in ij] for k in range(n)]
+            ij = [(l, c) for a, l, c in into[j] if a == i]
+            rows = [[(k * n + l, c) for l, c in ij] for k in range(n)]
             for a, k, c in into[j]:
                 rows[k].append((a * n + i, -c))
             for a, k, c in into[i]:  # c_ia^k = -c_ai^k

@@ -17,6 +17,7 @@ result is the same Fraction matrix and pivot list that Gauss-Jordan
 elimination over Q gives.
 """
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -27,12 +28,22 @@ _NUMBER_CHARS = frozenset("0123456789+-./eE")
 
 
 def frac(x) -> Fraction:
-    """Coerce an int, a ``plain`` string like '5/12', or Fraction to Fraction."""
+    """Coerce an int, a ``plain`` string like '5/12', or Fraction to Fraction.
+
+    A string's exponent may not exceed sys.get_int_max_str_digits() in
+    magnitude, the limit Python puts on the digits of an integer string:
+    Fraction('1e999999999') would build 10**999999999."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
-        return Fraction(plain(x) if isinstance(x, str) else x)
-    raise TypeError("expected an exact rational, got %r" % (x,))
+    if isinstance(x, str):
+        exp = plain(x).lower().partition("e")[2].lstrip("+-").lstrip("0")
+        limit = sys.get_int_max_str_digits()
+        if limit and exp.isdigit() and (len(exp) > len(str(limit))
+                                        or int(exp) > limit):
+            raise ValueError("%r has an exponent beyond %d" % (x, limit))
+    elif not isinstance(x, int):
+        raise TypeError("expected an exact rational, got %r" % (x,))
+    return Fraction(x)
 
 
 def plain(text):

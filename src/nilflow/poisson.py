@@ -140,9 +140,11 @@ def criterion_linear_linear(engine, fu, fv):
 
 
 def criterion_linear_quadratic(engine, fu, gs):
-    """{f_U, g_S} = 0 iff ad(U) S is skew for the metric."""
+    """{f_U, g_S} = 0 iff ad(U) S is skew for the metric; column j of
+    ad(U) S is the bracket [U, S e_j]."""
     res = engine.bracket(fu, gs)
-    m = linalg.mat_mul(engine.alg.ad(fu.x), gs.s)
+    m = linalg.transpose([engine.alg.bracket(fu.x, col)
+                          for col in linalg.transpose(gs.s)])
     return CriterionCheck(res.is_zero, is_metric_skew(engine.alg, m))
 
 

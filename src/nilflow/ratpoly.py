@@ -6,8 +6,8 @@ ints and ``denominator`` is a positive int.  The storage is canonical:
 the gcd of the denominator and all numerators is 1, and the zero
 polynomial has no terms and denominator 1, so equal polynomials store
 equal data.  Arithmetic works on the ints and divides out the common
-factor once per operation, not once per term.  ``terms`` is a read-only
-view of the same polynomial as exponent tuples mapped to Fractions.
+factor once per operation, not once per term.  ``terms`` returns a fresh
+dict of the same polynomial, exponent tuples mapped to Fractions.
 
 The canonical term order (graded lexicographic, highest degree first) is
 imposed when rendering, so rendered strings are unique and can be parsed
@@ -24,7 +24,6 @@ point of polynomials it composes.  ``coefficient_rows`` lists the
 coefficients of several polynomials over one shared monomial order.
 """
 
-from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
@@ -45,25 +44,6 @@ def phase_names(nvars):
 def _term_key(exps):
     # graded lex, biggest first once reversed by sorted(..., reverse=True)
     return (sum(exps), exps)
-
-
-class _Terms(Mapping):
-    """Read-only view of a polynomial's terms: exponent tuple -> Fraction."""
-
-    __slots__ = ("_nums", "_den")
-
-    def __init__(self, nums, den):
-        self._nums = nums
-        self._den = den
-
-    def __len__(self):
-        return len(self._nums)
-
-    def __iter__(self):
-        return iter(self._nums)
-
-    def __getitem__(self, exps):
-        return Fraction(self._nums[exps], self._den)
 
 
 class RationalPolynomial:
@@ -113,7 +93,8 @@ class RationalPolynomial:
 
     @property
     def terms(self):
-        return _Terms(self.numerators, self.denominator)
+        den = self.denominator
+        return {exps: Fraction(c, den) for exps, c in self.numerators.items()}
 
     @property
     def is_zero(self):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -366,6 +367,28 @@ def test_number_options_are_plain_numbers():
         assert (code, out) == (2, ""), args
         assert err.startswith("error: --") and err.count("\n") == 1, args
 
+
+
+def test_huge_exponents_are_usage_errors_at_once(tmp_path):
+    # Fraction('1e999999999') would build an integer of about 415 MB
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dim": 3,
+                                "brackets": [[1, 2, 3, "1e999999999"]]}))
+    for args in (("catalog", "n6_19(1e999999999)"),
+                 ("geodesic", "h3", "--t", "0.01", "--dt", "0.01", "--w0",
+                  "1e999999999,0,0", "--y0", "0,0,0"),
+                 ("derivations", "--file", str(path))):
+        start = time.perf_counter()
+        code, out, err = run_cli(list(args))
+        assert time.perf_counter() - start < 1, args
+        assert (code, out) == (2, ""), args
+        assert err.startswith("error: ") and err.count("\n") == 1, args
+        assert "sys.set_int_max_str_digits" not in err, args
+    # an exponent within the digit limit is read as before
+    path.write_text(json.dumps({"dim": 3, "brackets": [[1, 2, 3, "1e4000"]]}))
+    assert run_cli(["derivations", "--file", str(path)])[0] == 0
+    code, out, _ = run_cli(["catalog", "n6_19(1e4000)"])
+    assert code == 0 and out.startswith("n6_19(1000")
 
 def test_empty_coordinate_fields_are_usage_errors():
     # an empty field is counted, not dropped: four fields are not three

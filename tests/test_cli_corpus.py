@@ -1,5 +1,5 @@
 """A recorded CLI corpus: one sha256 of (exit code, stdout, stderr) for
-each of 260 in-process commands, stored in ``cli_corpus.json``.
+each of 263 in-process commands, stored in ``cli_corpus.json``.
 
 The CLI's text, its canonical JSON and its exit codes are the program's
 regression gates, so a changed digest is an output change.  Each change
@@ -172,7 +172,12 @@ def commands():
             ["geodesic", "h3", "--t", "0.01", "--dt", "0.005", "--w0",
              "1,0,0", "--y0", "0,1,-1,", "--format", "csv"],
             # the exact scan expands each gradient before its first draw
-            ["independence", "h3", QUOT, "--exact", "--samples", "3"]]
+            ["independence", "h3", QUOT, "--exact", "--samples", "3"],
+            # an exponent beyond the integer digit limit (4300) is refused
+            ["catalog", "n6_19(1e5000)"],
+            ["geodesic", "h3", "--t", "0.01", "--dt", "0.01", "--w0",
+             "1e5000,0,0", "--y0", "0,0,0"],
+            ["derivations", "--file", "tests/data/h3_big_exponent.json"]]
     # checked-in definition files, named relative to the repository root
     for path in ("tests/data/h3_metric.json", "tests/data/filiform5.json"):
         for verb in ("derivations", "killing2"):

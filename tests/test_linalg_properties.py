@@ -2,6 +2,7 @@
 the dense formula, and for row reduction against Gauss-Jordan elimination
 over Fractions and the identities it must satisfy."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -252,3 +253,19 @@ def test_inner_matches_dense_formula(case):
     assert not got
     if isinstance(u[0], RationalPolynomial):
         assert got == RationalPolynomial.constant(_NVARS, 0)
+
+
+def test_frac_bounds_the_exponent_as_int_bounds_the_digits():
+    # Fraction('1e999999999') would build 10**999999999; the exponent may
+    # be as large in magnitude as an integer string may be long
+    limit = sys.get_int_max_str_digits()
+    for text in ("1e999999999", "1E-999999999", "-2.5e+%d" % (limit + 1),
+                 "1e" + "9" * 50):
+        with pytest.raises(ValueError, match="has an exponent beyond %d"
+                           % limit):
+            linalg.frac(text)
+    assert linalg.frac("1e%d" % limit) == 10 ** limit
+    assert linalg.frac("3e-4000") == Fraction(3, 10 ** 4000)
+    assert linalg.frac("1e00000000000000000004") == 10000
+    with pytest.raises(ValueError):
+        linalg.frac("1" * (limit + 1))  # Python's own digit limit

@@ -4,9 +4,12 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import free_23, h3, unit
-from nilflow import catalog, integrals
+from helpers import free_23, h3, tridiagonal, unit
+from nilflow import catalog, integrals, linalg
+from nilflow.algebra import LieAlgebraDescriptor
 from nilflow.integrals import (
     DerivationIntegral,
     Energy,
@@ -15,6 +18,7 @@ from nilflow.integrals import (
     NonPolynomialVariant,
     Quadratic,
     RightInvariant,
+    is_metric_skew,
 )
 from nilflow.poisson import (
     BracketResult,
@@ -154,6 +158,52 @@ def test_criterion_linear_quadratic():
     assert central.bracket_is_zero and central.condition_holds
     off = criterion_linear_quadratic(eng, Linear(alg, unit(3, 1)), gs)
     assert off.agrees  # equivalence holds in both directions
+
+
+
+_SMALL = [catalog.get(name).descriptor
+          for name in ("h3", "h5", "n2", "n3", "n23free", "n6_24(1/2)")]
+
+
+def _symmetric_units(n):
+    """A basis of the symmetric n x n matrices."""
+    return [[[Fraction(int({r, c} == {p, q})) for c in range(n)]
+             for r in range(n)] for p in range(n) for q in range(p, n)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_criterion_linear_quadratic_matches_the_ad_matrix_product(data):
+    base = data.draw(st.sampled_from(_SMALL))
+    n = base.dim
+    metric = data.draw(st.sampled_from([None, tridiagonal(n)]))
+    alg = LieAlgebraDescriptor(n, base.structure, metric=metric)
+    entry = st.sampled_from([Fraction(1), Fraction(0), Fraction(-1, 2),
+                             Fraction(2)])
+    u = data.draw(st.lists(entry, min_size=n, max_size=n))
+    # S = G^-1 B with B symmetric, so that G S is; B is drawn either
+    # freely or among those that make the reference product ad(U) S
+    # skew for the metric
+    units = [linalg.mat_mul(alg.gram_inverse(), b)
+             for b in _symmetric_units(n)]
+    images = [linalg.mat_mul(alg.gram(), linalg.mat_mul(alg.ad(u), unit))
+              for unit in units]
+    kernel = linalg.nullspace(linalg.transpose(
+        [[x + y for row, col in zip(m, linalg.transpose(m))
+          for x, y in zip(row, col)] for m in images]), ncols=len(units))
+    free = linalg.identity(len(units))
+    basis = data.draw(st.sampled_from([kernel or free, free]))
+    weights = data.draw(st.lists(entry, min_size=len(basis),
+                                 max_size=len(basis)))
+    s = linalg.zeros(n, n)
+    for w, vec in zip(weights, basis):
+        for c, unit in zip(vec, units):
+            s = linalg.mat_add(s, linalg.mat_scale(unit, w * c))
+    check = criterion_linear_quadratic(PoissonEngine(alg), Linear(alg, u),
+                                       Quadratic(alg, s))
+    skew = is_metric_skew(alg, linalg.mat_mul(alg.ad(u), s))
+    assert check.condition_holds == skew
+    assert check.agrees
 
 
 def test_criterion_derivation_linear():
