@@ -12,18 +12,23 @@ innermost first, the ``denominators`` their value divides by.
 Energy, Linear and Quadratic write their value polynomials directly, in
 one ``ratpoly._canonical`` call: the integer numerators of (1/2) y . G S y
 or y . G x over one denominator, Energy being S = I, with the terms in
-the order ``render`` lists them.  The gradients are the partials of the
-value, as for every polynomial integral.
+the order ``render`` lists them.  Their gradients are read off the forms:
+U = 0 and V = G^{-1} grad_y f is S y, x or y under any metric, each entry
+written by the same form builder with its terms in ascending y index, so
+no value polynomial is formed and no partial taken to bracket them.
 
-The integrals of one derivation matrix share, per descriptor and keyed by
-the exact matrix, ``functools.lru_cache`` memos of its
-``validate_derivation`` check, value polynomial and gradient: a repeated
-D neither runs the Phi(ad w) series again nor repeats the product-rule
-check, and as a memo stores no exception, a non-derivation raises at
-every construction.  Each memo keeps the ``DERIVATION_TABLE_SIZE`` most
-recently used matrices, because a caller may build integrals of ever new
+Energy's value and gradient are formed once per descriptor.  The right
+momenta share, per descriptor and keyed by the direction as a tuple,
+``functools.lru_cache`` memos of their value polynomial and gradient; the
+integrals of one derivation matrix share, keyed by the exact matrix, memos
+of its ``validate_derivation`` check, value polynomial and gradient: a
+repeated X or D runs its ad(w) series once, a repeated D is checked once,
+and as a memo stores no exception, a non-derivation raises at every
+construction.  Each memo keeps the ``DERIVATION_TABLE_SIZE`` most recently
+used keys, because a caller may build integrals of ever new directions or
 matrices (a scan over a family of D, the commutators of a momentum-map
-check) and the descriptor lives as long as its catalog entry.
+check) and the descriptor lives as long as its catalog entry.  Every
+integral gets gradient lists of its own.
 
 Constructors validate what can be validated: a quadratic form must be
 symmetric for the metric, a derivation must actually satisfy the product
@@ -49,7 +54,7 @@ from .ratpoly import Evaluator, RationalPolynomial, _canonical
 
 # the deepest nesting a spec may have; far deeper ones exhaust the recursion
 MAX_SPEC_DEPTH = 100
-# the most derivation matrices each memo of one descriptor keeps
+# the most matrices or directions each memo of one descriptor keeps
 DERIVATION_TABLE_SIZE = 64
 
 
@@ -137,6 +142,19 @@ def _psi_columns(alg):
             for e in linalg.identity(alg.dim)]
 
 
+def _form_gradient(alg, v):
+    """(U, V) of a left-invariant form: U = 0 and V_i the form v[i], a
+    {indices: c} dict for ``_y_form``."""
+    zero = RationalPolynomial(2 * alg.dim)
+    return [zero] * alg.dim, [_y_form(alg, c) for c in v]
+
+
+def _linear_gradient(alg, m):
+    """(U, V) of the quadratic form with V = m y: V_i = sum_j m_ij y_j."""
+    return _form_gradient(alg, [{(j,): c for j, c in enumerate(row)}
+                                for row in m])
+
+
 def _gradient(alg, fp):
     """(U, V) of a value polynomial fp from its partial derivatives."""
     n = alg.dim
@@ -144,7 +162,7 @@ def _gradient(alg, fp):
     grad_y = [fp.partial(n + i) for i in range(n)]
     if any(grad_w):  # U_i = <Psi e_i, grad_w f>
         u = [linalg.inner(col, grad_w) for col in _psi_columns(alg)]
-    else:  # Energy, Linear and Quadratic: U = 0, no Psi sums
+    else:  # a function of y alone: U = 0, no Psi sums
         u = [RationalPolynomial(2 * n)] * n
     if alg.metric is not None:
         ginv = alg.gram_inverse()
@@ -207,11 +225,27 @@ class FirstIntegral:
         return "<%s %s>" % (type(self).__name__, self.spec_string())
 
 
+@per_descriptor
+def _energy(alg):
+    """E's value polynomial and gradient (V = y), once per descriptor."""
+    return (_quadratic_form(alg, alg.gram()),
+            _linear_gradient(alg, linalg.identity(alg.dim)))
+
+
+def _own(gradient):
+    """A memoized (U, V) as lists of the caller's own."""
+    u, v = gradient
+    return list(u), list(v)
+
+
 class Energy(FirstIntegral):
     """E = (1/2) <Y, Y>, the Hamiltonian itself."""
 
     def _expand(self):
-        return _quadratic_form(self.alg, self.alg.gram())
+        return _energy(self.alg)[0]
+
+    def _gradient(self):
+        return _own(_energy(self.alg)[1])
 
     def _default_label(self):
         return "E"
@@ -247,6 +281,9 @@ class Linear(FirstIntegral):
     def _expand(self):
         return _linear_form(self.alg, self.x)
 
+    def _gradient(self):  # V = x
+        return _form_gradient(self.alg, [{(): c} for c in self.x])
+
     def _default_label(self):
         return "lin:%s" % _vector_label(self.x)
 
@@ -264,8 +301,30 @@ class Quadratic(FirstIntegral):
     def _expand(self):
         return _quadratic_form(self.alg, self._gs)
 
+    def _gradient(self):  # V = S y
+        return _linear_gradient(self.alg, self.s)
+
     def _default_label(self):
         return "quad:S"
+
+
+_memo = functools.lru_cache(DERIVATION_TABLE_SIZE)
+
+
+def _expansions(alg, expand):
+    """The value memo of ``expand`` and the gradient memo of its values."""
+    value = _memo(expand)
+    return SimpleNamespace(value=value,
+                           gradient=_memo(lambda key: _gradient(alg, value(key))))
+
+
+@per_descriptor
+def _right_momenta(alg):
+    """The value and gradient memos of the descriptor's right momenta, each
+    keyed by the direction as a tuple."""
+    return _expansions(alg, lambda x: alg.inner(
+        group.ad_series(alg, _w_vec(alg), group.exp_neg_coeff, list(x)),
+        _y_vec(alg)))
 
 
 class RightInvariant(FirstIntegral):
@@ -276,9 +335,10 @@ class RightInvariant(FirstIntegral):
         self.x = _direction(alg, x)
 
     def _expand(self):
-        a = group.ad_series(self.alg, _w_vec(self.alg), group.exp_neg_coeff,
-                            self.x)
-        return self.alg.inner(a, _y_vec(self.alg))
+        return _right_momenta(self.alg).value(tuple(self.x))
+
+    def _gradient(self):
+        return _own(_right_momenta(self.alg).gradient(tuple(self.x)))
 
     def _default_label(self):
         return "right:%s" % _vector_label(self.x)
@@ -288,19 +348,16 @@ class RightInvariant(FirstIntegral):
 def _derivations(alg):
     """The check, value and gradient memos of the descriptor's derivation
     integrals, each keyed by the matrix as a tuple of row tuples."""
-    memo = functools.lru_cache(DERIVATION_TABLE_SIZE)
-
-    @memo
     def value(d):
         w = _w_vec(alg)
         b = group.ad_series(alg, w, group.phi_coeff, linalg.mat_vec(d, w))
         return alg.inner(b, _y_vec(alg))
 
+    memos = _expansions(alg, value)
     # validate_derivation is looked up by name at each call, so that a
     # rebinding of the module attribute (the benchmark tracer) sees it
-    return SimpleNamespace(check=memo(lambda d: validate_derivation(alg, d)),
-                           value=value,
-                           gradient=memo(lambda d: _gradient(alg, value(d))))
+    memos.check = _memo(lambda d: validate_derivation(alg, d))
+    return memos
 
 
 class DerivationIntegral(FirstIntegral):
@@ -317,8 +374,7 @@ class DerivationIntegral(FirstIntegral):
         return _derivations(self.alg).value(self._key)
 
     def _gradient(self):
-        u, v = _derivations(self.alg).gradient(self._key)
-        return list(u), list(v)  # lists of this integral's own
+        return _own(_derivations(self.alg).gradient(self._key))
 
     def _default_label(self):
         return "der:D"

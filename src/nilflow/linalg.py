@@ -30,17 +30,23 @@ _NUMBER_CHARS = frozenset("0123456789+-./eE")
 def frac(x) -> Fraction:
     """Coerce an int, a ``plain`` string like '5/12', or Fraction to Fraction.
 
-    A string's exponent may not exceed sys.get_int_max_str_digits() in
-    magnitude, the limit Python puts on the digits of an integer string:
-    Fraction('1e999999999') would build 10**999999999."""
+    The integer a string builds may have no more digits than
+    sys.get_int_max_str_digits(), the limit Python puts on the digits of
+    an integer string, so that the number can be printed: its mantissa
+    digits plus its exponent's magnitude may not exceed the limit.
+    Fraction('1e999999999') would build 10**999999999, and '1e4300' or
+    '1e-4300' an integer of 4301 digits."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
-        exp = plain(x).lower().partition("e")[2].lstrip("+-").lstrip("0")
+        mantissa, _, exp = plain(x).lower().partition("e")
+        exp = exp.lstrip("+-").lstrip("0")
         limit = sys.get_int_max_str_digits()
-        if limit and exp.isdigit() and (len(exp) > len(str(limit))
-                                        or int(exp) > limit):
-            raise ValueError("%r has an exponent beyond %d" % (x, limit))
+        if limit and exp.isdigit() and (
+                len(exp) > len(str(limit))
+                or sum(map(str.isdigit, mantissa)) + int(exp) > limit):
+            raise ValueError("%r would build an integer of more than %d "
+                             "digits" % (x, limit))
     elif not isinstance(x, int):
         raise TypeError("expected an exact rational, got %r" % (x,))
     return Fraction(x)

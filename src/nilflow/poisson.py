@@ -5,9 +5,8 @@ For f with gradient (U, V) and g with gradient (U', V'),
     {f, g}(p, Y) = <U, V'> - <U', V> - <Y, [V, V']>.
 
 The gradients are each integral's exact ``gradient_polys`` (U, V), two
-lists of polynomials derived from its value polynomial, so the bracket is
-exact: the same polynomials give the numeric gradients of the
-independence scans.
+lists of polynomials, so the bracket is exact: the same polynomials give
+the numeric gradients of the independence scans.
 """
 
 from dataclasses import dataclass

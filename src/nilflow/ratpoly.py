@@ -292,7 +292,15 @@ class Evaluator:
     and polynomials gives exact values (at polynomials, the composition).
     Any other point is evaluated in floats with the coefficients converted
     once: scalars as Python floats, numpy arrays (one per variable)
-    elementwise.  An output with no terms is 0.
+    elementwise.  An output with no terms is int 0.
+
+    A point of ints and Fractions alone is evaluated on ints: its
+    denominators are cleared once to their lcm q, a monomial of degree d
+    is formed from the integer coordinates and scaled by q^(top - d),
+    top the highest degree, so every monomial is over q^top, and each
+    output sums its integer numerators times these and becomes one
+    Fraction over its denominator times q^top.  Values and types are
+    those of summing Fraction products.
 
     ``rows`` evaluates every row of a (batch, nvars) float array at once,
     variable-major: one ``take`` of the transposed array gathers every
@@ -325,9 +333,15 @@ class Evaluator:
         uses = {}
         for out, p in enumerate(polys):
             for e, c in p.numerators.items():
-                uses.setdefault(e, []).append((out, Fraction(c, p.denominator)))
-        self._exact = [(tuple((v, k) for v, k in enumerate(e) if k), pairs)
-                       for e, pairs in uses.items()]
+                uses.setdefault(e, []).append((out, c))
+        # None marks an output with no terms, which stays int 0
+        self._dens = [p.denominator if p else None for p in polys]
+        self._top = max(map(sum, uses), default=0)
+        self._ints = [(tuple((v, k) for v, k in enumerate(e) if k),
+                       self._top - sum(e), pairs) for e, pairs in uses.items()]
+        self._exact = [(factors, [(out, Fraction(c, polys[out].denominator))
+                                  for out, c in pairs])
+                       for factors, _, pairs in self._ints]
         self._float = [(factors, [(out, float(c)) for out, c in pairs])
                        for factors, pairs in self._exact]
         self._arrays = None
@@ -336,6 +350,8 @@ class Evaluator:
     def __call__(self, values):
         if len(values) != self.nvars:
             raise ValueError("expected %d values" % self.nvars)
+        if all(isinstance(v, (int, Fraction)) for v in values):
+            return self._at_rationals(values)
         monomials = self._exact
         if not all(isinstance(v, (int, Fraction, RationalPolynomial))
                    for v in values):
@@ -350,6 +366,22 @@ class Evaluator:
             for i, c in pairs:
                 out[i] += c * m
         return out
+
+    def _at_rationals(self, values):
+        """The exact values at a point of ints and Fractions, on ints."""
+        q = lcm(*(v.denominator for v in values))
+        ints = [v.numerator * (q // v.denominator) for v in values]
+        scales = [q ** k for k in range(self._top + 1)]
+        sums = [0] * self.count
+        for factors, gap, pairs in self._ints:
+            m = scales[gap]
+            for v, k in factors:
+                m *= ints[v] if k == 1 else ints[v] ** k
+            for i, c in pairs:
+                sums[i] += c * m
+        top = scales[-1]
+        return [0 if d is None else Fraction(s, d * top)
+                for s, d in zip(sums, self._dens)]
 
     def rows(self, x):
         """Values at each row of a (batch, nvars) float array: (batch, count)."""

@@ -390,6 +390,19 @@ def test_huge_exponents_are_usage_errors_at_once(tmp_path):
     code, out, _ = run_cli(["catalog", "n6_19(1e4000)"])
     assert code == 0 and out.startswith("n6_19(1000")
 
+
+def test_parameters_of_too_many_digits_are_bad_parameters():
+    # 10**4300 has 4301 digits, one more than an integer may print with;
+    # the number rule counts them, so the family name is never built
+    limit = sys.get_int_max_str_digits()
+    for text in ("1e%d" % limit, "1e-%d" % limit, "12e%d" % (limit - 1)):
+        name = "n6_19(%s)" % text
+        assert run_cli(["catalog", name]) == (
+            2, "", "error: bad parameter '%s' in '%s'\n" % (text, name))
+    code, out, _ = run_cli(["catalog", "n6_19(1e%d)" % (limit - 1)])
+    assert code == 0 and out.startswith("n6_19(1000")
+
+
 def test_empty_coordinate_fields_are_usage_errors():
     # an empty field is counted, not dropped: four fields are not three
     for flag, value in (("--w0", "1,,0,0"), ("--y0", "0,1,-1,"),

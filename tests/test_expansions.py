@@ -9,9 +9,14 @@ identity metric, that of every catalog entry, the order is the oracle's
 term for term, which keeps the catalog's float bits; under other metrics
 the value is the oracle's and the order is the render order.
 
+Their gradients are read off the forms, U = 0 and V = y, x or S y; the
+oracle is the gradient of the value polynomial through its partials.
+
 ``DerivationIntegral`` shares its expansions and its validation through
 bounded per-descriptor ``functools.lru_cache`` memos keyed by the exact
-matrix.
+matrix; ``RightInvariant`` shares its expansions through memos of the
+same kind keyed by the direction, and ``Energy`` its expansions once per
+descriptor.
 """
 
 import random
@@ -21,12 +26,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import h3
+from helpers import ROOT, h3
 from nilflow import catalog, group, integrals, linalg, solvers
-from nilflow.algebra import LieAlgebraDescriptor
+from nilflow.algebra import LieAlgebraDescriptor, load_algebra
 from nilflow.integrals import (DERIVATION_TABLE_SIZE, DerivationIntegral,
                                Energy, Linear, NotADerivation, Quadratic,
-                               _derivations)
+                               RightInvariant, _derivations, _gradient,
+                               _right_momenta)
+from nilflow.poisson import PoissonEngine
 from nilflow.ratpoly import RationalPolynomial, _term_key
 
 # a metric under which the render order and the products' order differ
@@ -105,8 +112,9 @@ def _random_picks(rng, count):
             for _ in range(rng.randint(1, count))]
 
 
-@pytest.mark.parametrize("name", catalog.names())
-def test_forms_keep_the_old_terms_and_order_under_the_identity(name):
+def _entry_cases(name):
+    """An entry's descriptor, directions (the basis and three random ones)
+    and operators (its references and eight random ones)."""
     entry = catalog.get(name)
     alg = entry.descriptor
     rng = random.Random(name)
@@ -115,7 +123,12 @@ def test_forms_keep_the_old_terms_and_order_under_the_identity(name):
          for _ in range(alg.dim)] for _ in range(3)]
     ss = list(entry.quad_refs.values()) + [
         _operator(alg, _random_picks(rng, 6)) for _ in range(8)]
-    _assert_forms_match(alg, xs, ss)
+    return alg, xs, ss
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_forms_keep_the_old_terms_and_order_under_the_identity(name):
+    _assert_forms_match(*_entry_cases(name))
 
 
 def _assert_forms_equal_in_render_order(alg, xs, ss):
@@ -167,6 +180,46 @@ def test_forms_keep_the_old_terms_and_order_under_random_metrics(case):
     alg, picks, x = case
     _assert_forms_equal_in_render_order(
         alg, [x], [_operator(alg, picks), _operator(alg, picks[:1])])
+
+
+# -- the gradients read off the forms ------------------------------------
+
+def _assert_gradients_match(alg, xs, ss, key):
+    """The (U, V) of each form is that of its value polynomial through the
+    partials, compared polynomial by polynomial under key."""
+    fs = [Energy(alg)] + [Linear(alg, x) for x in xs]
+    fs += [Quadratic(alg, s) for s in ss]
+    for f in fs:
+        got, want = f.gradient_polys(), _gradient(alg, f.as_polynomial())
+        assert ([[key(p) for p in part] for part in got]
+                == [[key(p) for p in part] for part in want]), f
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_form_gradients_are_the_partials_term_for_term(name):
+    _assert_gradients_match(*_entry_cases(name), key=_stored)
+
+
+@pytest.mark.parametrize("name", ["h3_metric.json", "filiform5.json"])
+def test_form_gradients_are_the_partials_on_the_data_files(name):
+    # under h3_metric S need not be symmetric, only G S is: V is S y,
+    # not S^T y
+    alg = load_algebra(ROOT + "/tests/data/" + name)
+    rng = random.Random(name)
+    xs = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+           for _ in range(alg.dim)] for _ in range(5)]
+    ss = [_operator(alg, _random_picks(rng, 3)) for _ in range(40)]
+    assert any(s != linalg.transpose(s) for s in ss) or alg.metric is None
+    _assert_gradients_match(alg, xs, ss, key=lambda p: p)
+
+
+@settings(max_examples=60)
+@given(_metric_case())
+def test_form_gradients_are_the_partials_under_random_metrics(case):
+    alg, picks, x = case
+    _assert_gradients_match(
+        alg, [x], [_operator(alg, picks), _operator(alg, picks[:1])],
+        key=lambda p: p)
 
 
 # -- the derivation memos --------------------------------------------------
@@ -269,3 +322,81 @@ def test_integrals_of_one_matrix_own_their_gradient_lists():
     assert [list(part) for part in g.gradient_polys()] == want
     assert [list(part) for part in
             DerivationIntegral(alg, d).gradient_polys()] == want
+
+
+# -- the memos of E and the right momenta ---------------------------------
+
+def _fresh(name):
+    """A catalog entry's descriptor anew, so its memos start empty."""
+    alg = catalog.get(name).descriptor
+    return _with_metric(alg, alg.metric)
+
+
+def test_a_right_momentum_hit_equals_a_fresh_expansion():
+    alg = _fresh("n6_26")
+    x = [Fraction(k, 2) for k in range(alg.dim)]
+    first = RightInvariant(alg, x)
+    first.gradient_polys()
+    hit = RightInvariant(alg, x, label="again")
+    fresh = RightInvariant(_fresh("n6_26"), x)
+    assert hit.as_polynomial() is first.as_polynomial()
+    assert _stored(hit.as_polynomial()) == _stored(fresh.as_polynomial())
+    assert ([[_stored(p) for p in part] for part in hit.gradient_polys()]
+            == [[_stored(p) for p in part] for part in fresh.gradient_polys()])
+    memos = _right_momenta(alg)
+    assert memos.value.cache_info().misses == 1
+    assert memos.gradient.cache_info().misses == 1
+    # the fresh one is the Ad(p^-1) series itself
+    w, y = integrals._w_vec(alg), integrals._y_vec(alg)
+    series = group.ad_series(alg, w, group.exp_neg_coeff, x)
+    assert fresh.as_polynomial() == alg.inner(series, y)
+
+
+def test_an_energy_hit_equals_a_fresh_expansion():
+    alg = _fresh("n6_22(-1)")
+    first, hit = Energy(alg), Energy(alg)
+    fresh = Energy(_fresh("n6_22(-1)"))
+    assert hit.as_polynomial() is first.as_polynomial()
+    assert _stored(hit.as_polynomial()) == _stored(fresh.as_polynomial())
+    assert hit.gradient_polys() == fresh.gradient_polys()
+    assert _stored(fresh.as_polynomial()) == _stored(_old_energy(alg))
+
+
+def test_integrals_of_one_direction_and_energies_own_their_gradient_lists():
+    alg = _fresh("n6_22(-1)")
+    x = linalg.identity(alg.dim)[1]
+    for make in (lambda: RightInvariant(alg, x), lambda: Energy(alg)):
+        f, g = make(), make()
+        want = [list(part) for part in g.gradient_polys()]
+        u, v = f.gradient_polys()
+        u[0] = v.pop()
+        assert [list(part) for part in g.gradient_polys()] == want
+        assert [list(part) for part in make().gradient_polys()] == want
+
+
+def test_the_right_momentum_memos_keep_at_most_their_cap():
+    alg = _fresh("h5")
+    memos = _right_momenta(alg)
+    assert memos.value.cache_info().maxsize == DERIVATION_TABLE_SIZE
+    assert memos.gradient.cache_info().maxsize == DERIVATION_TABLE_SIZE
+    for k in range(DERIVATION_TABLE_SIZE + 10):
+        RightInvariant(alg, [k] + [1] * (alg.dim - 1)).gradient_polys()
+        assert memos.value.cache_info().currsize <= DERIVATION_TABLE_SIZE
+        assert memos.gradient.cache_info().currsize <= DERIVATION_TABLE_SIZE
+    assert memos.value.cache_info().currsize == DERIVATION_TABLE_SIZE
+    assert memos.value.cache_info().misses == DERIVATION_TABLE_SIZE + 10
+
+
+def test_is_first_integral_expands_the_energy_once(monkeypatch):
+    calls, form = [], integrals._quadratic_form
+
+    def counted(alg, gs):
+        calls.append(1)
+        return form(alg, gs)
+
+    monkeypatch.setattr(integrals, "_quadratic_form", counted)
+    alg = _fresh("n6_26")
+    engine = PoissonEngine(alg)
+    for x in linalg.identity(alg.dim):
+        assert engine.is_first_integral(RightInvariant(alg, x)).ok
+    assert len(calls) == 1

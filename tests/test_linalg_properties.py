@@ -256,15 +256,19 @@ def test_inner_matches_dense_formula(case):
 
 
 def test_frac_bounds_the_exponent_as_int_bounds_the_digits():
-    # Fraction('1e999999999') would build 10**999999999; the exponent may
-    # be as large in magnitude as an integer string may be long
+    # Fraction('1e999999999') would build 10**999999999; the mantissa
+    # digits and the exponent's magnitude together may be as many as an
+    # integer string may be long, so the number can be printed
     limit = sys.get_int_max_str_digits()
     for text in ("1e999999999", "1E-999999999", "-2.5e+%d" % (limit + 1),
-                 "1e" + "9" * 50):
-        with pytest.raises(ValueError, match="has an exponent beyond %d"
-                           % limit):
+                 "1e" + "9" * 50, "1e%d" % limit, "1e-%d" % limit,
+                 "12e%d" % (limit - 1), "-1.5e%d" % (limit - 1)):
+        with pytest.raises(ValueError, match="would build an integer of "
+                           "more than %d digits" % limit):
             linalg.frac(text)
-    assert linalg.frac("1e%d" % limit) == 10 ** limit
+    assert linalg.frac("1e%d" % (limit - 1)) == 10 ** (limit - 1)
+    assert linalg.frac("1e-%d" % (limit - 1)) == Fraction(1, 10 ** (limit - 1))
+    assert linalg.frac("12e%d" % (limit - 2)) == 12 * 10 ** (limit - 2)
     assert linalg.frac("3e-4000") == Fraction(3, 10 ** 4000)
     assert linalg.frac("1e00000000000000000004") == 10000
     with pytest.raises(ValueError):

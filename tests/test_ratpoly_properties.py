@@ -161,6 +161,61 @@ def test_array_evaluation_is_pointwise(polys, points):
             assert np.broadcast_to(col, len(points))[s] == val
 
 
+# -- exact evaluation on ints against the per-factor Fraction loop ------
+
+def _fraction_loop(polys, values):
+    """Each output as a sum of Fraction coefficients times monomials
+    formed factor by factor; int 0 for an output with no terms."""
+    out = [0] * len(polys)
+    for i, p in enumerate(polys):
+        for exps, c in p.terms.items():
+            m = 1
+            for v, k in zip(values, exps):
+                if k:
+                    m = m * (v if k == 1 else v ** k)
+            out[i] += c * m
+    return out
+
+
+# ints, and Fractions whose numerator and denominator are drawn with
+# either sign, over small primes (coprime to one another) or any size
+_denominators = st.one_of(st.sampled_from([2, 3, 5, 7, 11, -3, -7, -13]),
+                          st.integers(1, 40), st.integers(-40, -1))
+_rationals = st.one_of(st.integers(-40, 40),
+                       st.builds(Fraction, st.integers(-40, 40), _denominators))
+_rational_points = st.one_of(
+    st.lists(st.integers(-40, 40), min_size=NVARS, max_size=NVARS),
+    st.lists(st.builds(Fraction, st.integers(-40, 40), _denominators),
+             min_size=NVARS, max_size=NVARS),
+    st.lists(_rationals, min_size=NVARS, max_size=NVARS))
+
+
+@settings(max_examples=150)
+@given(st.lists(_polys, min_size=1, max_size=3), _coeffs, _rational_points)
+def test_exact_evaluation_on_ints_matches_the_fraction_loop(polys, c, x):
+    # outputs with no terms and with constant terms, besides the drawn ones
+    polys = polys + [RationalPolynomial(NVARS), polys[0] + c,
+                     RationalPolynomial.constant(NVARS, c)]
+    got = Evaluator(polys)(x)
+    want = _fraction_loop(polys, x)
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
+    assert type(got[len(polys) - 3]) is int
+
+
+@_SETTINGS
+@given(st.lists(_polys, min_size=1, max_size=3), _polys, _rational_points,
+       _rational_points)
+def test_a_point_with_a_polynomial_still_composes(polys, q, x, z):
+    # substituting q for the first variable, then evaluating at z, is
+    # evaluating at (q(z), x2, ...); a constant output is a number
+    composed = [p if isinstance(p, RationalPolynomial)
+                else RationalPolynomial.constant(NVARS, p)
+                for p in Evaluator(polys)([q] + x[1:])]
+    qz = Evaluator([q])(z)[0]
+    assert Evaluator(composed)(z) == Evaluator(polys)([qz] + x[1:])
+
+
 # -- integer storage against a dict-of-Fraction reference ---------------
 # The reference keeps each term as a Fraction and adds, multiplies and
 # differentiates term by term, so it shares no normalisation with the
