@@ -17,18 +17,21 @@ U = 0 and V = G^{-1} grad_y f is S y, x or y under any metric, each entry
 written by the same form builder with its terms in ascending y index, so
 no value polynomial is formed and no partial taken to bracket them.
 
-Energy's value and gradient are formed once per descriptor.  The right
-momenta share, per descriptor and keyed by the direction as a tuple,
-``functools.lru_cache`` memos of their value polynomial and gradient; the
-integrals of one derivation matrix share, keyed by the exact matrix, memos
-of its ``validate_derivation`` check, value polynomial and gradient: a
-repeated X or D runs its ad(w) series once, a repeated D is checked once,
-and as a memo stores no exception, a non-derivation raises at every
-construction.  Each memo keeps the ``DERIVATION_TABLE_SIZE`` most recently
+Each expansion an integral makes lazily (its value polynomial, its
+gradient and the compiled evaluators of both) is a named slot, and the
+integral's identity decides where the slots live.  E, with identity (), a
+right momentum, with its direction as a tuple, and a derivation integral,
+with its exact matrix, keep them in one table of the descriptor keyed by
+(class, identity), so a repeated E, X or D runs its expansions and its
+ad(w) series once; every other integral keeps them on itself.  An integral
+finds its slots once, at its first expansion.  The table is a
+``functools.lru_cache`` of the ``DERIVATION_TABLE_SIZE`` most recently
 used keys, because a caller may build integrals of ever new directions or
 matrices (a scan over a family of D, the commutators of a momentum-map
-check) and the descriptor lives as long as its catalog entry.  Every
-integral gets gradient lists of its own.
+check) and the descriptor lives as long as its catalog entry.  The
+``validate_derivation`` check of a matrix has a memo of the same size of
+its own, and as a memo stores no exception, a non-derivation raises at
+every construction.  Every integral gets gradient lists of its own.
 
 Constructors validate what can be validated: a quadratic form must be
 symmetric for the metric, a derivation must actually satisfy the product
@@ -43,7 +46,6 @@ import math
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -54,7 +56,9 @@ from .ratpoly import Evaluator, RationalPolynomial, _canonical
 
 # the deepest nesting a spec may have; far deeper ones exhaust the recursion
 MAX_SPEC_DEPTH = 100
-# the most matrices or directions each memo of one descriptor keeps
+# one cap for all shared expansions of a descriptor: the most (class,
+# identity) keys its table keeps, and the most matrices its derivation
+# check remembers
 DERIVATION_TABLE_SIZE = 64
 
 
@@ -172,29 +176,49 @@ def _gradient(alg, fp):
 
 # -- the integral family ------------------------------------------------
 
+@per_descriptor
+def _shared(alg):
+    """The descriptor's table of shared expansions: one dict of slots per
+    (class, identity) key, for the most recently used keys."""
+    return functools.lru_cache(DERIVATION_TABLE_SIZE)(lambda cls, key: {})
+
+
 class FirstIntegral:
     """Base class; subclasses define ``_expand`` and ``_default_label``."""
 
     def __init__(self, alg, label=None):
         self.alg = alg
         self.label = label
-        self._poly = None
-        self._grad = None
-        self._value_at = None
-        self._gradient_at = None
+        self._slots = None
+
+    def _identity(self):
+        """What makes two integrals of a class on one algebra the same
+        function, or None when they share nothing."""
+        return None
+
+    def _slot(self, name, make):
+        """The expansion ``name``, made once by ``make``.  An integral finds
+        its slots once, at its first expansion: those of the shared table
+        under (class, identity), or its own when it has no identity."""
+        slots = self._slots
+        if slots is None:
+            key = self._identity()
+            slots = self._slots = ({} if key is None
+                                   else _shared(self.alg)(type(self), key))
+        if name not in slots:
+            slots[name] = make()
+        return slots[name]
 
     def value(self, point):
         """f at a point; see ``Evaluator`` for exact, float and array points."""
-        if self._value_at is None:
-            self._value_at = Evaluator([self.as_polynomial()])
-        return self._value_at(_coordinates(point))[0]
+        at = self._slot("value_at", lambda: Evaluator([self.as_polynomial()]))
+        return at(_coordinates(point))[0]
 
     def gradient(self, point):
         """(U, V) at a point, the values of ``gradient_polys``."""
-        if self._gradient_at is None:
-            u, v = self.gradient_polys()
-            self._gradient_at = Evaluator(u + v)
-        uv = self._gradient_at(_coordinates(point))
+        at = self._slot("gradient_at",
+                        lambda: Evaluator(sum(self.gradient_polys(), [])))
+        uv = at(_coordinates(point))
         return uv[:self.alg.dim], uv[self.alg.dim:]
 
     def denominators(self, point):
@@ -202,15 +226,13 @@ class FirstIntegral:
         return iter(())
 
     def as_polynomial(self):
-        if self._poly is None:
-            self._poly = self._expand()
-        return self._poly
+        return self._slot("poly", self._expand)
 
     def gradient_polys(self):
-        """Exact (U, V) of the value polynomial: two lists of polynomials."""
-        if self._grad is None:
-            self._grad = self._gradient()
-        return self._grad
+        """Exact (U, V) of the value polynomial: two lists of polynomials,
+        of the caller's own."""
+        u, v = self._slot("gradient", self._gradient)
+        return list(u), list(v)
 
     def _gradient(self):
         return _gradient(self.alg, self.as_polynomial())
@@ -225,27 +247,17 @@ class FirstIntegral:
         return "<%s %s>" % (type(self).__name__, self.spec_string())
 
 
-@per_descriptor
-def _energy(alg):
-    """E's value polynomial and gradient (V = y), once per descriptor."""
-    return (_quadratic_form(alg, alg.gram()),
-            _linear_gradient(alg, linalg.identity(alg.dim)))
-
-
-def _own(gradient):
-    """A memoized (U, V) as lists of the caller's own."""
-    u, v = gradient
-    return list(u), list(v)
-
-
 class Energy(FirstIntegral):
     """E = (1/2) <Y, Y>, the Hamiltonian itself."""
 
-    def _expand(self):
-        return _energy(self.alg)[0]
+    def _identity(self):
+        return ()
 
-    def _gradient(self):
-        return _own(_energy(self.alg)[1])
+    def _expand(self):
+        return _quadratic_form(self.alg, self.alg.gram())
+
+    def _gradient(self):  # V = y
+        return _linear_gradient(self.alg, linalg.identity(self.alg.dim))
 
     def _default_label(self):
         return "E"
@@ -308,25 +320,6 @@ class Quadratic(FirstIntegral):
         return "quad:S"
 
 
-_memo = functools.lru_cache(DERIVATION_TABLE_SIZE)
-
-
-def _expansions(alg, expand):
-    """The value memo of ``expand`` and the gradient memo of its values."""
-    value = _memo(expand)
-    return SimpleNamespace(value=value,
-                           gradient=_memo(lambda key: _gradient(alg, value(key))))
-
-
-@per_descriptor
-def _right_momenta(alg):
-    """The value and gradient memos of the descriptor's right momenta, each
-    keyed by the direction as a tuple."""
-    return _expansions(alg, lambda x: alg.inner(
-        group.ad_series(alg, _w_vec(alg), group.exp_neg_coeff, list(x)),
-        _y_vec(alg)))
-
-
 class RightInvariant(FirstIntegral):
     """f_{X*} = <Ad(p^{-1}) X, Y>, the momentum of right translation."""
 
@@ -334,30 +327,26 @@ class RightInvariant(FirstIntegral):
         super().__init__(alg, label)
         self.x = _direction(alg, x)
 
-    def _expand(self):
-        return _right_momenta(self.alg).value(tuple(self.x))
+    def _identity(self):
+        return tuple(self.x)
 
-    def _gradient(self):
-        return _own(_right_momenta(self.alg).gradient(tuple(self.x)))
+    def _expand(self):
+        a = group.ad_series(self.alg, _w_vec(self.alg), group.exp_neg_coeff,
+                            self.x)
+        return self.alg.inner(a, _y_vec(self.alg))
 
     def _default_label(self):
         return "right:%s" % _vector_label(self.x)
 
 
 @per_descriptor
-def _derivations(alg):
-    """The check, value and gradient memos of the descriptor's derivation
-    integrals, each keyed by the matrix as a tuple of row tuples."""
-    def value(d):
-        w = _w_vec(alg)
-        b = group.ad_series(alg, w, group.phi_coeff, linalg.mat_vec(d, w))
-        return alg.inner(b, _y_vec(alg))
-
-    memos = _expansions(alg, value)
+def _checked(alg):
+    """The memo of ``validate_derivation`` on the descriptor, keyed by the
+    matrix as a tuple of row tuples, for the most recently used matrices."""
     # validate_derivation is looked up by name at each call, so that a
     # rebinding of the module attribute (the benchmark tracer) sees it
-    memos.check = _memo(lambda d: validate_derivation(alg, d))
-    return memos
+    return functools.lru_cache(DERIVATION_TABLE_SIZE)(
+        lambda d: validate_derivation(alg, d))
 
 
 class DerivationIntegral(FirstIntegral):
@@ -368,13 +357,16 @@ class DerivationIntegral(FirstIntegral):
         self.d = [[frac(c) for c in row] for row in d]
         self._key = tuple(map(tuple, self.d))
         if check:
-            _derivations(alg).check(self._key)
+            _checked(alg)(self._key)
+
+    def _identity(self):
+        return self._key
 
     def _expand(self):
-        return _derivations(self.alg).value(self._key)
-
-    def _gradient(self):
-        return _own(_derivations(self.alg).gradient(self._key))
+        w = _w_vec(self.alg)
+        b = group.ad_series(self.alg, w, group.phi_coeff,
+                            linalg.mat_vec(self.d, w))
+        return self.alg.inner(b, _y_vec(self.alg))
 
     def _default_label(self):
         return "der:D"

@@ -50,7 +50,9 @@ class PoissonEngine:
         self.alg = alg
 
     def gradient_polys(self, f):
-        """Exact (U, V) of f, two lists of polynomials, memoized on f."""
+        """Exact (U, V) of f, two lists of polynomials of the caller's own;
+        integrals of one identity (E, a right momentum's direction, a
+        derivation's matrix) share the expansion, per descriptor."""
         return f.gradient_polys()
 
     def bracket(self, f, g):

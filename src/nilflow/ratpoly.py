@@ -97,6 +97,12 @@ class RationalPolynomial:
         return {exps: Fraction(c, den) for exps, c in self.numerators.items()}
 
     @property
+    def numerator(self):
+        """The polynomial times its denominator, with integer coefficients,
+        so that, as for a Fraction, it is numerator / denominator."""
+        return _canonical(self.nvars, self.numerators, 1)
+
+    @property
     def is_zero(self):
         return not self.numerators
 
@@ -291,16 +297,20 @@ class Evaluator:
     that use it, and is formed once per call.  A point of ints, Fractions
     and polynomials gives exact values (at polynomials, the composition).
     Any other point is evaluated in floats with the coefficients converted
-    once: scalars as Python floats, numpy arrays (one per variable)
-    elementwise.  An output with no terms is int 0.
+    once, each integer numerator over its denominator: scalars as Python
+    floats, numpy arrays (one per variable) elementwise.  An output with
+    no terms is int 0.
 
-    A point of ints and Fractions alone is evaluated on ints: its
-    denominators are cleared once to their lcm q, a monomial of degree d
-    is formed from the integer coordinates and scaled by q^(top - d),
-    top the highest degree, so every monomial is over q^top, and each
-    output sums its integer numerators times these and becomes one
-    Fraction over its denominator times q^top.  Values and types are
-    those of summing Fraction products.
+    An exact point is evaluated on integer numerators: the denominators
+    of its coordinates, polynomials included, are cleared once to their
+    lcm q, so each coordinate enters as q times itself, a polynomial one
+    with integer coefficients.  A monomial of degree d is formed from
+    these and scaled by q^(top - d), top the highest degree, so every
+    monomial is over q^top, and each output sums its integer numerators
+    times these and is divided once by its denominator times q^top.
+    Values and types are those of summing Fraction products: an output is
+    a polynomial where one of its monomials meets a polynomial
+    coordinate, else a Fraction.
 
     ``rows`` evaluates every row of a (batch, nvars) float array at once,
     variable-major: one ``take`` of the transposed array gathers every
@@ -339,27 +349,20 @@ class Evaluator:
         self._top = max(map(sum, uses), default=0)
         self._ints = [(tuple((v, k) for v, k in enumerate(e) if k),
                        self._top - sum(e), pairs) for e, pairs in uses.items()]
-        self._exact = [(factors, [(out, Fraction(c, polys[out].denominator))
-                                  for out, c in pairs])
+        self._float = [(factors, [(out, c / self._dens[out]) for out, c in pairs])
                        for factors, _, pairs in self._ints]
-        self._float = [(factors, [(out, float(c)) for out, c in pairs])
-                       for factors, pairs in self._exact]
         self._arrays = None
         self._shape = self._bound = None
 
     def __call__(self, values):
         if len(values) != self.nvars:
             raise ValueError("expected %d values" % self.nvars)
-        if all(isinstance(v, (int, Fraction)) for v in values):
-            return self._at_rationals(values)
-        monomials = self._exact
-        if not all(isinstance(v, (int, Fraction, RationalPolynomial))
-                   for v in values):
-            monomials = self._float
-            values = [v if isinstance(v, np.ndarray) else float(v)
-                      for v in values]
+        if all(isinstance(v, (int, Fraction, RationalPolynomial))
+               for v in values):
+            return self._on_ints(values)
+        values = [v if isinstance(v, np.ndarray) else float(v) for v in values]
         out = [0] * self.count
-        for factors, pairs in monomials:
+        for factors, pairs in self._float:
             m = 1
             for v, k in factors:
                 m = m * (values[v] if k == 1 else values[v] ** k)
@@ -367,8 +370,9 @@ class Evaluator:
                 out[i] += c * m
         return out
 
-    def _at_rationals(self, values):
-        """The exact values at a point of ints and Fractions, on ints."""
+    def _on_ints(self, values):
+        """The exact values at a point of ints, Fractions and polynomials,
+        on integer numerators."""
         q = lcm(*(v.denominator for v in values))
         ints = [v.numerator * (q // v.denominator) for v in values]
         scales = [q ** k for k in range(self._top + 1)]
@@ -380,8 +384,8 @@ class Evaluator:
             for i, c in pairs:
                 sums[i] += c * m
         top = scales[-1]
-        return [0 if d is None else Fraction(s, d * top)
-                for s, d in zip(sums, self._dens)]
+        return [0 if d is None else Fraction(s, d * top) if isinstance(s, int)
+                else s * Fraction(1, d * top) for s, d in zip(sums, self._dens)]
 
     def rows(self, x):
         """Values at each row of a (batch, nvars) float array: (batch, count)."""

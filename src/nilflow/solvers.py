@@ -27,8 +27,10 @@ divides the basis matrices it forms by L once (L is 1 without a metric).
 ``killing2_structured`` also takes the complement and ideal vectors as
 coprime-int multiples (``linalg.integer_rows``) and G times one common
 positive scale, so ``mat_vec``, ``inner`` and the products of vector
-entries inside each bracket run on Python ints; only the structure
-constants stay Fractions.  Neither scaling can change a basis.  Every equation is linear in
+entries inside each bracket run on Python ints; so do the brackets
+themselves, as the bracket keeps a whole structure constant as an int,
+and only a constant that is not whole stays a Fraction.  Neither scaling
+can change a basis.  Every equation is linear in
 the parameter, so the common scale L multiplies the whole equation
 matrix by L.  The conditions are bilinear in the vectors and linear in
 G, so a vector scale or the common scale of G multiplies whole equation

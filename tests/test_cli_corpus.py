@@ -1,5 +1,5 @@
 """A recorded CLI corpus: one sha256 of (exit code, stdout, stderr) for
-each of 263 in-process commands, stored in ``cli_corpus.json``.
+each of 264 in-process commands, stored in ``cli_corpus.json``.
 
 The CLI's text, its canonical JSON and its exit codes are the program's
 regression gates, so a changed digest is an output change.  Each change
@@ -173,6 +173,9 @@ def commands():
              "1,0,0", "--y0", "0,1,-1,", "--format", "csv"],
             # the exact scan expands each gradient before its first draw
             ["independence", "h3", QUOT, "--exact", "--samples", "3"],
+            # descent of a degree-4 numerator, composed at a polynomial point
+            ["quotient", "n3", "Lambda_2", "quot(butler:1 / lin:e4)",
+             "--samples", "5"],
             # an exponent beyond the integer digit limit (4300) is refused
             ["catalog", "n6_19(1e5000)"],
             ["geodesic", "h3", "--t", "0.01", "--dt", "0.01", "--w0",

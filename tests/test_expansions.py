@@ -12,11 +12,12 @@ the value is the oracle's and the order is the render order.
 Their gradients are read off the forms, U = 0 and V = y, x or S y; the
 oracle is the gradient of the value polynomial through its partials.
 
-``DerivationIntegral`` shares its expansions and its validation through
-bounded per-descriptor ``functools.lru_cache`` memos keyed by the exact
-matrix; ``RightInvariant`` shares its expansions through memos of the
-same kind keyed by the direction, and ``Energy`` its expansions once per
-descriptor.
+The integrals of one identity share their expansions, value and
+gradient polynomials and the evaluators of both, through one bounded
+per-descriptor ``functools.lru_cache`` table keyed by (class, identity):
+``Energy`` under (), ``RightInvariant`` under the direction and
+``DerivationIntegral`` under the exact matrix.  A derivation's
+validation has a bounded memo of its own, keyed by the matrix.
 """
 
 import random
@@ -31,10 +32,9 @@ from nilflow import catalog, group, integrals, linalg, solvers
 from nilflow.algebra import LieAlgebraDescriptor, load_algebra
 from nilflow.integrals import (DERIVATION_TABLE_SIZE, DerivationIntegral,
                                Energy, Linear, NotADerivation, Quadratic,
-                               RightInvariant, _derivations, _gradient,
-                               _right_momenta)
+                               RightInvariant, _checked, _gradient, _shared)
 from nilflow.poisson import PoissonEngine
-from nilflow.ratpoly import RationalPolynomial, _term_key
+from nilflow.ratpoly import Evaluator, RationalPolynomial, _term_key
 
 # a metric under which the render order and the products' order differ
 H3_METRIC = [[2, 1, 0], [1, 2, 0], [0, 0, 1]]
@@ -222,7 +222,7 @@ def test_form_gradients_are_the_partials_under_random_metrics(case):
         key=lambda p: p)
 
 
-# -- the derivation memos --------------------------------------------------
+# -- the shared table and the derivation check ---------------------------
 
 def _entry_derivation(name):
     alg = catalog.get(name).descriptor
@@ -256,9 +256,10 @@ def test_a_table_hit_equals_a_fresh_expansion():
     assert hit.as_polynomial() == fresh.as_polynomial()
     assert hit.as_polynomial() is first.as_polynomial()
     assert hit.gradient_polys() == fresh.gradient_polys()
-    memos = _derivations(alg)
-    assert memos.value.cache_info().misses == 1
-    assert memos.gradient.cache_info().misses == 1
+    assert all(a is b for a, b in zip(sum(hit.gradient_polys(), []),
+                                      sum(first.gradient_polys(), [])))
+    # one key, so one value and one gradient expansion
+    assert _shared(alg).cache_info().misses == 1
     # the fresh one is the Phi(ad w) series itself
     w, y = integrals._w_vec(alg), integrals._y_vec(alg)
     series = group.ad_series(alg, w, group.phi_coeff, linalg.mat_vec(d, w))
@@ -273,14 +274,14 @@ def test_one_matrix_is_validated_once(monkeypatch):
         return validate(alg, d)
 
     alg, d = _entry_derivation("h5")
-    _derivations(alg)  # the memos exist before the rebinding
+    _checked(alg)  # the memo exists before the rebinding
     # the check memo looks validate_derivation up by name at each call,
     # so a rebinding, such as the benchmark tracer's, sees every check
     monkeypatch.setattr(integrals, "validate_derivation", counted)
     for _ in range(20):
         DerivationIntegral(alg, d)
     assert len(calls) == 1
-    info = _derivations(alg).check.cache_info()
+    info = _checked(alg).cache_info()
     assert (info.hits, info.misses) == (19, 1)
 
 
@@ -288,28 +289,28 @@ def test_the_table_keeps_at_most_its_cap():
     alg, d = _entry_derivation("h5")
     scaled = [linalg.mat_scale(d, Fraction(k))
               for k in range(1, DERIVATION_TABLE_SIZE + 11)]
-    value = _derivations(alg).value
-    assert value.cache_info().maxsize == DERIVATION_TABLE_SIZE
+    table = _shared(alg)
+    assert table.cache_info().maxsize == DERIVATION_TABLE_SIZE
     for m in scaled:
         DerivationIntegral(alg, m, check=False).as_polynomial()
-        assert value.cache_info().currsize <= DERIVATION_TABLE_SIZE
-    assert value.cache_info().currsize == DERIVATION_TABLE_SIZE
-    assert value.cache_info().misses == len(scaled)
+        assert table.cache_info().currsize <= DERIVATION_TABLE_SIZE
+    assert table.cache_info().currsize == DERIVATION_TABLE_SIZE
+    assert table.cache_info().misses == len(scaled)
     # the least recently used goes first: scaled[10] is used again, so
     # the next new matrix evicts scaled[11]
     DerivationIntegral(alg, scaled[10]).as_polynomial()
     DerivationIntegral(alg, linalg.mat_scale(d, Fraction(-1)),
                        check=False).as_polynomial()
-    misses = value.cache_info().misses
+    misses = table.cache_info().misses
     DerivationIntegral(alg, scaled[10]).as_polynomial()
-    assert value.cache_info().misses == misses
+    assert table.cache_info().misses == misses
     # an evicted matrix is expanded and validated anew
     fresh = _with_metric(alg, alg.metric)
     for m in (scaled[0], scaled[11]):
         assert (DerivationIntegral(alg, m).as_polynomial()
                 == DerivationIntegral(fresh, m).as_polynomial())
-    assert value.cache_info().misses == misses + 2
-    check = _derivations(alg).check.cache_info()
+    assert table.cache_info().misses == misses + 2
+    check = _checked(alg).cache_info()
     assert check.maxsize == DERIVATION_TABLE_SIZE and check.currsize == 3
 
 
@@ -324,10 +325,10 @@ def test_integrals_of_one_matrix_own_their_gradient_lists():
             DerivationIntegral(alg, d).gradient_polys()] == want
 
 
-# -- the memos of E and the right momenta ---------------------------------
+# -- E and the right momenta in the shared table --------------------------
 
 def _fresh(name):
-    """A catalog entry's descriptor anew, so its memos start empty."""
+    """A catalog entry's descriptor anew, so its tables start empty."""
     alg = catalog.get(name).descriptor
     return _with_metric(alg, alg.metric)
 
@@ -343,9 +344,9 @@ def test_a_right_momentum_hit_equals_a_fresh_expansion():
     assert _stored(hit.as_polynomial()) == _stored(fresh.as_polynomial())
     assert ([[_stored(p) for p in part] for part in hit.gradient_polys()]
             == [[_stored(p) for p in part] for part in fresh.gradient_polys()])
-    memos = _right_momenta(alg)
-    assert memos.value.cache_info().misses == 1
-    assert memos.gradient.cache_info().misses == 1
+    assert all(a is b for a, b in zip(sum(hit.gradient_polys(), []),
+                                      sum(first.gradient_polys(), [])))
+    assert _shared(alg).cache_info().misses == 1
     # the fresh one is the Ad(p^-1) series itself
     w, y = integrals._w_vec(alg), integrals._y_vec(alg)
     series = group.ad_series(alg, w, group.exp_neg_coeff, x)
@@ -376,27 +377,77 @@ def test_integrals_of_one_direction_and_energies_own_their_gradient_lists():
 
 def test_the_right_momentum_memos_keep_at_most_their_cap():
     alg = _fresh("h5")
-    memos = _right_momenta(alg)
-    assert memos.value.cache_info().maxsize == DERIVATION_TABLE_SIZE
-    assert memos.gradient.cache_info().maxsize == DERIVATION_TABLE_SIZE
-    for k in range(DERIVATION_TABLE_SIZE + 10):
-        RightInvariant(alg, [k] + [1] * (alg.dim - 1)).gradient_polys()
-        assert memos.value.cache_info().currsize <= DERIVATION_TABLE_SIZE
-        assert memos.gradient.cache_info().currsize <= DERIVATION_TABLE_SIZE
-    assert memos.value.cache_info().currsize == DERIVATION_TABLE_SIZE
-    assert memos.value.cache_info().misses == DERIVATION_TABLE_SIZE + 10
+    table = _shared(alg)
+    assert table.cache_info().maxsize == DERIVATION_TABLE_SIZE
+    xs = [[k] + [1] * (alg.dim - 1) for k in range(DERIVATION_TABLE_SIZE + 10)]
+    for x in xs:
+        RightInvariant(alg, x).gradient_polys()
+        assert table.cache_info().currsize <= DERIVATION_TABLE_SIZE
+    assert table.cache_info().currsize == DERIVATION_TABLE_SIZE
+    assert table.cache_info().misses == len(xs)
+    # the least recently used goes first: xs[10] is used again, so the
+    # next new direction evicts xs[11]
+    RightInvariant(alg, xs[10]).as_polynomial()
+    RightInvariant(alg, [-1] * alg.dim).as_polynomial()
+    misses = table.cache_info().misses
+    RightInvariant(alg, xs[10]).gradient_polys()
+    assert table.cache_info().misses == misses
+    for x in (xs[0], xs[11]):
+        RightInvariant(alg, x).as_polynomial()
+    assert table.cache_info().misses == misses + 2
+
+
+def _counted(monkeypatch, name):
+    """Rebind integrals.<name> to a wrapper that counts its calls."""
+    calls, original = [], getattr(integrals, name)
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(integrals, name, counted)
+    return calls
 
 
 def test_is_first_integral_expands_the_energy_once(monkeypatch):
-    calls, form = [], integrals._quadratic_form
-
-    def counted(alg, gs):
-        calls.append(1)
-        return form(alg, gs)
-
-    monkeypatch.setattr(integrals, "_quadratic_form", counted)
+    # E's gradient is V = y, read off the form; its value is never formed
+    values = _counted(monkeypatch, "_quadratic_form")
+    gradients = _counted(monkeypatch, "_linear_gradient")
     alg = _fresh("n6_26")
     engine = PoissonEngine(alg)
     for x in linalg.identity(alg.dim):
         assert engine.is_first_integral(RightInvariant(alg, x)).ok
-    assert len(calls) == 1
+    assert (len(values), len(gradients)) == (0, 1)
+
+
+def test_integrals_of_one_identity_share_their_evaluators(monkeypatch):
+    built = []
+
+    class Counted(Evaluator):
+        def __init__(self, polys):
+            built.append(len(polys))
+            super().__init__(polys)
+
+    monkeypatch.setattr(integrals, "Evaluator", Counted)
+    alg = _fresh("n6_26")
+    n = alg.dim
+    point = ([Fraction(1, 2)] * n, [Fraction(k, 3) for k in range(n)])
+    x = [Fraction(k, 2) for k in range(n)]
+    s = _operator(alg, [(0, 1), (3, Fraction(-1, 2))])
+    d = solvers.skew_derivations(alg)[0]
+
+    def build(make):
+        built.clear()
+        f, g = make(), make()
+        assert f.value(point) == g.value(point)
+        assert f.gradient(point) == g.gradient(point)
+        f.value(point)  # a second call builds nothing
+        f.gradient(point)
+        return list(built)
+
+    for make in (lambda: Energy(alg), lambda: RightInvariant(alg, x),
+                 lambda: DerivationIntegral(alg, d)):
+        assert build(make) == [1, 2 * n], make()
+    # forms of equal data are not shared; each builds its own, once
+    for make in (lambda: Linear(alg, x), lambda: Quadratic(alg, s)):
+        assert build(make) == [1, 1, 2 * n, 2 * n], make()

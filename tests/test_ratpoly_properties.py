@@ -216,6 +216,72 @@ def test_a_point_with_a_polynomial_still_composes(polys, q, x, z):
     assert Evaluator(composed)(z) == Evaluator(polys)([qz] + x[1:])
 
 
+def _coefficient_table(polys, values):
+    """The exact route Evaluator kept before polynomial points went through
+    its integer one: each monomial once, in the order the polynomials first
+    meet it, with its (output, Fraction coefficient) pairs, formed factor
+    by factor and added to each output that uses it."""
+    uses = {}
+    for out, p in enumerate(polys):
+        for e, c in p.terms.items():
+            uses.setdefault(e, []).append((out, c))
+    out = [0] * len(polys)
+    for e, pairs in uses.items():
+        m = 1
+        for v, k in enumerate(e):
+            if k:
+                m = m * (values[v] if k == 1 else values[v] ** k)
+        for i, c in pairs:
+            out[i] += c * m
+    return out
+
+
+# small coordinates for composition: at most three terms, each of degree
+# at most one in every variable
+_small_polys = st.dictionaries(st.tuples(*[st.integers(0, 1)] * NVARS),
+                               _coeffs, max_size=3).map(
+    lambda terms: RationalPolynomial(NVARS, terms))
+_mixed_points = st.lists(st.one_of(_rationals, _small_polys),
+                         min_size=NVARS, max_size=NVARS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_polys, min_size=1, max_size=3), _coeffs, _mixed_points)
+def test_exact_evaluation_at_mixed_points_matches_the_coefficient_table(
+        polys, c, x):
+    # outputs with no terms and with constant terms, besides the drawn
+    # ones; an output is a polynomial only where a monomial meets one
+    polys = polys + [RationalPolynomial(NVARS), polys[0] + c,
+                     RationalPolynomial.constant(NVARS, c)]
+    got = Evaluator(polys)(x)
+    want = _coefficient_table(polys, x)
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
+
+
+_wide_coeffs = st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40),
+                         st.integers(1, 10 ** 40))
+
+
+@_SETTINGS
+@given(st.lists(st.dictionaries(st.tuples(*[st.integers(0, 3)] * NVARS),
+                                _coeffs | _wide_coeffs, max_size=6),
+                min_size=1, max_size=3))
+def test_float_coefficients_are_those_of_the_fractions(terms):
+    # each float coefficient is float(Fraction(c, den)) to the bit, with
+    # numerators and denominators far beyond a double's 53 bits
+    polys = [RationalPolynomial(NVARS, t) for t in terms]
+    got = {}
+    for factors, pairs in Evaluator(polys)._float:
+        exps = [0] * NVARS
+        for v, k in factors:
+            exps[v] = k
+        for out, c in pairs:
+            got[out, tuple(exps)] = c.hex()
+    assert got == {(out, e): float(c).hex()
+                   for out, p in enumerate(polys) for e, c in p.terms.items()}
+
+
 # -- integer storage against a dict-of-Fraction reference ---------------
 # The reference keeps each term as a Fraction and adds, multiplies and
 # differentiates term by term, so it shares no normalisation with the
