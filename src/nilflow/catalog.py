@@ -46,11 +46,12 @@ class DensePredicate:
 
 @dataclass
 class ChartMaps:
-    """Conversions between exponential and display coordinates."""
+    """Conversions between exponential and display coordinates; by
+    default the display coordinates are the exponential ones."""
 
-    to_exponential: object
-    from_exponential: object
     coordinate_law: object
+    to_exponential: object = tuple
+    from_exponential: object = tuple
 
 
 @dataclass
@@ -127,12 +128,6 @@ def _specs(entry, specs):
 
 
 # -- chart maps ----------------------------------------------------------
-
-def _identity_chart(law):
-    return ChartMaps(to_exponential=lambda c: tuple(c),
-                     from_exponential=lambda c: tuple(c),
-                     coordinate_law=law)
-
 
 def _heisenberg_chart(npairs):
     half = Fraction(1, 2)
@@ -242,7 +237,7 @@ def _entry_n2():
     e = CatalogEntry(
         descriptor=alg,
         dense_predicate=DensePredicate("y1 != 0", lambda w, y: y[0] != 0),
-        chart_maps=_identity_chart(_n2_law),
+        chart_maps=ChartMaps(_n2_law),
         expected={"step": 3, "center_dim": 1},
         notes="The coordinate law includes the (1/12) a (x1 - x1') term in "
               "the last slot; without it the displayed product is not "
@@ -258,7 +253,7 @@ def _entry_n3():
         lattices={"Lambda_2": Lattice(
             "Lambda_2",
             [(2, 0, 0, 0, 0)] + [tuple(x) for x in linalg.identity(5)[1:]])},
-        chart_maps=_identity_chart(_n3_law),
+        chart_maps=ChartMaps(_n3_law),
         expected={"step": 2, "center_dim": 2},
         notes="Closure of r Z x Z^4 under the product needs r even because "
               "of the half-integer commutator terms; the bundled lattice "
@@ -277,7 +272,7 @@ def _entry_n1():
         dense_predicate=DensePredicate(
             "y5 != 0 and (w1 != 0 or w2 != 0)",
             lambda w, y: y[4] != 0 and (w[0] != 0 or w[1] != 0)),
-        chart_maps=_identity_chart(_n1_law),
+        chart_maps=ChartMaps(_n1_law),
         expected={"step": 3, "center_dim": 1},
         notes="The stored rotation D fails the product rule on the pair "
               "(e2, e3), so der:D is not conserved and the set is not "
@@ -293,7 +288,7 @@ def _entry_n23free():
         dense_predicate=DensePredicate(
             "y4 != 0 and y2*y5 + y1*y4 != 0",
             lambda w, y: y[3] != 0 and y[1] * y[4] + y[0] * y[3] != 0),
-        chart_maps=_identity_chart(_n23free_law),
+        chart_maps=ChartMaps(_n23free_law),
         expected={"step": 3, "center_dim": 2},
         notes="Free 2-generator algebra of step 3.  The coordinate law "
               "carries the (1/12)-terms needed for associativity.")

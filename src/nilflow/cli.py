@@ -6,7 +6,7 @@ bad files), and 141 (128 + SIGPIPE) with no message when the reader
 closes stdout early, as in ``nilflow geodesic ... | head -1``.
 ``--format json`` emits canonical JSON: keys sorted, rationals rendered
 as "p/q" strings, so reports round-trip byte for byte through a
-parse/re-render cycle.
+parse/re-render cycle, and strict, with no NaN or Infinity.
 """
 
 import argparse
@@ -30,7 +30,8 @@ DRIFT_TOL = 1e-8
 
 
 def canonical_json(payload):
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def _emit(args, payload, text_lines):
@@ -218,6 +219,8 @@ def _parse_coords(text, n, what):
 
 
 def cmd_geodesic(args):
+    if not 0 < args.tol < np.inf:
+        raise ValueError("--tol must be finite and > 0, not %r" % args.tol)
     entry = catalog.get(args.name)
     n = entry.descriptor.dim
     rng = np.random.default_rng(args.seed)
@@ -231,7 +234,13 @@ def cmd_geodesic(args):
         if args.format == "csv":
             geodesic.write_csv(traj, sys.stdout)
             return EXIT_OK
-        report = geodesic.conservation_report(fs, traj)
+        # as in the flow, an overflow is reported, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = geodesic.conservation_report(fs, traj)
+        bad = [label for label, drift in report if not np.isfinite(drift)]
+        if bad:
+            raise geodesic.NonFinite("the drift of %s is not finite"
+                                     % ", ".join(bad))
     except (geodesic.NonFinite, geodesic.DenominatorVanished) as exc:
         payload = {"algebra": entry.name, "dt": args.dt, "t": args.t,
                    "ok": False, "reason": str(exc)}

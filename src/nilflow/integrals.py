@@ -9,29 +9,30 @@ through ``ratpoly.Evaluator``; only the quotient-induced functions, which
 are not polynomial, keep their own chain rule and yield, lazily and
 innermost first, the ``denominators`` their value divides by.
 
-Energy, Linear and Quadratic write their value polynomials directly, in
-one ``ratpoly._canonical`` call: the integer numerators of (1/2) y . G S y
-or y . G x over one denominator, Energy being S = I, with the terms in
-the order ``render`` lists them.  Their gradients are read off the forms:
-U = 0 and V = G^{-1} grad_y f is S y, x or y under any metric, each entry
-written by the same form builder with its terms in ascending y index, so
-no value polynomial is formed and no partial taken to bracket them.
+Linear and Quadratic write their value polynomials directly, in one
+``ratpoly._canonical`` call: the integer numerators of (1/2) y . G S y or
+y . G x over one denominator, with the terms in the order ``render``
+lists them.  The energy E is the quadratic integral g_I.  Their gradients
+are read off the forms: U = 0 and V = G^{-1} grad_y f is S y or x under
+any metric, each entry written by the same form builder with its terms in
+ascending y index, so no value polynomial is formed and no partial taken
+to bracket them.
 
 Each expansion an integral makes lazily (its value polynomial, its
-gradient and the compiled evaluators of both) is a named slot, and the
-integral's identity decides where the slots live.  E, with identity (), a
-right momentum, with its direction as a tuple, and a derivation integral,
-with its exact matrix, keep them in one table of the descriptor keyed by
-(class, identity), so a repeated E, X or D runs its expansions and its
-ad(w) series once; every other integral keeps them on itself.  An integral
-finds its slots once, at its first expansion.  The table is a
-``functools.lru_cache`` of the ``DERIVATION_TABLE_SIZE`` most recently
-used keys, because a caller may build integrals of ever new directions or
-matrices (a scan over a family of D, the commutators of a momentum-map
-check) and the descriptor lives as long as its catalog entry.  The
-``validate_derivation`` check of a matrix has a memo of the same size of
-its own, and as a memo stores no exception, a non-derivation raises at
-every construction.  Every integral gets gradient lists of its own.
+gradient and the compiled evaluators of both) is a named slot, and so is
+the derivation check of a ``DerivationIntegral``; the integral's identity
+decides where the slots live.  E, with identity (), a right momentum,
+with its direction as a tuple, and a derivation integral, with its exact
+matrix, keep them in one table of the descriptor keyed by (class,
+identity), so a repeated E, X or D runs its check, its expansions and its
+ad(w) series once; every other integral keeps them on itself.  An
+integral finds its slots once, at its first expansion or check.  The
+table is a ``functools.lru_cache`` of the ``DERIVATION_TABLE_SIZE`` most
+recently used keys, because a caller may build integrals of ever new
+directions or matrices (a scan over a family of D, the commutators of a
+momentum-map check) and the descriptor lives as long as its catalog
+entry.  A slot stores only a result, so a non-derivation raises at every
+construction.  Every integral gets gradient lists of its own.
 
 Constructors validate what can be validated: a quadratic form must be
 symmetric for the metric, a derivation must actually satisfy the product
@@ -56,9 +57,8 @@ from .ratpoly import Evaluator, RationalPolynomial, _canonical
 
 # the deepest nesting a spec may have; far deeper ones exhaust the recursion
 MAX_SPEC_DEPTH = 100
-# one cap for all shared expansions of a descriptor: the most (class,
-# identity) keys its table keeps, and the most matrices its derivation
-# check remembers
+# the most (class, identity) keys a descriptor's one table of shared
+# expansions and derivation checks keeps
 DERIVATION_TABLE_SIZE = 64
 
 
@@ -153,12 +153,6 @@ def _form_gradient(alg, v):
     return [zero] * alg.dim, [_y_form(alg, c) for c in v]
 
 
-def _linear_gradient(alg, m):
-    """(U, V) of the quadratic form with V = m y: V_i = sum_j m_ij y_j."""
-    return _form_gradient(alg, [{(j,): c for j, c in enumerate(row)}
-                                for row in m])
-
-
 def _gradient(alg, fp):
     """(U, V) of a value polynomial fp from its partial derivatives."""
     n = alg.dim
@@ -247,22 +241,6 @@ class FirstIntegral:
         return "<%s %s>" % (type(self).__name__, self.spec_string())
 
 
-class Energy(FirstIntegral):
-    """E = (1/2) <Y, Y>, the Hamiltonian itself."""
-
-    def _identity(self):
-        return ()
-
-    def _expand(self):
-        return _quadratic_form(self.alg, self.alg.gram())
-
-    def _gradient(self):  # V = y
-        return _linear_gradient(self.alg, linalg.identity(self.alg.dim))
-
-    def _default_label(self):
-        return "E"
-
-
 class Coordinate(FirstIntegral):
     """The phase-space coordinate x_i of (w1..wn, y1..yn), 0-based i."""
 
@@ -314,10 +292,24 @@ class Quadratic(FirstIntegral):
         return _quadratic_form(self.alg, self._gs)
 
     def _gradient(self):  # V = S y
-        return _linear_gradient(self.alg, self.s)
+        return _form_gradient(self.alg, [{(j,): c for j, c in enumerate(row)}
+                                         for row in self.s])
 
     def _default_label(self):
         return "quad:S"
+
+
+class Energy(Quadratic):
+    """E = (1/2) <Y, Y>, the Hamiltonian itself: g_S with S = I."""
+
+    def __init__(self, alg, label=None):
+        super().__init__(alg, linalg.identity(alg.dim), label)
+
+    def _identity(self):
+        return ()
+
+    def _default_label(self):
+        return "E"
 
 
 class RightInvariant(FirstIntegral):
@@ -339,28 +331,17 @@ class RightInvariant(FirstIntegral):
         return "right:%s" % _vector_label(self.x)
 
 
-@per_descriptor
-def _checked(alg):
-    """The memo of ``validate_derivation`` on the descriptor, keyed by the
-    matrix as a tuple of row tuples, for the most recently used matrices."""
-    # validate_derivation is looked up by name at each call, so that a
-    # rebinding of the module attribute (the benchmark tracer) sees it
-    return functools.lru_cache(DERIVATION_TABLE_SIZE)(
-        lambda d: validate_derivation(alg, d))
-
-
 class DerivationIntegral(FirstIntegral):
     """f_{D*} = <dexp_w(D w), Y> for a metric-skew derivation D."""
 
     def __init__(self, alg, d, check=True, label=None):
         super().__init__(alg, label)
         self.d = [[frac(c) for c in row] for row in d]
-        self._key = tuple(map(tuple, self.d))
-        if check:
-            _checked(alg)(self._key)
+        if check:  # validate_derivation is looked up by name at the call
+            self._slot("checked", lambda: validate_derivation(alg, self.d))
 
     def _identity(self):
-        return self._key
+        return tuple(map(tuple, self.d))
 
     def _expand(self):
         w = _w_vec(self.alg)

@@ -3,12 +3,14 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import run_cli
+from test_cli_corpus import commands as corpus_commands
 from nilflow import cli
 from nilflow.algebra import MAX_FILE_DIM, load_algebra
 
@@ -128,14 +130,31 @@ def test_killing2_above_step_three_skips_the_structured_check(tmp_path):
     assert payload["dimension"] == len(payload["basis"]) == 3
 
 
+def _refuse_constant(name):
+    raise ValueError("%s is not JSON" % name)
+
+
 def test_json_output_is_canonical():
-    for args in (("catalog", "h3"), ("derivations", "h3"),
-                 ("bracket", "h3", "right:X1", "right:Y1")):
-        res = _run(*args, "--format", "json")
-        assert res.returncode == 0
-        payload = json.loads(res.stdout)
-        again = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        assert res.stdout == again
+    # every --format json command of the recorded corpus prints strict JSON
+    # (no NaN or Infinity) that re-renders byte for byte, or, on a usage
+    # error, nothing at all
+    argvs = [argv for argv in corpus_commands()
+             if ("--format", "json") in zip(argv, argv[1:])]
+    for args in [("catalog", "h3"), ("derivations", "h3"),
+                 ("bracket", "h3", "right:X1", "right:Y1")]:
+        argvs.append(list(args) + ["--format", "json"])
+    failed = []
+    for argv in argvs:
+        code, out, _ = run_cli(argv)
+        try:
+            if code == cli.EXIT_USAGE and not out:
+                continue
+            payload = json.loads(out, parse_constant=_refuse_constant)
+            if out != json.dumps(payload, sort_keys=True, indent=2) + "\n":
+                failed.append((argv, "not canonical"))
+        except ValueError as exc:
+            failed.append((argv, str(exc)))
+    assert not failed, failed
 
 
 def test_json_rationals_are_strings():
@@ -344,8 +363,11 @@ def test_bad_step_sizes_are_usage_errors():
 
 
 def test_bad_geodesic_values_are_usage_errors():
+    # the last five: a --tol that is not finite and > 0 (1e-400 reads as 0)
     for flags in (("--w0", "1/0,0,0"), ("--w0", "1e400,0,0"),
-                  ("--y0", "0,1e400,0"), ("--t", "1e308", "--dt", "1e-300")):
+                  ("--y0", "0,1e400,0"), ("--t", "1e308", "--dt", "1e-300"),
+                  ("--tol", "0"), ("--tol", "-1"), ("--tol", "1e-400"),
+                  ("--tol", "1e999"), ("--tol=-1e999",)):
         res = _run("geodesic", "h3", *flags)
         assert res.returncode == 2, flags
         assert res.stderr.startswith("error:"), flags
@@ -439,6 +461,22 @@ def test_flow_blow_up_is_a_result():
     payload = json.loads(res.stdout)
     assert payload["ok"] is False
     assert payload["reason"] == "state is no longer finite at t=0.001"
+
+
+def test_a_drift_that_is_not_finite_is_a_failed_flow():
+    # the flow stays finite but E = |y|^2 / 2 overflows; its NaN drift is
+    # not the first of the report, where a plain max() would drop it
+    nan_drift = ("geodesic", "h3", "--t", "0.01", "--dt", "0.01",
+                 "--y0", "1e155,0,0")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no numpy warning is raised
+        text, payload = _run(*nan_drift), _run(*nan_drift, "--format", "json")
+    assert (text.returncode, text.stderr) == (1, "")
+    assert text.stdout == "flow failed: the drift of E is not finite\n"
+    assert (payload.returncode, payload.stderr) == (1, "")
+    assert json.loads(payload.stdout) == {
+        "algebra": "h3", "dt": 0.01, "t": 0.01, "ok": False,
+        "reason": "the drift of E is not finite"}
 
 
 def test_quotient_specs_where_a_polynomial_is_needed_are_usage_errors():

@@ -1,5 +1,5 @@
 """A recorded CLI corpus: one sha256 of (exit code, stdout, stderr) for
-each of 264 in-process commands, stored in ``cli_corpus.json``.
+each of 268 in-process commands, stored in ``cli_corpus.json``.
 
 The CLI's text, its canonical JSON and its exit codes are the program's
 regression gates, so a changed digest is an output change.  Each change
@@ -180,7 +180,16 @@ def commands():
             ["catalog", "n6_19(1e5000)"],
             ["geodesic", "h3", "--t", "0.01", "--dt", "0.01", "--w0",
              "1e5000,0,0", "--y0", "0,0,0"],
-            ["derivations", "--file", "tests/data/h3_big_exponent.json"]]
+            ["derivations", "--file", "tests/data/h3_big_exponent.json"],
+            # a drift that is not finite (E overflows) is a failed flow
+            ["geodesic", "h3", "--t", "0.01", "--dt", "0.01", "--y0",
+             "1e155,0,0"],
+            ["geodesic", "h3", "--t", "0.01", "--dt", "0.01", "--y0",
+             "1e155,0,0", "--format", "json"],
+            # a tolerance must be finite and > 0
+            ["geodesic", "h3", "--t", "0.01", "--dt", "0.01", "--tol",
+             "1e999", "--format", "json"],
+            ["geodesic", "h3", "--t", "0.01", "--dt", "0.01", "--tol", "0"]]
     # checked-in definition files, named relative to the repository root
     for path in ("tests/data/h3_metric.json", "tests/data/filiform5.json"):
         for verb in ("derivations", "killing2"):

@@ -1,8 +1,9 @@
 """How the value polynomials of the integrals are built.
 
-``Energy``, ``Linear`` and ``Quadratic`` write their forms directly, in
-the order ``render`` lists the terms; the oracle below is the polynomial
-route they replaced, y . G (S y) through ``alg.inner`` and ``mat_vec``.
+``Linear`` and ``Quadratic`` write their forms directly, in the order
+``render`` lists the terms, ``Energy`` being the quadratic integral of
+the identity; the oracle below is the polynomial route they replaced,
+y . G (S y) through ``alg.inner`` and ``mat_vec``.
 Equal data is not enough: ``Evaluator`` compiles monomials in the order
 of a polynomial's dict, so float values depend on that order.  Under the
 identity metric, that of every catalog entry, the order is the oracle's
@@ -17,7 +18,8 @@ gradient polynomials and the evaluators of both, through one bounded
 per-descriptor ``functools.lru_cache`` table keyed by (class, identity):
 ``Energy`` under (), ``RightInvariant`` under the direction and
 ``DerivationIntegral`` under the exact matrix.  A derivation's
-validation has a bounded memo of its own, keyed by the matrix.
+validation is one more slot of that table; a slot stores only a result,
+so a non-derivation is validated, and raises, at every construction.
 """
 
 import random
@@ -32,7 +34,7 @@ from nilflow import catalog, group, integrals, linalg, solvers
 from nilflow.algebra import LieAlgebraDescriptor, load_algebra
 from nilflow.integrals import (DERIVATION_TABLE_SIZE, DerivationIntegral,
                                Energy, Linear, NotADerivation, Quadratic,
-                               RightInvariant, _checked, _gradient, _shared)
+                               RightInvariant, _gradient, _shared)
 from nilflow.poisson import PoissonEngine
 from nilflow.ratpoly import Evaluator, RationalPolynomial, _term_key
 
@@ -224,6 +226,24 @@ def test_form_gradients_are_the_partials_under_random_metrics(case):
 
 # -- the shared table and the derivation check ---------------------------
 
+def _counted(monkeypatch, name):
+    """Rebind integrals.<name> to a wrapper that counts its calls."""
+    calls, original = [], getattr(integrals, name)
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(integrals, name, counted)
+    return calls
+
+
+def _fresh(name):
+    """A catalog entry's descriptor anew, so its tables start empty."""
+    alg = catalog.get(name).descriptor
+    return _with_metric(alg, alg.metric)
+
+
 def _entry_derivation(name):
     alg = catalog.get(name).descriptor
     return _with_metric(alg, alg.metric), solvers.skew_derivations(alg)[0]
@@ -267,51 +287,56 @@ def test_a_table_hit_equals_a_fresh_expansion():
 
 
 def test_one_matrix_is_validated_once(monkeypatch):
-    calls, validate = [], integrals.validate_derivation
-
-    def counted(alg, d):
-        calls.append(1)
-        return validate(alg, d)
-
-    alg, d = _entry_derivation("h5")
-    _checked(alg)  # the memo exists before the rebinding
-    # the check memo looks validate_derivation up by name at each call,
+    # the check slot looks validate_derivation up by name at each call,
     # so a rebinding, such as the benchmark tracer's, sees every check
-    monkeypatch.setattr(integrals, "validate_derivation", counted)
+    calls = _counted(monkeypatch, "validate_derivation")
+    alg, d = _entry_derivation("h5")
     for _ in range(20):
         DerivationIntegral(alg, d)
     assert len(calls) == 1
-    info = _checked(alg).cache_info()
+    info = _shared(alg).cache_info()
     assert (info.hits, info.misses) == (19, 1)
 
 
-def test_the_table_keeps_at_most_its_cap():
+def test_a_stored_non_derivation_raises_at_each_construction(monkeypatch):
+    # a slot stores only a result, so the check runs, and raises, each
+    # time, under the one key of the matrix
+    calls = _counted(monkeypatch, "validate_derivation")
+    alg = _fresh("n1")
+    d = catalog.get("n1").der_refs["D"]
+    for _ in range(3):
+        with pytest.raises(NotADerivation):
+            DerivationIntegral(alg, d)
+    assert len(calls) == 3
+    assert _shared(alg).cache_info().currsize <= 1
+
+
+def test_the_table_keeps_at_most_its_cap(monkeypatch):
+    checks = _counted(monkeypatch, "validate_derivation")
     alg, d = _entry_derivation("h5")
     scaled = [linalg.mat_scale(d, Fraction(k))
               for k in range(1, DERIVATION_TABLE_SIZE + 11)]
     table = _shared(alg)
     assert table.cache_info().maxsize == DERIVATION_TABLE_SIZE
     for m in scaled:
-        DerivationIntegral(alg, m, check=False).as_polynomial()
+        DerivationIntegral(alg, m).as_polynomial()
         assert table.cache_info().currsize <= DERIVATION_TABLE_SIZE
     assert table.cache_info().currsize == DERIVATION_TABLE_SIZE
-    assert table.cache_info().misses == len(scaled)
+    assert table.cache_info().misses == len(checks) == len(scaled)
     # the least recently used goes first: scaled[10] is used again, so
     # the next new matrix evicts scaled[11]
     DerivationIntegral(alg, scaled[10]).as_polynomial()
-    DerivationIntegral(alg, linalg.mat_scale(d, Fraction(-1)),
-                       check=False).as_polynomial()
-    misses = table.cache_info().misses
+    DerivationIntegral(alg, linalg.mat_scale(d, Fraction(-1))).as_polynomial()
+    misses, checked = table.cache_info().misses, len(checks)
     DerivationIntegral(alg, scaled[10]).as_polynomial()
-    assert table.cache_info().misses == misses
+    assert (table.cache_info().misses, len(checks)) == (misses, checked)
     # an evicted matrix is expanded and validated anew
     fresh = _with_metric(alg, alg.metric)
     for m in (scaled[0], scaled[11]):
         assert (DerivationIntegral(alg, m).as_polynomial()
-                == DerivationIntegral(fresh, m).as_polynomial())
-    assert table.cache_info().misses == misses + 2
-    check = _checked(alg).cache_info()
-    assert check.maxsize == DERIVATION_TABLE_SIZE and check.currsize == 3
+                == DerivationIntegral(fresh, m, check=False).as_polynomial())
+    assert (table.cache_info().misses, len(checks)) == (misses + 2,
+                                                        checked + 2)
 
 
 def test_integrals_of_one_matrix_own_their_gradient_lists():
@@ -326,12 +351,6 @@ def test_integrals_of_one_matrix_own_their_gradient_lists():
 
 
 # -- E and the right momenta in the shared table --------------------------
-
-def _fresh(name):
-    """A catalog entry's descriptor anew, so its tables start empty."""
-    alg = catalog.get(name).descriptor
-    return _with_metric(alg, alg.metric)
-
 
 def test_a_right_momentum_hit_equals_a_fresh_expansion():
     alg = _fresh("n6_26")
@@ -397,22 +416,10 @@ def test_the_right_momentum_memos_keep_at_most_their_cap():
     assert table.cache_info().misses == misses + 2
 
 
-def _counted(monkeypatch, name):
-    """Rebind integrals.<name> to a wrapper that counts its calls."""
-    calls, original = [], getattr(integrals, name)
-
-    def counted(*args):
-        calls.append(1)
-        return original(*args)
-
-    monkeypatch.setattr(integrals, name, counted)
-    return calls
-
-
 def test_is_first_integral_expands_the_energy_once(monkeypatch):
     # E's gradient is V = y, read off the form; its value is never formed
     values = _counted(monkeypatch, "_quadratic_form")
-    gradients = _counted(monkeypatch, "_linear_gradient")
+    gradients = _counted(monkeypatch, "_form_gradient")
     alg = _fresh("n6_26")
     engine = PoissonEngine(alg)
     for x in linalg.identity(alg.dim):
